@@ -1,16 +1,34 @@
 """Bit-parallel edge-oriented branching: the ``backend="bitset"`` edge engine.
 
 Structural twin of :mod:`repro.core.edge_engine` — the same Eq. 2/3
-semantics, rank invariant and triangle-pass root specialisation — with the
-branch state ``(C, X)``, the candidate views and the graph adjacency all
-expressed as ``int`` bitmasks (see :mod:`repro.graph.bitadj`).  Rank
-lookups keep the flat ``u * n + v`` key of the set engine; only the vertex
-*sets* change representation.
+semantics and rank invariant — with the branch state ``(C, X)``, the
+candidate views and the graph adjacency all expressed as ``int`` bitmasks
+(see :mod:`repro.graph.bitadj`).  Rank lookups keep the flat ``u * n + v``
+key of the set engine; only the vertex *sets* change representation.
 
-The per-branch wins are the same as in the vertex phases: common-neighbour
-computation is one AND, the exclusion set of an edge branch is
-``adj[a] & adj[b] & universe`` in three word-parallel operations, and the
-candidate-view prune check walks masks instead of hashing set members.
+The peel invariant
+------------------
+Eq. 2 forms the i-th sub-branch of a branch from ``E(gC) \\ {e1..e(i-1)}``:
+processed edges simply leave the candidate graph, the edge analogue of
+Bron–Kerbosch's ``P.remove(v); X.add(v)``.  Both edge levels
+(:func:`bit_run_edge_root` and :func:`bit_edge_phase`) therefore walk the
+branch's candidate edges in rank order over ``alive``, a copy of the
+branch's candidate masks, and clear each edge from ``alive`` once its
+sub-branch is built.  When edge ``r = (a, b)`` comes up, ``alive`` holds
+exactly the candidate pairs ranked at or after ``r``, so its sub-branch is
+
+* candidates ``C = alive[a] & alive[b]`` — the common neighbours whose
+  edges to ``a`` and ``b`` both rank after ``r``;
+* exclusions ``X = adj[a] & adj[b] & ~C`` (below the root, also
+  ``& universe``) — every other common graph neighbour;
+* a dual candidate view only when some ``w`` in ``C`` has a graph
+  neighbour in ``C`` that is no longer alive for it (see
+  :func:`_bit_dual_view`); the view is then ``{w: alive[w] & C}``.
+
+Each is a handful of word-parallel operations per edge, and no rank
+lookup happens inside the walk: the rank table is built only when a deeper
+edge level must sort its edges.  The set engine keeps its triangle-pass
+root as the independent reference.
 """
 
 from __future__ import annotations
@@ -21,70 +39,44 @@ from repro.core.bit_phases import bit_try_early_termination
 from repro.core.phases import EngineContext
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import BitGraph, iter_bits
-from repro.graph.coreness import core_decomposition
+# Unused here, but kept bound: perfbench/layers.py wraps this name.
+from repro.graph.coreness import core_decomposition  # noqa: F401
 from repro.graph.truss import EdgeOrdering
 
 BitAdjacency = Mapping[int, int] | Sequence[int]
 
 
-def _bit_candidate_view(
-    members: int,
-    parent_cand: BitAdjacency,
-    adj: Sequence[int],
-    rank: dict[int, int],
-    n: int,
-    threshold: int,
-) -> dict[int, int] | None:
-    """Candidate masks over ``members`` or ``None`` when nothing is pruned.
+def _alive_masks(C: int, alive: BitAdjacency) -> dict[int, int]:
+    """The masks of ``C``'s members over the pairs still alive in ``C``."""
+    return {w: alive[w] & C for w in iter_bits(C)}
 
-    Mirrors ``edge_engine._candidate_view``: ``None`` means the candidate
-    structure equals ``G[members]`` and the caller can hand the plain graph
-    masks to the vertex phase (the fast "same-view" mode).
+
+def _bit_dual_view(
+    C: int, alive: BitAdjacency, adj: Sequence[int]
+) -> dict[int, int] | None:
+    """Candidate masks over ``C`` or ``None`` when nothing is pruned.
+
+    A graph edge inside ``C`` that is not alive for its endpoint ranks at
+    or before the branch's defining edge, or was pruned above this branch.
+    ``None`` means there is no such edge: the candidate structure equals
+    ``G[C]`` and the caller hands the plain graph masks to the vertex phase
+    (the fast "same-view" mode).
     """
-    if members.bit_count() < 2:
-        return None
-    pruned = False
-    rest = members
-    while rest and not pruned:
-        low = rest & -rest
-        rest ^= low
-        w = low.bit_length() - 1
-        pc = parent_cand[w]
-        wn = w * n
-        nbrs = adj[w] & members
-        while nbrs:
-            nlow = nbrs & -nbrs
-            nbrs ^= nlow
-            z = nlow.bit_length() - 1
-            if not pc >> z & 1 or rank[wn + z if w < z else z * n + w] <= threshold:
-                pruned = True
-                break
-    if not pruned:
-        return None
-    out: dict[int, int] = {}
-    rest = members
+    rest = C
     while rest:
         low = rest & -rest
         rest ^= low
         w = low.bit_length() - 1
-        kept = 0
-        wn = w * n
-        nbrs = parent_cand[w] & members
-        while nbrs:
-            nlow = nbrs & -nbrs
-            nbrs ^= nlow
-            z = nlow.bit_length() - 1
-            if rank[wn + z if w < z else z * n + w] > threshold:
-                kept |= nlow
-        out[w] = kept
-    return out
+        if adj[w] & ~alive[w] & C:
+            return _alive_masks(C, alive)
+    return None
 
 
 def bit_edge_phase(
     S: list[int],
     C: int,
     X: int,
-    cand: BitAdjacency,
+    cand: Mapping[int, int],
     adj: Sequence[int],
     rank: dict[int, int],
     n: int,
@@ -92,7 +84,12 @@ def bit_edge_phase(
     depth: int | None,
     ctx: EngineContext,
 ) -> None:
-    """One edge-oriented branch on bitmask state (mirrors ``edge_phase``)."""
+    """One edge-oriented branch on bitmask state (mirrors ``edge_phase``).
+
+    ``cand`` holds the candidate mask of every member of ``C``; every pair
+    in it already ranks after ``threshold``, the rank of the branch's
+    defining edge, so the walk itself never consults the threshold.
+    """
     counters = ctx.counters
     counters.edge_calls += 1
     if not C:
@@ -122,41 +119,22 @@ def bit_edge_phase(
     descend_edges = depth is None or depth > 1
     next_depth = None if depth is None else depth - 1
     vertex_phase = ctx.phase
+    alive = dict(cand)
 
     for edge_rank, a, b in edges:
-        new_c = 0
-        common = cand[a] & cand[b]
-        an = a * n
-        bn = b * n
-        while common:
-            clow = common & -common
-            common ^= clow
-            w = clow.bit_length() - 1
-            wn = w * n
-            if rank[an + w if a < w else wn + a] > edge_rank:
-                if rank[bn + w if b < w else wn + b] > edge_rank:
-                    new_c |= clow
-        new_x = (adj[a] & adj[b] & universe) & ~new_c
-        new_x &= ~(1 << a)
-        new_x &= ~(1 << b)
-        view = _bit_candidate_view(new_c, cand, adj, rank, n, edge_rank)
-
+        new_c = alive[a] & alive[b]
+        new_x = adj[a] & adj[b] & universe & ~new_c
+        alive[a] ^= 1 << b
+        alive[b] ^= 1 << a
         S.append(a)
         S.append(b)
         if descend_edges:
-            new_cand = (
-                view if view is not None
-                # Dense-branch fallback: the view cache declined, so one
-                # per-branch dict is the cheapest exact candidate structure.
-                # repro-lint: allow[purity] — audited dense-branch fallback
-                else {w: adj[w] & new_c for w in iter_bits(new_c)}
-            )
-            bit_edge_phase(S, new_c, new_x, new_cand, adj, rank, n,
-                           edge_rank, next_depth, ctx)
-        elif view is None:
-            vertex_phase(S, new_c, new_x, adj, adj, ctx)
+            bit_edge_phase(S, new_c, new_x, _alive_masks(new_c, alive), adj,
+                           rank, n, edge_rank, next_depth, ctx)
         else:
-            vertex_phase(S, new_c, new_x, view, adj, ctx)
+            view = _bit_dual_view(new_c, alive, adj)
+            vertex_phase(S, new_c, new_x, adj if view is None else view,
+                         adj, ctx)
         S.pop()
         S.pop()
 
@@ -195,6 +173,11 @@ def _bit_edge_pairs(
     return pairs
 
 
+def _rank_table(pairs: list[tuple[int, int]], n: int) -> dict[int, int]:
+    """Flat ``u * n + v`` key of every (low-bit, high-bit) pair -> rank."""
+    return {u * n + v: r for r, (u, v) in enumerate(pairs)}
+
+
 def bit_run_edge_root_with_x(
     g: Graph,
     bg: BitGraph,
@@ -215,11 +198,9 @@ def bit_run_edge_root_with_x(
     """
     adj = bg.masks
     n = g.n
-    rank: dict[int, int] = {
-        u * n + v: r for r, (u, v) in enumerate(_bit_edge_pairs(bg, ordering))
-    }
-    cand = {w: adj[w] & C for w in iter_bits(C)}
-    bit_edge_phase([], C, X, cand, adj, rank, n, -1, depth, ctx)
+    rank = _rank_table(_bit_edge_pairs(bg, ordering), n)
+    bit_edge_phase([], C, X, _alive_masks(C, adj), adj, rank, n, -1, depth,
+                   ctx)
 
 
 def bit_run_edge_root(
@@ -228,109 +209,48 @@ def bit_run_edge_root(
     ordering: EdgeOrdering,
     depth: int | None,
     ctx: EngineContext,
-    core=None,
 ) -> None:
     """The initial branch on bitmasks (mirrors ``run_edge_root``).
 
-    ``bg`` may use any bit order; the engine runs entirely in bit space
-    (the edge ordering is translated through ``bg.bit_of`` and the branch
-    stack ``S`` holds bit positions), so with a packed order the caller's
-    sink must translate emitted bits back to vertex ids.  ``core`` is the
-    degeneracy decomposition of ``g`` when the caller already holds it
-    (the degeneracy-packed bit view computes one), sparing a second peel.
+    The branch ``(S = {}, C = V, X = {})`` peeled edge by edge in rank
+    order: the ordering *is* the sorted candidate edge list, and ``alive``
+    starts as the whole graph.  ``bg`` may use any bit order; the engine
+    runs entirely in bit space (the edge ordering is translated through
+    ``bg.bit_of`` and the branch stack ``S`` holds bit positions), so with
+    a packed order the caller's sink must translate emitted bits back to
+    vertex ids.
     """
     counters = ctx.counters
     counters.edge_calls += 1
     adj = bg.masks
     n = g.n
-    pairs = _bit_edge_pairs(bg, ordering)
-    rank: dict[int, int] = {
-        u * n + v: r for r, (u, v) in enumerate(pairs)
-    }
     if ctx.et_threshold and bit_try_early_termination(
         [], bg.vertex_mask, 0, adj, adj, ctx
     ):
         return
 
-    edge_count = len(pairs)
-    cand_of: list[int] = [0] * edge_count
-    excl_of: list[int] = [0] * edge_count
-
-    position = (core if core is not None else core_decomposition(g)).position
-    set_adj = g.adj
-    bit_of = bg.bit_of
-    forward: list[int] = [0] * n
-    for v in range(n):
-        pv = position[v]
-        mask = 0
-        for w in set_adj[v]:
-            if position[w] > pv:
-                mask |= 1 << bit_of[w]
-        forward[bit_of[v]] = mask
-
-    for u in range(n):
-        fu = forward[u]
-        un = u * n
-        rest = fu
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            vn = v * n
-            r_uv = rank[un + v if u < v else vn + u]
-            common = fu & forward[v]
-            while common:
-                clow = common & -common
-                common ^= clow
-                w = clow.bit_length() - 1
-                wn = w * n
-                r_uw = rank[un + w if u < w else wn + u]
-                r_vw = rank[vn + w if v < w else wn + v]
-                # The triangle's minimum-ranked edge gains a candidate
-                # (its opposite vertex); the other two edges gain the
-                # opposite vertex as an exclusion vertex.
-                if r_uv < r_uw:
-                    if r_uv < r_vw:
-                        cand_of[r_uv] |= 1 << w
-                        excl_of[r_uw] |= 1 << v
-                        excl_of[r_vw] |= 1 << u
-                    else:
-                        cand_of[r_vw] |= 1 << u
-                        excl_of[r_uv] |= 1 << w
-                        excl_of[r_uw] |= 1 << v
-                elif r_uw < r_vw:
-                    cand_of[r_uw] |= 1 << v
-                    excl_of[r_uv] |= 1 << w
-                    excl_of[r_vw] |= 1 << u
-                else:
-                    cand_of[r_vw] |= 1 << u
-                    excl_of[r_uv] |= 1 << w
-                    excl_of[r_uw] |= 1 << v
-
+    pairs = _bit_edge_pairs(bg, ordering)
     descend_edges = depth is None or depth > 1
     next_depth = None if depth is None else depth - 1
+    rank = _rank_table(pairs, n) if descend_edges else {}
     vertex_phase = ctx.phase
+    alive = list(adj)
 
     S: list[int] = []
     for edge_rank, (a, b) in enumerate(pairs):
-        new_c = cand_of[edge_rank]
-        new_x = excl_of[edge_rank]
-        view = _bit_candidate_view(new_c, adj, adj, rank, n, edge_rank)
+        new_c = alive[a] & alive[b]
+        new_x = adj[a] & adj[b] & ~new_c
+        alive[a] ^= 1 << b
+        alive[b] ^= 1 << a
         S.append(a)
         S.append(b)
         if descend_edges:
-            new_cand = (
-                view if view is not None
-                # Same audited dense-branch fallback as bit_edge_phase above.
-                # repro-lint: allow[purity] — audited dense-branch fallback
-                else {w: adj[w] & new_c for w in iter_bits(new_c)}
-            )
-            bit_edge_phase(S, new_c, new_x, new_cand, adj, rank, n,
-                           edge_rank, next_depth, ctx)
-        elif view is None:
-            vertex_phase(S, new_c, new_x, adj, adj, ctx)
+            bit_edge_phase(S, new_c, new_x, _alive_masks(new_c, alive), adj,
+                           rank, n, edge_rank, next_depth, ctx)
         else:
-            vertex_phase(S, new_c, new_x, view, adj, ctx)
+            view = _bit_dual_view(new_c, alive, adj)
+            vertex_phase(S, new_c, new_x, adj if view is None else view,
+                         adj, ctx)
         S.pop()
         S.pop()
 

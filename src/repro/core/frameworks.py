@@ -50,18 +50,36 @@ def _counting(sink: CliqueSink, counters: Counters) -> CliqueSink:
     return wrapped
 
 
+def _is_exact_int(value: object) -> bool:
+    """``int`` but not ``bool``: ``1.0`` and ``True`` are not knob values."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_run_options(et_threshold: int, backend: str,
-                          bit_order=None) -> None:
+                          bit_order=None, *, graph_reduction: bool = False,
+                          edge_depth: int | None = 1) -> None:
     """Reject bad options at the API boundary, before any work starts.
 
     ``EngineContext`` re-validates ``et_threshold`` when it is built, but
     that happens after graph reduction has already run (and never happens
     at all for the empty graph), so an invalid value could silently pass
-    or fail late with cliques already emitted.
+    or fail late with cliques already emitted.  The knob types are exact:
+    ``edge_depth=1.5`` or ``et_threshold=True`` would otherwise run as
+    some neighbouring integer, and a truthy ``graph_reduction="no"`` as
+    reduction on.
     """
-    if et_threshold not in (0, 1, 2, 3):
+    if not _is_exact_int(et_threshold) or et_threshold not in (0, 1, 2, 3):
         raise InvalidParameterError(
-            f"et_threshold must be 0 (off), 1, 2 or 3; got {et_threshold}"
+            f"et_threshold must be 0 (off), 1, 2 or 3; got {et_threshold!r}"
+        )
+    if not isinstance(graph_reduction, bool):
+        raise InvalidParameterError(
+            f"graph_reduction must be a bool, got {graph_reduction!r}"
+        )
+    if edge_depth is not None and (not _is_exact_int(edge_depth)
+                                   or edge_depth < 1):
+        raise InvalidParameterError(
+            f"edge_depth must be an integer >= 1 or None, got {edge_depth!r}"
         )
     if backend not in BACKENDS:
         raise InvalidParameterError(
@@ -93,7 +111,8 @@ def _bit_view(work: Graph, bit_order, inner_sink: CliqueSink):
 
     Returns ``(bg, sink, core)`` where ``core`` is the degeneracy
     decomposition computed to resolve the default packing (``None`` for
-    other packings) — the engines reuse it instead of peeling again.
+    other packings) — the vertex-root driver reuses it instead of peeling
+    again.
     """
     from repro.graph.bitadj import (
         DEFAULT_BIT_ORDER,
@@ -129,7 +148,7 @@ def _normalize_initial_x(g: Graph, initial_x) -> frozenset[int]:
         return frozenset()
     xs = frozenset(initial_x)
     for v in xs:
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.n:
+        if not _is_exact_int(v) or not 0 <= v < g.n:
             raise InvalidParameterError(
                 f"initial_x must contain vertex ids of g (0..{g.n - 1}); "
                 f"got {v!r}"
@@ -210,11 +229,9 @@ def run_hybrid(
     Returns:
         The run's :class:`Counters`.
     """
-    _validate_run_options(et_threshold, backend, bit_order)
-    if edge_depth is not None and edge_depth < 1:
-        raise InvalidParameterError(
-            f"edge_depth must be >= 1 or None, got {edge_depth}"
-        )
+    _validate_run_options(et_threshold, backend, bit_order,
+                          graph_reduction=graph_reduction,
+                          edge_depth=edge_depth)
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)
@@ -224,9 +241,9 @@ def run_hybrid(
     if work.n == 0:
         return counters  # the empty graph has no maximal cliques
 
-    bg = core = wg = None
+    bg = wg = None
     if backend in _MASK_BACKENDS:
-        bg, inner_sink, core = _bit_view(work, bit_order, inner_sink)
+        bg, inner_sink, _ = _bit_view(work, bit_order, inner_sink)
     ctx = make_context(
         inner_sink,
         counters,
@@ -269,11 +286,11 @@ def run_hybrid(
     if backend == "words":
         from repro.core.word_edge_engine import word_run_edge_root
 
-        word_run_edge_root(work, wg, ordering, edge_depth, ctx, core=core)
+        word_run_edge_root(work, wg, ordering, edge_depth, ctx)
     elif backend == "bitset":
         from repro.core.bit_edge_engine import bit_run_edge_root
 
-        bit_run_edge_root(work, bg, ordering, edge_depth, ctx, core=core)
+        bit_run_edge_root(work, bg, ordering, edge_depth, ctx)
     else:
         run_edge_root(work, ordering, edge_depth, ctx)
     return counters
@@ -315,7 +332,8 @@ def run_vertex(
     Returns:
         The run's :class:`Counters`.
     """
-    _validate_run_options(et_threshold, backend, bit_order)
+    _validate_run_options(et_threshold, backend, bit_order,
+                          graph_reduction=graph_reduction)
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)

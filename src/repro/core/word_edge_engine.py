@@ -1,9 +1,10 @@
 """Word-backend edge-oriented branching (``backend="words"``).
 
-Edge-level state is small and irregular — rank dictionaries, per-branch
-candidate views, triangle bookkeeping — and the bit engine already runs it
-on ``int`` masks with no per-member set churn.  What the word backend
-changes is where the *time* goes: the vertex phases below the edge levels.
+Edge-level state is small and irregular — a rank table and the ``alive``
+candidate masks each edge level peels in rank order (the bit engine's peel
+invariant) — and the bit engine already runs it on ``int`` masks with no
+per-member set churn.  What the word backend changes is where the *time*
+goes: the vertex phases below the edge levels.
 So this module runs the literal bit edge engine
 (:mod:`repro.core.bit_edge_engine`) with the word bridge installed as its
 vertex phase: every same-view branch above the dispatch threshold is lifted
@@ -28,14 +29,12 @@ from repro.graph.adjacency import Graph
 from repro.graph.wordadj import WordGraph, WordWorkspace
 from repro.graph.truss import EdgeOrdering
 
-BitAdjacency = Mapping[int, int] | Sequence[int]
-
 
 def word_edge_phase(
     S: list[int],
     C: int,
     X: int,
-    cand: BitAdjacency,
+    cand: Mapping[int, int],
     adj: Sequence[int],
     rank: dict[int, int],
     n: int,
@@ -64,16 +63,15 @@ def word_run_edge_root(
     ordering: EdgeOrdering,
     depth: int | None,
     ctx: EngineContext,
-    core=None,
 ) -> None:
     """The initial branch (S = {}, C = V) under the words backend.
 
     Word twin of :func:`repro.core.edge_engine.run_edge_root`: the bit
-    engine's triangle-pass root runs verbatim on ``wg.bit``, with vertex
-    handoffs crossing into word space through the bridge.
+    engine's root — the whole edge ordering peeled from ``alive`` in rank
+    order — runs verbatim on ``wg.bit``, with vertex handoffs crossing
+    into word space through the bridge.
     """
-    bit_run_edge_root(g, wg.bit, ordering, depth,
-                      make_word_bridge(ctx, wg), core=core)
+    bit_run_edge_root(g, wg.bit, ordering, depth, make_word_bridge(ctx, wg))
 
 
 def word_run_edge_root_with_x(

@@ -397,7 +397,7 @@ def make_word_bridge(
     bit twin (through the workspace's pure-bit shadow context, so their
     recursion never returns here) and lifts large same-view branches into
     the word kernels.  This is how ``backend="words"`` reuses the bit
-    backend's roots, edge levels and triangle pass verbatim.
+    backend's roots and rank-peeled edge levels verbatim.
 
     ``word_ctx`` is the context :func:`repro.core.phases.make_context`
     built for ``backend="words"``; the returned context shares its sink,

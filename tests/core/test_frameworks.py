@@ -25,6 +25,20 @@ class TestRunHybrid:
         with pytest.raises(InvalidParameterError):
             run_hybrid(complete_graph(3), lambda c: None, edge_depth=0)
 
+    # Regression: these used to run as a neighbouring valid value
+    # (1.5 as depth 2, True as depth 1 or t=1, "no" as reduction on).
+    @pytest.mark.parametrize("knob, value", [
+        ("edge_depth", 1.5), ("edge_depth", True), ("edge_depth", "1"),
+        ("et_threshold", True), ("et_threshold", 1.0),
+        ("et_threshold", False), ("graph_reduction", "no"),
+        ("graph_reduction", 1), ("graph_reduction", None),
+    ])
+    def test_knob_types_are_exact(self, knob, value):
+        emitted = []
+        with pytest.raises(InvalidParameterError, match=knob):
+            run_hybrid(complete_graph(3), emitted.append, **{knob: value})
+        assert emitted == []  # rejected before reduction could emit
+
     @pytest.mark.parametrize("gr", [False, True])
     @pytest.mark.parametrize("et", [0, 3])
     def test_option_matrix(self, gr, et):
@@ -67,6 +81,14 @@ class TestRunVertex:
         sink = CliqueCollector()
         run_vertex(g, sink, ordering_kind="degeneracy")
         assert sink.sorted_cliques() == [(0, 1), (2,)]
+
+    @pytest.mark.parametrize("knob, value", [
+        ("et_threshold", True), ("et_threshold", 2.0),
+        ("graph_reduction", "no"), ("graph_reduction", 0),
+    ])
+    def test_knob_types_are_exact(self, knob, value):
+        with pytest.raises(InvalidParameterError, match=knob):
+            run_vertex(complete_graph(3), lambda c: None, **{knob: value})
 
     def test_suppression_counter_with_reduction(self):
         # A triangle: reduction emits it, the engine gets an empty graph.

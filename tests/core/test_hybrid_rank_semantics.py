@@ -6,22 +6,29 @@ candidates of a branch are joined by an edge ranked *before* the branch's
 defining edge, that re-induction resurrects the pair and the clique
 containing it is enumerated twice (once here, once in the earlier branch
 that owns the pair).  Our engine keeps the rank threshold through the
-vertex phase instead; `_candidate_view` detects affected branches.
+vertex phase instead; `_candidate_view` detects affected branches in the
+set engine, and `_bit_dual_view` (a graph edge inside the branch that the
+rank peel already cleared) in the bitset engine.
 
-These tests (a) find real graphs with such rank-inverted pairs, (b) show
-our implementation stays duplicate-free on them, and (c) demonstrate that
-ignoring the threshold (the literal reading) produces duplicates.
+These tests (a) take real graphs with such rank-inverted pairs (the
+`pruned_pair_graphs` fixture of this directory's conftest), (b) show both
+engines stay duplicate-free on them, and (c) demonstrate that ignoring the
+threshold (the literal reading) produces duplicates in either engine.
 """
 
 import pytest
 
+import repro.core.bit_edge_engine as bit_edge_engine
 import repro.core.edge_engine as edge_engine
+from repro.core.bit_edge_engine import bit_run_edge_root
 from repro.core.counters import Counters
 from repro.core.edge_engine import run_edge_root
 from repro.core.phases import make_context
+from repro.graph.bitadj import BitGraph
 from repro.graph.builders import to_networkx
-from repro.graph.generators import erdos_renyi_gnm
 from repro.graph.truss import truss_edge_ordering
+
+BIT_ORDERS = ["input", "degeneracy"]
 
 
 def _canon(cliques):
@@ -33,37 +40,21 @@ def _reference(g):
     return _canon(nx.find_cliques(to_networkx(g)))
 
 
-def _graphs_with_pruned_pairs(count=3, max_seed=150):
-    """Find random graphs whose top-level branches contain a rank-inverted
-    (pruned) candidate pair.  These need moderately dense graphs."""
-    found = []
-    for seed in range(max_seed):
-        g = erdos_renyi_gnm(25, 200, seed=seed)
-        ordering = truss_edge_ordering(g)
-        rank = ordering.rank
-        n = g.n
-        flat = {u * n + v: r for r, (u, v) in enumerate(rank)}
-        for (a, b), r in rank.items():
-            cand = set()
-            for w in g.common_neighbors(a, b):
-                ka = (a, w) if a < w else (w, a)
-                kb = (b, w) if b < w else (w, b)
-                if rank[ka] > r and rank[kb] > r:
-                    cand.add(w)
-            view = edge_engine._candidate_view(cand, g.adj, g.adj, flat, n, r)
-            if view is not None:
-                found.append(g)
-                break
-        if len(found) >= count:
-            break
-    return found
+def _bit_cliques(g, bit_order, et_threshold):
+    """HBBMC through the bitset root, cliques translated to vertex ids."""
+    bg = BitGraph.from_graph(g, order=bit_order)
+    to_vertex = bg.to_vertex
+    out = []
+    ctx = make_context(lambda bits: out.append([to_vertex[b] for b in bits]),
+                       Counters(), et_threshold=et_threshold,
+                       backend="bitset")
+    bit_run_edge_root(g, bg, truss_edge_ordering(g), 1, ctx)
+    return out
 
 
-@pytest.fixture(scope="module")
-def pruned_pair_graphs():
-    graphs = _graphs_with_pruned_pairs()
-    assert graphs, "no witness graph found — generator drifted?"
-    return graphs
+def _wrong(out, g):
+    return _canon(out) != _reference(g) \
+        or len(out) != len(set(map(frozenset, out)))
 
 
 class TestCorrectSemantics:
@@ -72,6 +63,15 @@ class TestCorrectSemantics:
             out = []
             ctx = make_context(out.append, Counters(), et_threshold=3)
             run_edge_root(g, truss_edge_ordering(g), 1, ctx)
+            assert len(out) == len(set(map(frozenset, out)))
+            assert _canon(out) == _reference(g)
+
+    @pytest.mark.parametrize("bit_order", BIT_ORDERS)
+    @pytest.mark.parametrize("et_threshold", [0, 3])
+    def test_bitset_root_no_duplicates_on_witness_graphs(
+            self, pruned_pair_graphs, bit_order, et_threshold):
+        for g in pruned_pair_graphs:
+            out = _bit_cliques(g, bit_order, et_threshold)
             assert len(out) == len(set(map(frozenset, out)))
             assert _canon(out) == _reference(g)
 
@@ -98,4 +98,18 @@ class TestLiteralReadingFails:
         assert broken_somewhere, (
             "literal re-induction unexpectedly produced correct results on "
             "all witnesses — the fix would be unnecessary"
+        )
+
+    @pytest.mark.parametrize("bit_order", BIT_ORDERS)
+    def test_bitset_prune_check_is_load_bearing(self, pruned_pair_graphs,
+                                                monkeypatch, bit_order):
+        """The bitset engine's prune check, forced to report 'nothing
+        pruned', hands every branch the plain graph masks: the same literal
+        re-induction, and it must go wrong on some witness."""
+        monkeypatch.setattr(bit_edge_engine, "_bit_dual_view",
+                            lambda C, alive, adj: None)
+        assert any(_wrong(_bit_cliques(g, bit_order, 0), g)
+                   for g in pruned_pair_graphs), (
+            "forcing same-view mode left every witness correct — the "
+            "bitset prune check would be unnecessary"
         )

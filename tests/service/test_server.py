@@ -76,6 +76,25 @@ class TestHandleRequest:
                       "bit_order": [0.0, 1.0, 2.0, 3.0]})
         assert not response["ok"] and "integer" in response["error"]
 
+    @pytest.mark.parametrize("knob, value", [
+        ("graph_reduction", "no"), ("graph_reduction", 0),
+        ("et_threshold", True), ("et_threshold", 1.0),
+    ])
+    def test_engine_knobs_require_exact_types(self, service, knob, value):
+        # Regression: forwarded unchecked, "graph_reduction": "no" used to
+        # answer ok with reduction on, and True / 1.0 ran as t=1.
+        handle_request(service, {"op": "register", "n": 4,
+                                 "edges": K4_EDGES, "name": "k4"})
+        for op in ("count", "enumerate", "fingerprint"):
+            response, shutdown = handle_request(
+                service, {"op": op, "graph": "k4", knob: value})
+            assert not response["ok"] and knob in response["error"]
+            assert not shutdown
+        valid = {"graph_reduction": False, "et_threshold": 1}[knob]
+        response, _ = handle_request(
+            service, {"op": "count", "graph": "k4", knob: valid})
+        assert response["ok"] and response["count"] == 1
+
     def test_name_conflict_is_an_error_and_registers_nothing(self, service):
         handle_request(service, {"op": "register", "n": 4,
                                  "edges": K4_EDGES, "name": "k4"})
