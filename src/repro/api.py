@@ -204,6 +204,10 @@ DEFAULT_ALGORITHM = "hbbmc++"
 
 def get_algorithm(name: str) -> AlgorithmSpec:
     """Look up a registered algorithm (case-insensitive)."""
+    if not isinstance(name, str):
+        raise UnknownAlgorithmError(
+            f"algorithm name must be a string, got {name!r}"
+        )
     spec = ALGORITHMS.get(name.lower())
     if spec is None:
         raise UnknownAlgorithmError(
@@ -369,8 +373,17 @@ def count_maximal_cliques(
 ) -> int:
     """Number of maximal cliques of ``g`` (O(1) memory beyond the run).
 
-    The parallel path (``n_jobs=N``) stays O(1) end to end: workers ship
-    per-subproblem count summaries instead of the cliques themselves.
+    No clique is built on the way.  A serial run counts emissions as the
+    engines make them (the mask backends' bit tuples are never translated
+    back to vertex ids).  With ``n_jobs=N`` the in-place tier — every
+    hybrid and vertex algorithm, on every backend — counts inside the
+    workers, which ship one ``(count, max_size, total_vertices)`` triple
+    per subproblem.  Two tiers still build each subproblem's clique list
+    worker-side before compressing it: the pure edge-oriented family
+    (``ebbmc``, ``ebbmc++``), solved on a compact relabelled graph, and
+    the enumerate-then-filter path (``x_aware=False``, and
+    ``reverse-search``, which cannot seed an exclusion set).  Only the
+    triples cross the process boundary either way.
     """
     if n_jobs is not None:
         from repro.parallel import CountAggregator, run_parallel

@@ -23,6 +23,10 @@ recursion, and it is what makes the parallel decomposition's subproblems
 duplication-free (:mod:`repro.parallel.decompose`).  With a non-empty
 ``initial_x`` graph reduction is bypassed — its peel-and-emit step assumes
 an empty exclusion context.
+
+A run whose sink is a plain :class:`CliqueCounter` counts without
+enumerating: clique sizes survive the bit→vertex relabelling, so the mask
+backends hand their bit tuples untranslated to one fused counting closure.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from repro.core.counters import Counters
 from repro.core.edge_engine import run_edge_root, run_edge_root_with_x
 from repro.core.phases import BACKENDS, make_context
 from repro.core.reduction import reduce_graph
-from repro.core.result import CliqueSink, suppressing_sink
+from repro.core.result import CliqueCounter, CliqueSink, suppressing_sink
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.orderings import edge_ordering, vertex_ordering
@@ -42,7 +46,34 @@ from repro.graph.orderings import edge_ordering, vertex_ordering
 _MASK_BACKENDS = ("bitset", "words")
 
 
+def _counts_only(sink: CliqueSink) -> bool:
+    """Whether ``sink`` reads nothing but each clique's size.
+
+    Exactly :class:`CliqueCounter`: a subclass may override ``__call__``.
+    """
+    return type(sink) is CliqueCounter
+
+
 def _counting(sink: CliqueSink, counters: Counters) -> CliqueSink:
+    """The run's last sink: counts each clique into ``counters.emitted``.
+
+    A plain :class:`CliqueCounter` is fused in: one closure updates both
+    objects, and it never looks at the ids, so bit tuples need no
+    translation first.
+    """
+    if _counts_only(sink):
+        counter = sink
+
+        def counted(clique: tuple[int, ...]) -> None:
+            size = len(clique)
+            counters.emitted += 1
+            counter.count += 1
+            counter.total_vertices += size
+            if size > counter.max_size:
+                counter.max_size = size
+
+        return counted
+
     def wrapped(clique: tuple[int, ...]) -> None:
         counters.emitted += 1
         sink(clique)
@@ -101,18 +132,12 @@ def _validate_run_options(et_threshold: int, backend: str,
             )
 
 
-def _bit_view(work: Graph, bit_order, inner_sink: CliqueSink):
-    """Build the run's :class:`BitGraph` and its sink-side translation.
+def _bit_view(work: Graph, bit_order):
+    """Build the run's :class:`BitGraph`.
 
-    The bitset engines run entirely in bit space; under a non-identity
-    packing every emitted clique is translated back to vertex ids *before*
-    the suppression/counting wrappers see it, so graph-reduction filtering
-    and user sinks keep operating on vertex ids.
-
-    Returns ``(bg, sink, core)`` where ``core`` is the degeneracy
-    decomposition computed to resolve the default packing (``None`` for
-    other packings) — the vertex-root driver reuses it instead of peeling
-    again.
+    Returns ``(bg, core)`` where ``core`` is the degeneracy decomposition
+    computed to resolve the default packing (``None`` for other packings)
+    — the vertex-root loop reuses it instead of peeling again.
     """
     from repro.graph.bitadj import (
         DEFAULT_BIT_ORDER,
@@ -131,15 +156,39 @@ def _bit_view(work: Graph, bit_order, inner_sink: CliqueSink):
         work, bit_order,
         degeneracy_order=core.order if core is not None else None,
     )
-    bg = BitGraph.from_graph(work, order=order)
-    if bg.is_identity:
-        return bg, inner_sink, core
-    to_vertex = bg.to_vertex
+    return BitGraph.from_graph(work, order=order), core
 
-    def translated(bits: tuple[int, ...]) -> None:
-        inner_sink(tuple(to_vertex[b] for b in bits))
 
-    return bg, translated, core
+def _engine_sink(sink: CliqueSink, counted: CliqueSink, counters: Counters,
+                 suppressed: set[frozenset[int]], bg) -> CliqueSink:
+    """The sink the engines call, in front of the run's ``counted`` sink.
+
+    The mask engines emit bit tuples.  Graph reduction's suppression filter
+    runs in the engines' id space, so under a non-identity packing the
+    suppressed sets are mapped through ``bg.bit_of`` once.  Surviving
+    cliques are translated back to vertex ids only when the caller's sink
+    reads them (:func:`_counts_only`).
+    """
+    engine_sink = counted
+    relabelled = bg is not None and not bg.is_identity
+    if relabelled and not _counts_only(sink):
+        to_vertex = bg.to_vertex
+
+        def translated(bits: tuple[int, ...]) -> None:
+            counted(tuple(to_vertex[b] for b in bits))
+
+        engine_sink = translated
+    if suppressed:
+        if relabelled:
+            bit_of = bg.bit_of
+            suppressed = {frozenset(bit_of[v] for v in members)
+                          for members in suppressed}
+
+        def on_suppress() -> None:
+            counters.suppressed_candidates += 1
+
+        engine_sink = suppressing_sink(engine_sink, suppressed, on_suppress)
+    return engine_sink
 
 
 def _normalize_initial_x(g: Graph, initial_x) -> frozenset[int]:
@@ -172,21 +221,20 @@ def _apply_reduction(
     counted_sink: CliqueSink,
     counters: Counters,
     enabled: bool,
-) -> tuple[Graph, CliqueSink]:
-    """Optionally reduce ``g``; emit peeled cliques; wrap sink with filter."""
+) -> tuple[Graph, set[frozenset[int]]]:
+    """Optionally reduce ``g`` and emit the peeled cliques.
+
+    Returns the graph to enumerate and the vertex sets its run must
+    suppress (see :mod:`repro.core.reduction`).
+    """
     if not enabled:
-        return g, counted_sink
+        return g, set()
     reduction = reduce_graph(g)
     counters.reduction_removed = len(reduction.removed)
     counters.reduction_emitted = len(reduction.emitted)
     for clique in reduction.emitted:
         counted_sink(clique)
-
-    def on_suppress() -> None:
-        counters.suppressed_candidates += 1
-
-    filtered = suppressing_sink(counted_sink, reduction.suppressed, on_suppress)
-    return reduction.graph, filtered
+    return reduction.graph, reduction.suppressed
 
 
 def run_hybrid(
@@ -235,7 +283,7 @@ def run_hybrid(
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)
-    work, inner_sink = _apply_reduction(
+    work, suppressed = _apply_reduction(
         g, counted, counters, graph_reduction and not initial_x
     )
     if work.n == 0:
@@ -243,9 +291,9 @@ def run_hybrid(
 
     bg = wg = None
     if backend in _MASK_BACKENDS:
-        bg, inner_sink, _ = _bit_view(work, bit_order, inner_sink)
+        bg, _ = _bit_view(work, bit_order)
     ctx = make_context(
-        inner_sink,
+        _engine_sink(sink, counted, counters, suppressed, bg),
         counters,
         et_threshold=et_threshold,
         vertex_strategy=vertex_strategy,
@@ -337,7 +385,7 @@ def run_vertex(
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)
-    work, inner_sink = _apply_reduction(
+    work, suppressed = _apply_reduction(
         g, counted, counters, graph_reduction and not initial_x
     )
     if work.n == 0:
@@ -345,9 +393,9 @@ def run_vertex(
 
     bg = core = None
     if backend in _MASK_BACKENDS:
-        bg, inner_sink, core = _bit_view(work, bit_order, inner_sink)
+        bg, core = _bit_view(work, bit_order)
     ctx = make_context(
-        inner_sink,
+        _engine_sink(sink, counted, counters, suppressed, bg),
         counters,
         et_threshold=et_threshold,
         vertex_strategy=vertex_strategy,
@@ -409,7 +457,8 @@ def _run_vertex_bitset(
 
     Runs entirely in ``bg``'s bit space — root vertices, candidate and
     exclusion masks are all bit positions; ``ctx.sink`` translates back to
-    vertex ids when the packing is non-identity.  ``core`` is the
+    vertex ids when the packing is non-identity and the caller's sink
+    reads them (see :func:`_engine_sink`).  ``core`` is the
     degeneracy decomposition the bit view already computed (if any), so a
     "degeneracy" initial ordering needs no second peel.
     """

@@ -177,6 +177,11 @@ def load_dataset(short_name: str) -> Graph:
 
     ``short_name`` is the paper's two-letter code (NA, FB, ..., SO).
     """
+    if not isinstance(short_name, str):
+        raise InvalidParameterError(
+            f"dataset code must be a string, got {short_name!r}; expected "
+            f"one of {DATASET_NAMES}"
+        )
     key = short_name.upper()
     builder = _BUILDERS.get(key)
     if builder is None:

@@ -9,7 +9,11 @@ chunk stream into that order.
 Three sinks cover the API surface:
 
 * :class:`CountAggregator` — O(1) memory; workers ship per-subproblem
-  ``(count, max_size, total_vertices)`` triples only.
+  ``(count, max_size, total_vertices)`` triples only.  On the in-place
+  tier (every hybrid and vertex algorithm) the workers never build the
+  cliques either; the compact edge-family graph and the ``x_aware=False``
+  filter build each subproblem's list worker-side and compress it with
+  :func:`count_payload`.
 * :class:`CollectAggregator` — gathers every clique, returns the merged
   list at the end.
 * :class:`CallbackAggregator` — streams cliques into a caller sink as soon
@@ -20,7 +24,7 @@ Three sinks cover the API surface:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.core.counters import Counters
 from repro.core.result import CliqueSink
@@ -188,8 +192,25 @@ class CallbackAggregator(Aggregator):
         return None
 
 
+def merge_payloads(payloads: list[Any], mode: str) -> Payload:
+    """One payload from the payloads of a subproblem's parts.
+
+    Count triples add up (``max_size`` takes the maximum); clique lists
+    concatenate into one canonically sorted list.
+    """
+    if mode == "count":
+        return (sum(p[0] for p in payloads),
+                max((p[1] for p in payloads), default=0),
+                sum(p[2] for p in payloads))
+    return sorted(clique for cliques in payloads for clique in cliques)
+
+
 def count_payload(cliques: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:
-    """Compress a subproblem's cliques into the count-mode triple."""
+    """Compress a subproblem's cliques into the count-mode triple.
+
+    Only the tiers that must build a subproblem's cliques anyway use this:
+    the compact edge-family graph and the ``x_aware=False`` filter.
+    """
     count = 0
     max_size = 0
     total_vertices = 0

@@ -34,10 +34,11 @@ import time
 from dataclasses import dataclass
 
 from repro.core.counters import Counters
-from repro.core.result import CliqueCollector
+from repro.core.result import CliqueCollector, CliqueCounter
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.coreness import core_decomposition
+from repro.parallel.aggregate import Payload, count_payload
 
 COST_MODELS = ("uniform", "candidates", "edges", "triangles")
 
@@ -201,6 +202,11 @@ def uses_in_place_phase(algorithm: str, options: dict) -> bool:
         and set(options) <= _IN_PLACE_OPTIONS
 
 
+def _payload(cliques: list[tuple[int, ...]], mode: str) -> Payload:
+    """What a clique-building tier ships for ``cliques`` in ``mode``."""
+    return count_payload(cliques) if mode == "count" else cliques
+
+
 def solve_branch(
     g: Graph,
     stem: list[int],
@@ -209,7 +215,8 @@ def solve_branch(
     phase_kwargs: dict,
     options: dict,
     bit_graph=None,
-) -> tuple[list[tuple[int, ...]], Counters]:
+    mode: str = "collect",
+) -> tuple[Payload, Counters]:
     """Run one branch ``(S=stem, C=candidates, X=exclusion)`` on ``g``.
 
     The engine's vertex phase executed in place on the whole graph's
@@ -221,8 +228,12 @@ def solve_branch(
     (``stem=[v, w]`` for each root-level candidate ``w``): both are the
     same X-aware decomposition, applied one level apart.
 
-    Returns the canonical clique list (each tuple ascending, list sorted)
-    and the branch counters, with ``emitted`` set to the clique count.
+    Returns the branch's ``mode`` payload and counters, with ``emitted``
+    set to the clique count.  In ``"collect"`` mode the payload is the
+    canonical clique list (each tuple ascending, list sorted).  In
+    ``"count"`` mode the phase runs into a :class:`CliqueCounter` and the
+    payload is its ``(count, max_size, total_vertices)`` triple: no
+    clique is stored, translated to vertex ids or sorted.
 
     ``bit_graph`` is the caller's cached whole-graph mask view matching
     the backend — a :class:`repro.graph.bitadj.BitGraph` for ``bitset``, a
@@ -236,8 +247,10 @@ def solve_branch(
     if "et_threshold" in options:
         kwargs["et_threshold"] = options["et_threshold"]
     out: list[tuple[int, ...]] = []
+    counter = CliqueCounter() if mode == "count" else None
     counters = Counters()
-    ctx = make_context(out.append, counters, backend=backend, **kwargs)
+    ctx = make_context(counter if counter is not None else out.append,
+                       counters, backend=backend, **kwargs)
     if backend in ("bitset", "words"):
         from repro.graph.bitadj import DEFAULT_BIT_ORDER, BitGraph
 
@@ -262,31 +275,21 @@ def solve_branch(
         ctx.phase([bg.bit_of[v] for v in stem],
                   bg.mask_of_vertices(candidates),
                   bg.mask_of_vertices(exclusion), masks, masks, ctx)
-        if not bg.is_identity:
+        if counter is None and not bg.is_identity:
             # Branch state ran in bit space; map emitted bits back.
             to_vertex = bg.to_vertex
             out[:] = [tuple(to_vertex[b] for b in clique) for clique in out]
     else:
         adj = g.adj
         ctx.phase(list(stem), set(candidates), set(exclusion), adj, adj, ctx)
+    if counter is not None:
+        # Sizes survive the bit->vertex relabelling: nothing to translate.
+        counters.emitted = counter.count
+        return (counter.count, counter.max_size,
+                counter.total_vertices), counters
     cliques = sorted(tuple(sorted(clique)) for clique in out)
     counters.emitted = len(cliques)
     return cliques, counters
-
-
-def _solve_in_place(
-    g: Graph,
-    v: int,
-    later: set[int],
-    earlier: set[int],
-    phase_kwargs: dict,
-    options: dict,
-    bit_graph,
-) -> tuple[list[tuple[int, ...]], Counters, int]:
-    """Run the branch ``(S={v}, C=later, X=earlier)`` on ``g`` directly."""
-    cliques, counters = solve_branch(g, [v], later, earlier, phase_kwargs,
-                                     options, bit_graph)
-    return cliques, counters, 0
 
 
 def solve_subproblem(
@@ -298,7 +301,8 @@ def solve_subproblem(
     options: dict,
     x_aware: bool = True,
     bit_graph=None,
-) -> tuple[list[tuple[int, ...]], Counters, int]:
+    mode: str = "collect",
+) -> tuple[Payload, Counters, int]:
     """Enumerate the maximal cliques of ``G`` whose earliest member is ``v``.
 
     With ``x_aware=True`` (the default) the subproblem's exclusion set is
@@ -323,11 +327,16 @@ def solve_subproblem(
     dropped afterwards (those cliques belong to — and are found from — an
     earlier subproblem).
 
-    Returns ``(cliques, counters, dropped)`` where ``cliques`` are emitted
-    canonically (each tuple ascending, list sorted) so the stream is
-    deterministic regardless of backend scan order, and ``dropped`` counts
-    the candidates rejected by the earlier-neighbour maximality filter
-    (always 0 on the X-aware paths).
+    Returns ``(payload, counters, dropped)``.  In ``"collect"`` mode the
+    payload is the clique list, emitted canonically (each tuple ascending,
+    list sorted) so the stream is deterministic regardless of backend scan
+    order.  In ``"count"`` mode it is the ``(count, max_size,
+    total_vertices)`` triple: the in-place tier counts without building a
+    single clique, while the compact-graph tier and the ``x_aware=False``
+    filter still build the subproblem's clique list (their cliques must be
+    relabelled or filtered) and compress it with :func:`count_payload`.
+    ``dropped`` counts the candidates rejected by the earlier-neighbour
+    maximality filter (always 0 on the X-aware paths).
     """
     from repro.api import enumerate_to_sink, get_algorithm  # deferred: api imports us lazily
 
@@ -337,12 +346,14 @@ def solve_subproblem(
         # Lone root: {v} is maximal iff v has no neighbours at all.
         cliques = [(v,)] if not earlier else []
         counters.emitted = len(cliques)
-        return cliques, counters, 0
+        return _payload(cliques, mode), counters, 0
 
     spec = get_algorithm(algorithm)
     if x_aware and uses_in_place_phase(algorithm, options):
-        return _solve_in_place(g, v, later, earlier, spec.subproblem_phase,
-                               options, bit_graph)
+        payload, counters = solve_branch(g, [v], later, earlier,
+                                         spec.subproblem_phase, options,
+                                         bit_graph, mode)
+        return payload, counters, 0
 
     if x_aware and spec.supports_initial_x:
         sub, old_ids, x_local = _subproblem_graph(g, later, earlier)
@@ -354,7 +365,7 @@ def solve_subproblem(
             for local in collector.cliques
         )
         counters.emitted = len(cliques)
-        return cliques, counters, 0
+        return _payload(cliques, mode), counters, 0
 
     sub, old_ids = g.induced_subgraph(later)
     collector = CliqueCollector()
@@ -384,4 +395,4 @@ def solve_subproblem(
     # same bookkeeping graph reduction uses for its shadowed cliques.
     counters.emitted = len(cliques)
     counters.suppressed_candidates += dropped
-    return cliques, counters, dropped
+    return _payload(cliques, mode), counters, dropped

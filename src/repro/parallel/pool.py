@@ -46,7 +46,7 @@ from repro.parallel.aggregate import (
     Aggregator,
     ChunkResult,
     Payload,
-    count_payload,
+    merge_payloads,
 )
 from repro.parallel.decompose import (
     DEFAULT_COST_MODEL,
@@ -323,13 +323,12 @@ def _solve_chunk(
         and config.options.get("backend") in ("bitset", "words") \
         and uses_in_place_phase(config.algorithm, config.options) else None
     for p in chunk.positions:
-        cliques, sub_counters, _ = solve_subproblem(
+        payload, sub_counters, _ = solve_subproblem(
             g, position, order[p],
             algorithm=config.algorithm, options=config.options,
-            x_aware=config.x_aware, bit_graph=bit_graph,
+            x_aware=config.x_aware, bit_graph=bit_graph, mode=config.mode,
         )
         counters.merge(sub_counters)
-        payload = count_payload(cliques) if config.mode == "count" else cliques
         items.append((p, payload))
     cpu_seconds = time.process_time() - cpu_start
     finished = time.monotonic()
@@ -578,20 +577,20 @@ def _solve_split(
 
     phase_kwargs = get_algorithm(config.algorithm).subproblem_phase
     adj = g.adj
-    cliques: list[tuple[int, ...]] = []
+    payloads: list[Payload] = []
     for i in task.branches:
         w = cands[i]
         pw = position[w]
         reach = later & adj[w]
         sub_c = {u for u in reach if position[u] > pw}
         sub_x = (earlier & adj[w]) | {u for u in reach if position[u] < pw}
-        branch_cliques, branch_counters = solve_branch(
+        branch_payload, branch_counters = solve_branch(
             g, [v, w], sub_c, sub_x, phase_kwargs, config.options, bit_graph,
+            config.mode,
         )
         counters.merge(branch_counters)
-        cliques.extend(branch_cliques)
-    cliques.sort()
-    payload = count_payload(cliques) if config.mode == "count" else cliques
+        payloads.append(branch_payload)
+    payload = merge_payloads(payloads, config.mode)
     cpu_seconds = time.process_time() - cpu_start
     finished = time.monotonic()
     registry = MetricsRegistry()
@@ -660,19 +659,9 @@ class _SplitMerger:
         if self._remaining[task.position]:
             result.items = []
         else:
-            result.items = [(task.position, self._merge(parts))]
+            result.items = [(task.position,
+                             merge_payloads(parts, self._mode))]
         return result
-
-    def _merge(self, payloads: list[Any]) -> Payload:
-        if self._mode == "count":
-            return (sum(p[0] for p in payloads),
-                    max(p[1] for p in payloads),
-                    sum(p[2] for p in payloads))
-        merged: list[tuple[int, ...]] = []
-        for p in payloads:
-            merged.extend(p)
-        merged.sort()
-        return merged
 
 
 @dataclass

@@ -6,6 +6,13 @@ target that no longer exists, so renaming or dropping a wrapped name would
 only surface there; this guard runs with the unit tests instead.  The
 target list is read from the file's AST, so the benchmark's own modules are
 never imported here.
+
+The traced run also installs emission hooks outside that list: it wraps
+``frameworks._counting`` and ``frameworks.make_context`` (the per-run
+counters and the sink the engines call) and the ``__init__``/``__call__``
+of the result sinks.  A count path that stopped calling them would
+silently zero the ``core.*`` and ``emit.*`` metrics, so the second half
+of this module drives a serial count through the same kind of wrappers.
 """
 
 import ast
@@ -13,6 +20,12 @@ import importlib
 import pathlib
 
 import pytest
+
+from repro import count_maximal_cliques, maximal_cliques
+from repro.core import frameworks, result
+from repro.core.counters import Counters
+from repro.graph import disjoint_union
+from repro.graph.generators import erdos_renyi_gnm, plex_caveman
 
 LAYERS = pathlib.Path(__file__).resolve().parents[2] / "perfbench" / "layers.py"
 
@@ -51,3 +64,72 @@ def test_span_target_resolves(span, module_name, owner_name, attr):
         if isinstance(raw, classmethod):
             raw = raw.__func__
     assert callable(raw)
+
+
+#: the emission hooks ``layers._install_sinks`` wraps:
+#: (module, owner attribute or None, function attribute).
+EMISSION_HOOKS = [
+    ("repro.core.frameworks", None, "_counting"),
+    ("repro.core.frameworks", None, "make_context"),
+    ("repro.core.result", "CliqueCounter", "__init__"),
+    ("repro.core.result", "CliqueCollector", "__init__"),
+    ("repro.core.result", "CliqueCollector", "__call__"),
+]
+
+
+@pytest.mark.parametrize(
+    "module_name, owner_name, attr", EMISSION_HOOKS,
+    ids=[f"{o + '.' if o else ''}{a}" for _, o, a in EMISSION_HOOKS])
+def test_emission_hook_resolves(module_name, owner_name, attr):
+    module = importlib.import_module(module_name)
+    if owner_name is None:
+        assert callable(getattr(module, attr, None)), \
+            f"{module_name} binds no {attr!r}"
+    else:
+        owner = getattr(module, owner_name)
+        assert callable(owner.__dict__.get(attr)), \
+            f"{module_name}.{owner_name} defines no {attr!r} itself"
+
+
+#: a sparse part graph reduction peels and a plex caveman that early
+#: termination fires on, so every emission route of a count is taken.
+HOOK_GRAPH = disjoint_union(erdos_renyi_gnm(16, 30, seed=12),
+                            plex_caveman(4, 8, 2, seed=1))
+
+
+@pytest.mark.parametrize("backend", ["bitset", "words"])
+def test_serial_count_calls_each_emission_hook_once(monkeypatch, backend):
+    """Wrapped the way ``layers._install_sinks`` wraps them."""
+    counting_calls, context_calls, counters_made = [], [], []
+    counting = frameworks._counting
+    make_context = frameworks.make_context
+    init = result.CliqueCounter.__dict__["__init__"]
+
+    def counting_hook(sink, counters):
+        counting_calls.append(counters)
+        return counting(sink, counters)
+
+    def make_context_hook(sink, counters, **kwargs):
+        context_calls.append(counters)
+        return make_context(sink, counters, **kwargs)
+
+    def init_hook(self):
+        init(self)
+        counters_made.append(self)
+
+    monkeypatch.setattr(frameworks, "_counting", counting_hook)
+    monkeypatch.setattr(frameworks, "make_context", make_context_hook)
+    monkeypatch.setattr(result.CliqueCounter, "__init__", init_hook)
+    count = count_maximal_cliques(HOOK_GRAPH, backend=backend)
+    monkeypatch.undo()
+
+    cliques = maximal_cliques(HOOK_GRAPH, backend=backend)
+    (run_counters,) = counting_calls
+    assert isinstance(run_counters, Counters)
+    assert len(context_calls) == 1 and context_calls[0] is run_counters
+    assert run_counters.emitted == len(cliques) == count
+    assert run_counters.et_hits > 0
+    assert run_counters.suppressed_candidates > 0
+    (counter,) = counters_made
+    assert counter.count == len(cliques)
+    assert counter.total_vertices == sum(map(len, cliques))

@@ -19,6 +19,28 @@ from repro.service import (
 
 K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
+REGISTER_K4 = {"op": "register", "n": 4, "edges": K4_EDGES, "name": "k4"}
+
+#: requests whose non-string name used to reach ``.lower()``/``.upper()``:
+#: the AttributeError escaped the error envelope and took the transport
+#: down (a stdio server exited, a TCP connection dropped unanswered).
+BAD_NAME_REQUESTS = [
+    {"op": "count", "graph": "k4", "algorithm": 5},
+    {"op": "count", "graph": "k4", "algorithm": [1]},
+    {"op": "enumerate", "graph": "k4", "algorithm": 5},
+    {"op": "enumerate", "graph": "k4", "algorithm": [1]},
+    {"op": "fingerprint", "graph": "k4", "algorithm": 5},
+    {"op": "fingerprint", "graph": "k4", "algorithm": [1]},
+    {"op": "register", "dataset": 5},
+    {"op": "register", "dataset": [1]},
+]
+
+#: every bad line above plus an inline edge past ``n``; each must be
+#: answered ``ok: false`` with the connection left open.
+BAD_LINES = BAD_NAME_REQUESTS + [
+    {"op": "register", "n": 3, "edges": [[0, 5]]},
+]
+
 
 @pytest.fixture()
 def service():
@@ -149,6 +171,25 @@ class TestHandleRequest:
         response, _ = handle_request(service, {"op": "ping"})
         assert response["ok"]
 
+    @pytest.mark.parametrize("request_", BAD_NAME_REQUESTS,
+                             ids=[json.dumps(r) for r in BAD_NAME_REQUESTS])
+    def test_non_string_names_are_error_responses(self, service, request_):
+        handle_request(service, REGISTER_K4)
+        response, shutdown = handle_request(service, request_)
+        assert not response["ok"] and "must be a string" in response["error"]
+        assert not shutdown
+
+    def test_inline_endpoint_out_of_range_names_endpoint_and_n(self,
+                                                               service):
+        # Regression: the bare vertex KeyError used to answer "error": "5".
+        response, _ = handle_request(
+            service, {"op": "register", "n": 3, "edges": [[0, 5]]})
+        assert not response["ok"]
+        assert "endpoint 5" in response["error"] \
+            and "n=3" in response["error"]
+        graphs, _ = handle_request(service, {"op": "graphs"})
+        assert graphs["graphs"] == []
+
     def test_shutdown_signals_transport(self, service):
         response, shutdown = handle_request(service, {"op": "shutdown"})
         assert response["ok"] and response["bye"]
@@ -216,6 +257,17 @@ class TestStdioTransport:
     def test_eof_without_shutdown_returns_cleanly(self, service):
         assert self._drive(service, [json.dumps({"op": "ping"})])[0]["ok"]
 
+    def test_bad_lines_keep_serving(self, service):
+        lines = [json.dumps(REGISTER_K4)]
+        for bad in BAD_LINES:
+            lines += [json.dumps(bad), json.dumps({"op": "count",
+                                                   "graph": "k4"})]
+        responses = self._drive(service, lines)
+        assert len(responses) == len(lines)
+        for bad, after in zip(responses[1::2], responses[2::2]):
+            assert not bad["ok"], bad
+            assert after["ok"] and after["count"] == 1, after
+
 
 class TestTCPTransport:
     def _start(self, service):
@@ -253,6 +305,20 @@ class TestTCPTransport:
         assert stats["pool_spinups"] == 1
         assert stats["graph_ships"] == 1
         assert stats["decompose_calls"] == 1
+
+    def test_bad_lines_keep_the_connection_open(self):
+        with CliqueService() as service:
+            thread, port = self._start(service)
+            with ServiceClient(port=port) as client:
+                client.request(REGISTER_K4)
+                for bad in BAD_LINES:
+                    with pytest.raises(ServiceError,
+                                       match="must be a string|out of range"):
+                        client.request(bad)
+                    assert client.count("k4")["count"] == 1
+                client.shutdown()
+            thread.join(10)
+            assert not thread.is_alive()
 
     def test_server_error_becomes_client_exception(self):
         with CliqueService() as service:
