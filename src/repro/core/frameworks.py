@@ -26,7 +26,7 @@ an empty exclusion context.
 
 A run whose sink is a plain :class:`CliqueCounter` counts without
 enumerating: clique sizes survive the bit→vertex relabelling, so the mask
-backends hand their bit tuples untranslated to one fused counting closure.
+backends hand their bit tuples untranslated to the counter.
 """
 
 from __future__ import annotations
@@ -55,25 +55,6 @@ def _counts_only(sink: CliqueSink) -> bool:
 
 
 def _counting(sink: CliqueSink, counters: Counters) -> CliqueSink:
-    """The run's last sink: counts each clique into ``counters.emitted``.
-
-    A plain :class:`CliqueCounter` is fused in: one closure updates both
-    objects, and it never looks at the ids, so bit tuples need no
-    translation first.
-    """
-    if _counts_only(sink):
-        counter = sink
-
-        def counted(clique: tuple[int, ...]) -> None:
-            size = len(clique)
-            counters.emitted += 1
-            counter.count += 1
-            counter.total_vertices += size
-            if size > counter.max_size:
-                counter.max_size = size
-
-        return counted
-
     def wrapped(clique: tuple[int, ...]) -> None:
         counters.emitted += 1
         sink(clique)

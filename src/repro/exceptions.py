@@ -19,6 +19,9 @@ class GraphFormatError(ReproError):
 class InvalidVertexError(ReproError, KeyError):
     """Raised when an operation references a vertex that is not in the graph."""
 
+    # KeyError's own __str__ quotes its message like a dict key.
+    __str__ = Exception.__str__
+
 
 class InvalidParameterError(ReproError, ValueError):
     """Raised when an algorithm or generator receives an invalid parameter."""

@@ -94,7 +94,9 @@ class Graph:
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._adj):
-            raise InvalidVertexError(v)
+            raise InvalidVertexError(
+                f"vertex {v} is out of range for n={len(self._adj)}"
+            )
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert edge ``(u, v)``.

@@ -157,11 +157,6 @@ def _handle_register(service: CliqueService,
         ) from exc
     g = Graph(n)
     for u, v in edges:
-        for endpoint in (u, v):
-            if not 0 <= endpoint < n:
-                raise ReproError(
-                    f"edge endpoint {endpoint} is out of range for n={n}"
-                )
         # Same sanitisation convention as every file reader
         # (repro.graph.io): self-loops and duplicate edges carry no
         # information for MCE on simple graphs and are dropped.

@@ -54,8 +54,10 @@ class TestEdges:
 
     def test_unknown_vertex_rejected(self):
         g = Graph(3)
-        with pytest.raises(InvalidVertexError):
+        with pytest.raises(InvalidVertexError) as info:
             g.add_edge(0, 7)
+        # Unquoted, although InvalidVertexError is a KeyError.
+        assert str(info.value) == "vertex 7 is out of range for n=3"
 
     def test_remove_edge(self):
         g = Graph(3)

@@ -1,9 +1,9 @@
 """Property tests: counting agrees with enumerating, on every path.
 
 A count never builds the cliques it counts.  A serial run into a plain
-:class:`CliqueCounter` hands the mask engines' bit tuples straight to one
-fused counting closure, with graph reduction's suppression filter mapped
-into bit space; a count-mode worker folds each in-place subproblem into a
+:class:`CliqueCounter` hands the mask engines' bit tuples untranslated to
+the counter, with graph reduction's suppression filter mapped into bit
+space; a count-mode worker folds each in-place subproblem into a
 ``(count, max_size, total_vertices)`` triple.  Collect mode still builds,
 translates and sorts every clique.  So for every registered algorithm,
 backend, bit order, ``n_jobs`` and steal setting the two modes must agree:
