@@ -1,22 +1,11 @@
-"""Set vs bitset vs words backend comparison across the generator suite.
+"""Set vs bitset backend comparison across the generator suite.
 
-Times every (workload, algorithm) cell under all three branch-state
-backends and records the speedups ``set_seconds / bitset_seconds`` and
-``bitset_seconds / words_seconds``.  Dense candidate subgraphs are where
-word-parallel AND/popcount pays off, so the suite spans the density range:
-high-density Erdős–Rényi (the bitset sweet spot), medium-density G(n, m),
-preferential attachment, planted cliques and a structured ring-of-cliques
-(the sparse end, where sets can win).
-
-A second section times the **member-scan kernel in isolation**: the
-vectorised gather/AND/popcount scan of ``word_phases._member_degrees``
-against the per-member ``(nbrs & C).bit_count()`` loop the bit phases run
-over the same branch.  Whole-run cells dilute this kernel behind work the
-two mask backends share byte for byte (ordering, emission, sub-threshold
-branches dispatched to the bit twins), so the kernel cells — labelled
-``kind: "scan-kernel"`` — are where the word backend's headline speedup is
-measured; whole-run ``words_vs_bitset`` ratios are reported unvarnished
-alongside them.
+Times every (workload, algorithm) cell under both branch-state backends and
+records the speedup ``set_seconds / bitset_seconds``.  Dense candidate
+subgraphs are where word-parallel AND/popcount pays off, so the suite spans
+the density range: high-density Erdős–Rényi (the bitset sweet spot),
+medium-density G(n, m), preferential attachment, planted cliques and a
+structured ring-of-cliques (the sparse end, where sets can win).
 
 Usage::
 
@@ -35,7 +24,6 @@ import json
 import pathlib
 import platform
 import sys
-import time
 
 _SRC = pathlib.Path(__file__).parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -46,17 +34,11 @@ from repro.core.phases import BACKENDS
 from repro.graph.generators import (
     barabasi_albert,
     erdos_renyi_gnm,
-    erdos_renyi_gnp,
     planted_cliques,
     ring_of_cliques,
 )
 
 ALGORITHMS = ("hbbmc++", "ebbmc++", "bk-pivot")
-
-#: Branch sizes for the scan-kernel cells: the vectorised scan's advantage
-#: grows with the member count, so the grid brackets the crossover.
-SCAN_SIZES = (128, 256, 512, 1024)
-SCAN_SIZES_QUICK = (128,)
 
 
 def workloads(quick: bool):
@@ -77,8 +59,6 @@ def workloads(quick: bool):
 
 
 def run(quick: bool, repeats: int) -> dict:
-    import repro.graph.wordadj  # noqa: F401 — NumPy import cost out of cells
-
     cells = []
     for name, g in workloads(quick):
         density = g.m / g.n if g.n else 0.0
@@ -96,11 +76,8 @@ def run(quick: bool, repeats: int) -> dict:
                         f"({cliques} vs {m.cliques} cliques)"
                     )
             speedup = timings["set"] / timings["bitset"] if timings["bitset"] else 0.0
-            word_ratio = (timings["bitset"] / timings["words"]
-                          if timings["words"] else 0.0)
             cells.append({
                 "workload": name,
-                "kind": "whole-run",
                 "n": g.n,
                 "m": g.m,
                 "density": round(density, 2),
@@ -108,16 +85,10 @@ def run(quick: bool, repeats: int) -> dict:
                 "cliques": cliques,
                 "set_seconds": round(timings["set"], 6),
                 "bitset_seconds": round(timings["bitset"], 6),
-                "words_seconds": round(timings["words"], 6),
                 "bitset_speedup": round(speedup, 3),
-                "words_vs_bitset": round(word_ratio, 3),
             })
             print(f"{name:20s} {algorithm:9s} set={timings['set']:8.3f}s  "
-                  f"bitset={timings['bitset']:8.3f}s  "
-                  f"words={timings['words']:8.3f}s  "
-                  f"speedup={speedup:5.2f}x  words={word_ratio:5.2f}x")
-    kernel_cells = scan_kernel_cells(quick, repeats)
-    cells.extend(kernel_cells)
+                  f"bitset={timings['bitset']:8.3f}s  speedup={speedup:5.2f}x")
     return {
         "experiment": "backend-comparison",
         "python": platform.python_version(),
@@ -125,78 +96,8 @@ def run(quick: bool, repeats: int) -> dict:
         "quick": quick,
         "repeats": repeats,
         "cells": cells,
-        "max_bitset_speedup": max(
-            c["bitset_speedup"] for c in cells if c["kind"] == "whole-run"),
-        "max_words_vs_bitset": max(
-            c["words_vs_bitset"] for c in cells if c["kind"] == "whole-run"),
-        "max_scan_kernel_speedup": max(
-            c["words_vs_bitset"] for c in kernel_cells),
+        "max_bitset_speedup": max(c["bitset_speedup"] for c in cells),
     }
-
-
-def scan_kernel_cells(quick: bool, repeats: int) -> list[dict]:
-    """Time the per-branch member scan in isolation, both mask backends.
-
-    One scan = score every candidate's degree within ``C`` on a dense
-    branch with ``|C| = n`` — exactly what ``bit_pivot_phase`` does with a
-    Python loop of int AND/popcounts and ``word_phases._member_degrees``
-    does with three vectorised kernel calls.  Each cell reports the mean
-    microseconds per scan (fastest repeat) and their ratio.
-    """
-    from repro.core.word_phases import _member_degrees
-    from repro.graph.wordadj import WordGraph, WordWorkspace, row_members
-
-    cells = []
-    for n in SCAN_SIZES_QUICK if quick else SCAN_SIZES:
-        g = erdos_renyi_gnp(n, 0.5, seed=11)
-        wg = WordGraph.from_graph(g, order="degeneracy")
-        ws = WordWorkspace(wg)
-        masks = wg.bit.masks
-        c_int = wg.bit.vertex_mask
-        c_row = wg.full_row()
-        members = row_members(c_row)
-        iters = 20 if quick else 200
-
-        def bit_scan():
-            best_d = -1
-            mask = c_int
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                d = (masks[low.bit_length() - 1] & c_int).bit_count()
-                if d > best_d:
-                    best_d = d
-            return best_d
-
-        def word_scan():
-            degrees = _member_degrees(wg.words, members, c_row, ws)
-            return int(degrees.max())
-
-        assert bit_scan() == word_scan()
-        timed = {}
-        for label, fn in (("bitset", bit_scan), ("words", word_scan)):
-            best = float("inf")
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                for _ in range(iters):
-                    fn()
-                best = min(best, time.perf_counter() - start)
-            timed[label] = best / iters * 1e6
-        ratio = timed["bitset"] / timed["words"] if timed["words"] else 0.0
-        cells.append({
-            "workload": f"scan-kernel-n{n}",
-            "kind": "scan-kernel",
-            "n": n,
-            "members": int(members.shape[0]),
-            "algorithm": "member-scan",
-            "bitset_scan_us": round(timed["bitset"], 2),
-            "words_scan_us": round(timed["words"], 2),
-            "words_vs_bitset": round(ratio, 3),
-        })
-        print(f"scan-kernel-n{n:<6d} member-scan  "
-              f"bitset={timed['bitset']:8.2f}us  "
-              f"words={timed['words']:8.2f}us  words={ratio:5.2f}x")
-    return cells
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,8 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         out = pathlib.Path(__file__).parent.parent / "BENCH_backend.json"
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out} (max bitset speedup "
-          f"{results['max_bitset_speedup']:.2f}x, max scan-kernel words "
-          f"speedup {results['max_scan_kernel_speedup']:.2f}x)")
+          f"{results['max_bitset_speedup']:.2f}x)")
     return 0
 
 

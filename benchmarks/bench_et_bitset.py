@@ -15,9 +15,7 @@ Three configurations per (family, algorithm) cell, timed end to end:
 
 A fourth cell, ``bitset-native-input``, re-times the bit-native path under
 ``bit_order="input"`` so the degeneracy-packing contribution is recorded
-separately from the ET rewrite.  A fifth, ``words``, runs the word-packed
-backend (same bit-native ET construction, vectorised branch scans) so the
-ET families carry a words column next to the two earlier backends.
+separately from the ET rewrite.
 
 The family list leans ET-heavy on purpose: ``plex-caveman``
 (:func:`repro.graph.generators.plex_caveman`, communities that resolve
@@ -59,8 +57,7 @@ from repro.graph.generators import (
     plex_caveman,
 )
 
-CONFIGS = ("set", "bitset-roundtrip", "bitset-native", "bitset-native-input",
-           "words")
+CONFIGS = ("set", "bitset-roundtrip", "bitset-native", "bitset-native-input")
 
 
 def workloads(smoke: bool):
@@ -97,15 +94,11 @@ def _measure_config(g, algorithm: str, config: str, repeats: int):
             return measure(g, algorithm, repeats=repeats, backend="bitset")
     if config == "bitset-native":
         return measure(g, algorithm, repeats=repeats, backend="bitset")
-    if config == "words":
-        return measure(g, algorithm, repeats=repeats, backend="words")
     return measure(g, algorithm, repeats=repeats, backend="bitset",
                    bit_order="input")
 
 
 def run(smoke: bool, repeats: int) -> dict:
-    import repro.graph.wordadj  # noqa: F401 — NumPy import cost out of cells
-
     cells = []
     for family, g, algorithms in workloads(smoke):
         for algorithm in algorithms:
@@ -127,8 +120,6 @@ def run(smoke: bool, repeats: int) -> dict:
             native = seconds["bitset-native"]
             vs_roundtrip = seconds["bitset-roundtrip"] / native if native else 0.0
             vs_set = seconds["set"] / native if native else 0.0
-            words_vs_native = (native / seconds["words"]
-                               if seconds["words"] else 0.0)
             cells.append({
                 "family": family,
                 "n": g.n,
@@ -141,15 +132,13 @@ def run(smoke: bool, repeats: int) -> dict:
                 "bitset_native_seconds": round(native, 6),
                 "bitset_native_input_order_seconds":
                     round(seconds["bitset-native-input"], 6),
-                "words_seconds": round(seconds["words"], 6),
                 "native_vs_roundtrip": round(vs_roundtrip, 3),
                 "native_vs_set": round(vs_set, 3),
-                "words_vs_native": round(words_vs_native, 3),
             })
             print(f"{family:18s} {algorithm:10s} set={seconds['set']:8.3f}s  "
                   f"rt={seconds['bitset-roundtrip']:8.3f}s  "
-                  f"native={native:8.3f}s  words={seconds['words']:8.3f}s  "
-                  f"vs-rt={vs_roundtrip:5.2f}x  vs-set={vs_set:5.2f}x")
+                  f"native={native:8.3f}s  vs-rt={vs_roundtrip:5.2f}x  "
+                  f"vs-set={vs_set:5.2f}x")
     return {
         "experiment": "et-bitset",
         "python": platform.python_version(),

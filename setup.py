@@ -6,11 +6,8 @@ enables the legacy path::
 
     pip install -e . --no-build-isolation --no-use-pep517
 
-Dependencies: the core package and the ``set``/``bitset`` backends are
-stdlib-only.  ``backend="words"`` needs NumPy — any version with ``uint64``
-ufuncs works (>= 1.22 tested); on NumPy >= 2.0 popcounts use the native
-``np.bitwise_count``, older versions take the pure-NumPy SWAR fallback in
-``repro.graph.wordadj`` (``select_popcount`` picks at import time).
+Dependencies: none; the package, including both the ``set`` and
+``bitset`` backends, is stdlib-only.
 """
 
 from setuptools import find_packages, setup
@@ -24,10 +21,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.11",
     install_requires=[],
-    extras_require={
-        # The word-packed backend only; everything else is stdlib-only.
-        "words": ["numpy>=1.22"],
-    },
     entry_points={
         "console_scripts": ["repro-mce=repro.cli:main"],
     },

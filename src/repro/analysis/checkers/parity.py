@@ -1,19 +1,13 @@
-"""Backend-twin parity: every set-backend engine has a prefixed twin.
+"""Backend-twin parity: every set-backend engine has a ``bit_`` twin.
 
 An *engine function* is a public function with a ``ctx`` parameter — the
 :class:`repro.core.phases.EngineContext` threading convention marks
 exactly the functions that form a backend's surface.  For each such
-function in the set modules there must be a prefixed function in each
-backend column (``bit_`` in the bit modules, ``word_`` in the word
-modules, and vice versa) whose signature is compatible: the set twin's
-parameter names must appear, in order, within the prefixed twin's
-parameters (the prefixed side may interleave extras such as the
-``BitGraph``/``WordGraph`` view, a workspace or a ``core`` bound, never
-rename or reorder the shared ones).
-
-A column whose modules do not resolve in the tree under lint is skipped
-entirely: fixture trees carrying only a bit column are not flagged for
-lacking word modules, and vice versa.
+function in the set modules there must be a ``bit_``-prefixed function in
+the bit modules (and vice versa) whose signature is compatible: the set
+twin's parameter names must appear, in order, within the bit twin's
+parameters (the bit side may interleave extras such as the ``BitGraph``
+view or a ``core`` bound, never rename or reorder the shared ones).
 """
 
 from __future__ import annotations
@@ -27,16 +21,16 @@ CHECKER = "parity"
 EXPLAIN = {
     "rule": (
         "Every public engine function (a function taking the 'ctx' "
-        "parameter) in the set-backend modules must have a 'bit_'/'word_' "
-        "prefixed twin in each backend column with a compatible "
+        "parameter) in the set-backend modules must have a 'bit_' "
+        "prefixed twin in the bit-backend modules with a compatible "
         "signature: the shared parameter names appear in the same order, "
         "never renamed or reordered."
     ),
     "rationale": (
-        "The three backends are proved equivalent by a differential net; "
-        "that net only covers functions that exist in all columns.  A "
-        "twin that silently goes missing or renames a parameter drops "
-        "out of the equivalence net without failing any test."
+        "The two backends are proved equivalent by a differential net; "
+        "that net only covers functions that exist in both.  A twin that "
+        "silently goes missing or renames a parameter drops out of the "
+        "equivalence net without failing any test."
     ),
     "pragma": "# repro-lint: allow[parity] — <why the twin is absent>",
 }
@@ -61,60 +55,53 @@ def _modules(index: ModuleIndex, names: tuple[str, ...]) -> list[ModuleInfo]:
 def check(index: ModuleIndex, config: LintConfig) -> list[Finding]:
     findings: list[Finding] = []
     set_modules = _modules(index, config.set_modules)
+    bit_modules = _modules(index, config.bit_modules)
+    prefix = config.bit_prefix
 
     set_engines: dict[str, tuple[ModuleInfo, FunctionInfo]] = {}
     for info in set_modules:
         for func in _engine_functions(info, config.ctx_param):
             set_engines[func.name] = (info, func)
+    bit_engines: dict[str, tuple[ModuleInfo, FunctionInfo]] = {}
+    for info in bit_modules:
+        for func in _engine_functions(info, config.ctx_param):
+            bit_engines[func.name] = (info, func)
 
-    columns = (
-        ("bit", config.bit_prefix, config.bit_modules),
-        ("word", config.word_prefix, config.word_modules),
-    )
-    for label, prefix, module_names in columns:
-        col_modules = _modules(index, module_names)
-        if not col_modules:
+    # Set backend -> bit twin.
+    for name, (info, func) in sorted(set_engines.items()):
+        twin_name = prefix + name
+        twin = bit_engines.get(twin_name)
+        if twin is None:
+            findings.append(Finding(
+                info.rel, func.lineno, CHECKER,
+                f"engine function '{name}' has no '{twin_name}' twin in "
+                f"the bit backend ({', '.join(config.bit_modules)})",
+            ))
             continue
-        col_engines: dict[str, tuple[ModuleInfo, FunctionInfo]] = {}
-        for info in col_modules:
-            for func in _engine_functions(info, config.ctx_param):
-                col_engines[func.name] = (info, func)
+        twin_info, twin_func = twin
+        if not _is_subsequence(func.params, twin_func.params):
+            findings.append(Finding(
+                twin_info.rel, twin_func.lineno, CHECKER,
+                f"'{twin_name}({', '.join(twin_func.params)})' is not "
+                f"signature-compatible with '{name}"
+                f"({', '.join(func.params)})': the set twin's parameters "
+                "must appear in order within the bit twin's",
+            ))
 
-        # Set backend -> prefixed twin.
-        for name, (info, func) in sorted(set_engines.items()):
-            twin_name = prefix + name
-            twin = col_engines.get(twin_name)
-            if twin is None:
-                findings.append(Finding(
-                    info.rel, func.lineno, CHECKER,
-                    f"engine function '{name}' has no '{twin_name}' twin in "
-                    f"the {label} backend ({', '.join(module_names)})",
-                ))
-                continue
-            twin_info, twin_func = twin
-            if not _is_subsequence(func.params, twin_func.params):
-                findings.append(Finding(
-                    twin_info.rel, twin_func.lineno, CHECKER,
-                    f"'{twin_name}({', '.join(twin_func.params)})' is not "
-                    f"signature-compatible with '{name}"
-                    f"({', '.join(func.params)})': the set twin's parameters "
-                    f"must appear in order within the {label} twin's",
-                ))
-
-        # Prefixed backend -> set twin (and the naming convention itself).
-        for name, (info, func) in sorted(col_engines.items()):
-            if not name.startswith(prefix):
-                findings.append(Finding(
-                    info.rel, func.lineno, CHECKER,
-                    f"public engine function '{name}' in a {label} module "
-                    f"must be named '{prefix}{name}'",
-                ))
-                continue
-            if name[len(prefix):] not in set_engines:
-                findings.append(Finding(
-                    info.rel, func.lineno, CHECKER,
-                    f"{label} engine function '{name}' has no set-backend "
-                    f"twin '{name[len(prefix):]}' in "
-                    f"{', '.join(config.set_modules)}",
-                ))
+    # Bit backend -> set twin (and the naming convention itself).
+    for name, (info, func) in sorted(bit_engines.items()):
+        if not name.startswith(prefix):
+            findings.append(Finding(
+                info.rel, func.lineno, CHECKER,
+                f"public engine function '{name}' in a bit module must be "
+                f"named '{prefix}{name}'",
+            ))
+            continue
+        if name[len(prefix):] not in set_engines:
+            findings.append(Finding(
+                info.rel, func.lineno, CHECKER,
+                f"bit engine function '{name}' has no set-backend twin "
+                f"'{name[len(prefix):]}' in "
+                f"{', '.join(config.set_modules)}",
+            ))
     return findings

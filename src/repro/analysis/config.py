@@ -55,21 +55,12 @@ class LintConfig:
     )
     #: naming prefix of a bit twin (``pivot_phase`` -> ``bit_pivot_phase``).
     bit_prefix: str = "bit_"
-    #: word-backend engine modules; a third parity column held to the same
-    #: roster (skipped when the configured tree has no such modules).
-    word_modules: tuple[str, ...] = (
-        "repro.core.word_phases",
-        "repro.core.word_edge_engine",
-        "repro.core.word_plex",
-    )
-    #: naming prefix of a word twin (``pivot_phase`` -> ``word_pivot_phase``).
-    word_prefix: str = "word_"
     #: parameter name marking a function as an engine entry point.
     ctx_param: str = "ctx"
 
     # --- hot-path purity -----------------------------------------------
-    #: file-basename prefix(es) selecting the hot-path modules.
-    purity_prefix: str | tuple[str, ...] = ("bit_", "word_")
+    #: file-basename prefix selecting the hot-path modules.
+    purity_prefix: str = "bit_"
 
     # --- knob threading -------------------------------------------------
     api_module: str = "repro.api"
@@ -154,7 +145,7 @@ class LintConfig:
         "int", "float", "str", "bool", "bytes", "complex", "None",
         "list", "tuple", "dict", "set", "frozenset",
         "Optional", "Union", "Sequence", "Mapping", "Iterable",
-        "Graph", "BitGraph", "WordGraph", "Counters",
+        "Graph", "BitGraph", "Counters",
     )
     #: pool methods whose arguments are pickled and shipped to workers.
     pickle_ship_methods: tuple[str, ...] = (

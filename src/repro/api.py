@@ -19,18 +19,14 @@ the plain BK family (``bk``, ``bk-pivot``, ``bk-ref``, ``bk-degen``,
 two cannot drift.)
 
 Every branch-and-bound algorithm additionally accepts
-``backend="set" | "bitset" | "words"`` selecting the branch-state
-representation: Python sets, ``int`` bitmasks
-(:mod:`repro.graph.bitadj`), or NumPy ``uint64`` word arrays
-(:mod:`repro.graph.wordadj`) whose big-branch scans run as vectorised
-kernels.  All backends emit identical clique sets, and the two mask
-backends execute the same decision sequence branch for branch, so their
-counters agree exactly.  The mask backends also accept
+``backend="set" | "bitset"`` selecting the branch-state representation:
+Python sets or ``int`` bitmasks (:mod:`repro.graph.bitadj`).  Both
+backends emit identical clique sets.  The bitset backend also accepts
 ``bit_order="degeneracy" | "input"`` (or an explicit vertex permutation)
 selecting the vertex→bit packing: ``"degeneracy"`` — the default — packs
 the high-core vertices into the low mask words so deep-branch masks stay
 short, ``"input"`` is the identity mapping.  Early termination on the
-mask backends is bit-native end to end (:mod:`repro.core.bit_plex`):
+bitset backend is bit-native end to end (:mod:`repro.core.bit_plex`):
 plex branches are decomposed and their cliques assembled directly on the
 masks.
 
@@ -374,7 +370,7 @@ def count_maximal_cliques(
     """Number of maximal cliques of ``g`` (O(1) memory beyond the run).
 
     No clique is built on the way.  A serial run counts emissions as the
-    engines make them (the mask backends' bit tuples are never translated
+    engines make them (the bitset backend's bit tuples are never translated
     back to vertex ids).  With ``n_jobs=N`` the in-place tier — every
     hybrid and vertex algorithm, on every backend — counts inside the
     workers, which ship one ``(count, max_size, total_vertices)`` triple

@@ -67,13 +67,12 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"algorithm (default {DEFAULT_ALGORITHM}; "
                              f"see 'repro-mce algorithms')")
     parser.add_argument("--backend", choices=BACKENDS, default="set",
-                        help="branch-state representation: Python sets, int "
-                             "bitmasks, or NumPy uint64 word arrays "
-                             "(default: set)")
+                        help="branch-state representation: Python sets or "
+                             "int bitmasks (default: set)")
     parser.add_argument("--bit-order", choices=BIT_ORDERS, default=None,
-                        help="bitmask packing for the mask backends (bitset, "
-                             "words): 'degeneracy' (default; dense core in "
-                             "the low words) or 'input' (vertex id = bit id)")
+                        help="bitmask packing for --backend bitset: "
+                             "'degeneracy' (default; dense core in the low "
+                             "mask words) or 'input' (vertex id = bit id)")
     parser.add_argument("--jobs", metavar="N", default=None,
                         help="worker processes for the degeneracy-partitioned "
                              "parallel pool (positive integer; default: "
@@ -107,15 +106,15 @@ def _backend_options(args: argparse.Namespace) -> dict:
     """Translate --backend/--bit-order into API keyword arguments.
 
     ``--bit-order`` is a bitmask packing knob, so it follows the library's
-    convention and is rejected (exit code 2, one-line message) unless one of
-    the mask backends (``bitset``, ``words``) is selected.
+    convention and is rejected (exit code 2, one-line message) unless
+    ``--backend bitset`` is selected.
     """
     options = {"backend": args.backend}
     if args.bit_order is not None:
-        if args.backend not in ("bitset", "words"):
+        if args.backend != "bitset":
             raise InvalidParameterError(
-                "--bit-order requires a mask backend (--backend bitset or "
-                "--backend words); it selects the bitmask packing"
+                "--bit-order requires --backend bitset; it selects the "
+                "bitmask packing"
             )
         options["bit_order"] = args.bit_order
     return options

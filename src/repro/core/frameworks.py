@@ -6,14 +6,11 @@ enumeration frameworks the paper evaluates.  Both stream maximal cliques to
 a caller-provided sink and return the run's :class:`Counters`.
 
 Both entry points accept ``backend="set"`` (the default ``set``-based
-branch state), ``backend="bitset"`` (``int`` bitmask branch state, see
-:mod:`repro.graph.bitadj`) or ``backend="words"`` (NumPy ``uint64`` word
-rows, see :mod:`repro.graph.wordadj`).  All backends enumerate identical
-clique sets (and agree on ``Counters.emitted``); because pivot degree-ties
-resolve in different scan orders, per-branch instrumentation counters may
-differ by a few counts between the set backend and the mask backends.
-The two mask backends execute the same decision sequence branch for
-branch, so *their* counters agree exactly.
+branch state) or ``backend="bitset"`` (``int`` bitmask branch state, see
+:mod:`repro.graph.bitadj`).  Both backends enumerate identical clique sets
+(and agree on ``Counters.emitted``); because pivot degree-ties resolve in
+different scan orders, per-branch instrumentation counters may differ by
+a few counts between them.
 
 Both also accept ``initial_x``, a set of vertex ids seeded into the
 exclusion set of the initial branch: the run then enumerates exactly the
@@ -25,8 +22,8 @@ duplication-free (:mod:`repro.parallel.decompose`).  With a non-empty
 an empty exclusion context.
 
 A run whose sink is a plain :class:`CliqueCounter` counts without
-enumerating: clique sizes survive the bit→vertex relabelling, so the mask
-backends hand their bit tuples untranslated to the counter.
+enumerating: clique sizes survive the bit→vertex relabelling, so the
+bitset backend hands its bit tuples untranslated to the counter.
 """
 
 from __future__ import annotations
@@ -39,11 +36,6 @@ from repro.core.result import CliqueCounter, CliqueSink, suppressing_sink
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.orderings import edge_ordering, vertex_ordering
-
-
-#: Backends whose branch state is bit-packed (and thus accept a
-#: ``bit_order``): the ``int``-mask backend and the NumPy word backend.
-_MASK_BACKENDS = ("bitset", "words")
 
 
 def _counts_only(sink: CliqueSink) -> bool:
@@ -100,11 +92,10 @@ def _validate_run_options(et_threshold: int, backend: str,
     if bit_order is not None:
         from repro.graph.bitadj import BIT_ORDERS
 
-        if backend not in _MASK_BACKENDS:
+        if backend != "bitset":
             raise InvalidParameterError(
-                "bit_order selects the bitmask packing and requires a "
-                "mask backend (backend='bitset' or backend='words'); "
-                f"got backend={backend!r}"
+                "bit_order selects the bitmask packing and requires "
+                f"backend='bitset'; got backend={backend!r}"
             )
         if isinstance(bit_order, str) and bit_order not in BIT_ORDERS:
             raise InvalidParameterError(
@@ -144,9 +135,9 @@ def _engine_sink(sink: CliqueSink, counted: CliqueSink, counters: Counters,
                  suppressed: set[frozenset[int]], bg) -> CliqueSink:
     """The sink the engines call, in front of the run's ``counted`` sink.
 
-    The mask engines emit bit tuples.  Graph reduction's suppression filter
-    runs in the engines' id space, so under a non-identity packing the
-    suppressed sets are mapped through ``bg.bit_of`` once.  Surviving
+    The bitset engines emit bit tuples.  Graph reduction's suppression
+    filter runs in the engines' id space, so under a non-identity packing
+    the suppressed sets are mapped through ``bg.bit_of`` once.  Surviving
     cliques are translated back to vertex ids only when the caller's sink
     reads them (:func:`_counts_only`).
     """
@@ -245,11 +236,10 @@ def run_hybrid(
         edge_order_kind: "truss" (default), "degen-lex" or "min-degree".
         vertex_strategy: phase used below the edge levels — "tomita",
             "ref", "rcd", "fac" or "none".
-        backend: branch-state representation, "set", "bitset" or "words".
-        bit_order: bitmask packing for the mask backends — "degeneracy"
-            (the default: dense core in the low words), "input" (identity)
-            or an explicit vertex permutation.  Requires ``bitset`` or
-            ``words``.
+        backend: branch-state representation, "set" or "bitset".
+        bit_order: bitmask packing — "degeneracy" (the default: dense
+            core in the low mask words), "input" (identity) or an explicit
+            vertex permutation.  Requires ``bitset``.
         initial_x: vertex ids seeded into the initial branch's exclusion
             set; the run then reports the maximal cliques of
             ``G[V \\ initial_x]`` that no ``initial_x`` vertex extends.
@@ -270,8 +260,8 @@ def run_hybrid(
     if work.n == 0:
         return counters  # the empty graph has no maximal cliques
 
-    bg = wg = None
-    if backend in _MASK_BACKENDS:
+    bg = None
+    if backend == "bitset":
         bg, _ = _bit_view(work, bit_order)
     ctx = make_context(
         _engine_sink(sink, counted, counters, suppressed, bg),
@@ -280,10 +270,6 @@ def run_hybrid(
         vertex_strategy=vertex_strategy,
         backend=backend,
     )
-    if backend == "words":
-        from repro.graph.wordadj import WordGraph
-
-        wg = WordGraph(bg)
     if initial_x:
         C = set(work.vertices()) - initial_x
         if not C:
@@ -292,14 +278,7 @@ def run_hybrid(
         # `work` itself, feeding the exclusion sets.
         ordering = edge_ordering(_candidate_edge_graph(work, C),
                                  edge_order_kind)
-        if backend == "words":
-            from repro.core.word_edge_engine import word_run_edge_root_with_x
-
-            word_run_edge_root_with_x(work, wg,
-                                      bg.mask_of_vertices(C),
-                                      bg.mask_of_vertices(initial_x),
-                                      ordering, edge_depth, ctx)
-        elif backend == "bitset":
+        if backend == "bitset":
             from repro.core.bit_edge_engine import bit_run_edge_root_with_x
 
             bit_run_edge_root_with_x(work, bg,
@@ -312,11 +291,7 @@ def run_hybrid(
         return counters
 
     ordering = edge_ordering(work, edge_order_kind)
-    if backend == "words":
-        from repro.core.word_edge_engine import word_run_edge_root
-
-        word_run_edge_root(work, wg, ordering, edge_depth, ctx)
-    elif backend == "bitset":
+    if backend == "bitset":
         from repro.core.bit_edge_engine import bit_run_edge_root
 
         bit_run_edge_root(work, bg, ordering, edge_depth, ctx)
@@ -350,9 +325,9 @@ def run_vertex(
         et_threshold: t for early termination (0 disables, max 3).
         graph_reduction: peel low-degree vertices first (GR).  Bypassed
             when ``initial_x`` is non-empty.
-        backend: branch-state representation, "set", "bitset" or "words".
-        bit_order: bitmask packing for the mask backends — "degeneracy"
-            (the default), "input" or an explicit vertex permutation.
+        backend: branch-state representation, "set" or "bitset".
+        bit_order: bitmask packing — "degeneracy" (the default), "input"
+            or an explicit vertex permutation.  Requires ``bitset``.
         initial_x: vertex ids seeded into the initial branch's exclusion
             set; the run then reports the maximal cliques of
             ``G[V \\ initial_x]`` that no ``initial_x`` vertex extends.
@@ -373,7 +348,7 @@ def run_vertex(
         return counters  # the empty graph has no maximal cliques
 
     bg = core = None
-    if backend in _MASK_BACKENDS:
+    if backend == "bitset":
         bg, core = _bit_view(work, bit_order)
     ctx = make_context(
         _engine_sink(sink, counted, counters, suppressed, bg),
@@ -382,16 +357,6 @@ def run_vertex(
         vertex_strategy=vertex_strategy,
         backend=backend,
     )
-    if backend == "words":
-        # The word backend reuses the bitset root driver verbatim: the
-        # bridge context lifts each root's mask branch into word space
-        # (or keeps it on the bit twin below the dispatch threshold).
-        from repro.core.word_phases import make_word_bridge
-        from repro.graph.wordadj import WordGraph
-
-        bridge = make_word_bridge(ctx, WordGraph(bg))
-        return _run_vertex_bitset(work, ordering_kind, bridge, counters,
-                                  initial_x, bg, core)
     if backend == "bitset":
         return _run_vertex_bitset(work, ordering_kind, ctx, counters,
                                   initial_x, bg, core)

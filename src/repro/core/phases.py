@@ -55,7 +55,7 @@ PhaseFn = Callable[..., None]
 
 PIVOT_KINDS = ("tomita", "ref", "none")
 VERTEX_STRATEGIES = ("tomita", "ref", "none", "rcd", "fac")
-BACKENDS = ("set", "bitset", "words")
+BACKENDS = ("set", "bitset")
 
 
 @dataclass
@@ -87,13 +87,9 @@ def make_context(
 
     ``backend`` selects the branch-state representation: ``"set"`` phases
     take :class:`set` candidate/exclusion sets, ``"bitset"`` phases take
-    ``int`` masks (see :mod:`repro.core.bit_phases`), ``"words"`` phases
-    take NumPy ``uint64`` word rows over a
-    :class:`repro.graph.wordadj.WordGraph` (see
-    :mod:`repro.core.word_phases`).  The families share the
-    :class:`EngineContext` but are not interchangeable within a single
-    recursion — the words backend's bit dispatch crosses representations
-    through its own shadow context, never through this one.
+    ``int`` masks (see :mod:`repro.core.bit_phases`).  The two families
+    share the :class:`EngineContext` but are not interchangeable within a
+    single recursion.
     """
     if backend not in BACKENDS:
         raise InvalidParameterError(
@@ -113,16 +109,6 @@ def make_context(
         )
 
         pivot, rcd, fac = bit_pivot_phase, bit_rcd_phase, bit_fac_phase
-    elif backend == "words":
-        # Same deferred-import pattern; word_phases also pulls in NumPy,
-        # which the other backends never need.
-        from repro.core.word_phases import (
-            word_fac_phase,
-            word_pivot_phase,
-            word_rcd_phase,
-        )
-
-        pivot, rcd, fac = word_pivot_phase, word_rcd_phase, word_fac_phase
     else:
         pivot, rcd, fac = pivot_phase, rcd_phase, fac_phase
     if vertex_strategy in ("tomita", "ref", "none"):

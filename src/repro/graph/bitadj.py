@@ -49,7 +49,7 @@ def resolve_bit_order(
     bit_order: str | Sequence[int] | None,
     *,
     degeneracy_order: Sequence[int] | None = None,
-) -> list[int] | None:
+) -> Sequence[int] | None:
     """Turn a ``bit_order`` knob value into a vertex permutation (or ``None``).
 
     ``None`` and ``"input"`` give the identity mapping (``None`` return).
@@ -77,7 +77,29 @@ def resolve_bit_order(
             f"unknown bit_order {bit_order!r}; expected one of {BIT_ORDERS} "
             "or an explicit vertex permutation"
         )
-    return list(bit_order)
+    return bit_order
+
+
+def check_permutation(order: Sequence[int], n: int) -> list[int]:
+    """``order`` as a list, provided it is a permutation of ``range(n)``.
+
+    Entries must be exact ``int``s: ``5.0 == 5`` and ``True == 1``, so a
+    float or bool entry passes the sorted-equals-range test and then fails
+    (or silently indexes) when the bit tables are built.
+    """
+    try:
+        perm = list(order)
+    except TypeError:
+        raise InvalidParameterError(
+            "bit_order must be a named order or a vertex permutation, "
+            f"got {order!r}"
+        ) from None
+    if not all(type(v) is int for v in perm) \
+            or sorted(perm) != list(range(n)):
+        raise InvalidParameterError(
+            f"bit_order must be a permutation of the vertex ids 0..{n - 1}"
+        )
+    return perm
 
 
 def popcount(mask: int) -> int:
@@ -155,11 +177,7 @@ class BitGraph:
             to_vertex = list(range(n))
             bit_of = to_vertex
         else:
-            to_vertex = list(order)
-            if sorted(to_vertex) != list(range(n)):
-                raise InvalidParameterError(
-                    "order must be a permutation of the vertex ids"
-                )
+            to_vertex = check_permutation(order, n)
             bit_of = [0] * n
             for b, v in enumerate(to_vertex):
                 bit_of[v] = b
@@ -177,7 +195,9 @@ class BitGraph:
     # ------------------------------------------------------------------
     def _check_bit(self, b: int) -> None:
         if not 0 <= b < self.n:
-            raise InvalidVertexError(b)
+            raise InvalidVertexError(
+                f"bit {b} is out of range for n={self.n}"
+            )
 
     @property
     def is_identity(self) -> bool:

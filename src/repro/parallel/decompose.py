@@ -235,10 +235,9 @@ def solve_branch(
     payload is its ``(count, max_size, total_vertices)`` triple: no
     clique is stored, translated to vertex ids or sorted.
 
-    ``bit_graph`` is the caller's cached whole-graph mask view matching
-    the backend — a :class:`repro.graph.bitadj.BitGraph` for ``bitset``, a
-    :class:`repro.graph.wordadj.WordGraph` for ``words`` (see
-    :meth:`repro.parallel.pool.GraphState.mask_graph`).
+    ``bit_graph`` is the caller's cached whole-graph
+    :class:`repro.graph.bitadj.BitGraph` for a ``bitset`` request (see
+    :meth:`repro.parallel.pool.GraphState.bit_graph`).
     """
     from repro.core.phases import make_context
 
@@ -251,26 +250,15 @@ def solve_branch(
     counters = Counters()
     ctx = make_context(counter if counter is not None else out.append,
                        counters, backend=backend, **kwargs)
-    if backend in ("bitset", "words"):
+    if backend == "bitset":
         from repro.graph.bitadj import DEFAULT_BIT_ORDER, BitGraph
 
         bit_order = options.get("bit_order")
         if bit_order is None:
             bit_order = DEFAULT_BIT_ORDER
-        if backend == "words":
-            from repro.core.word_phases import make_word_bridge
-            from repro.graph.wordadj import WordGraph
-
-            wg = bit_graph if bit_graph is not None else \
-                WordGraph.from_graph(g, order=bit_order)
-            bg = wg.bit
-            # The bridge lifts the branch into word space above the
-            # dispatch threshold; its phase takes the same mask arguments.
-            ctx = make_word_bridge(ctx, wg)
-        else:
-            bg = bit_graph if bit_graph is not None else BitGraph.from_graph(
-                g, order=bit_order
-            )
+        bg = bit_graph if bit_graph is not None else BitGraph.from_graph(
+            g, order=bit_order
+        )
         masks = bg.masks
         ctx.phase([bg.bit_of[v] for v in stem],
                   bg.mask_of_vertices(candidates),

@@ -76,7 +76,6 @@ if TYPE_CHECKING:
     from multiprocessing.synchronize import Barrier as SyncBarrier
 
     from repro.graph.bitadj import BitGraph
-    from repro.graph.wordadj import WordGraph
 
 #: worker-side barrier timeout for the graph broadcast rendezvous.  A
 #: worker that dies between spin-up and the broadcast can never arrive,
@@ -116,7 +115,6 @@ class GraphState:
     order: list[int]
     position: list[int]
     bit_graphs: dict[str, BitGraph] = field(default_factory=dict)
-    word_graphs: dict[str, WordGraph] = field(default_factory=dict)
 
     def bit_graph(self, options: dict[str, OptionValue]) -> BitGraph:
         """Whole-graph :class:`BitGraph` for the request's ``bit_order``.
@@ -152,41 +150,6 @@ class GraphState:
             bg = BitGraph.from_graph(self.graph, order=order)
             self.bit_graphs[bit_order] = bg
         return bg
-
-    def word_graph(self, options: dict[str, OptionValue]) -> WordGraph:
-        """Whole-graph :class:`WordGraph` for the request's ``bit_order``.
-
-        Layers the cached ``(n, width)`` word matrix over the (equally
-        cached) :class:`BitGraph`; same per-(process, packing) lifetime and
-        same uncached-permutation policy as :meth:`bit_graph`.
-        """
-        from repro.graph.bitadj import DEFAULT_BIT_ORDER
-        from repro.graph.wordadj import WordGraph
-
-        bit_order = options.get("bit_order")
-        if bit_order is None:
-            bit_order = DEFAULT_BIT_ORDER
-        if not isinstance(bit_order, str):
-            return WordGraph(self.bit_graph(options))
-        wg = self.word_graphs.get(bit_order)
-        if wg is None:
-            wg = WordGraph(self.bit_graph(options))
-            self.word_graphs[bit_order] = wg
-        return wg
-
-    def mask_graph(
-        self, options: dict[str, OptionValue]
-    ) -> BitGraph | WordGraph:
-        """The cached mask view matching the request's backend.
-
-        ``words`` requests get the :class:`WordGraph`, ``bitset`` requests
-        the :class:`BitGraph`; both are what
-        :func:`repro.parallel.decompose.solve_branch` expects in its
-        ``bit_graph`` slot for that backend.
-        """
-        if options.get("backend") == "words":
-            return self.word_graph(options)
-        return self.bit_graph(options)
 
 
 @dataclass(frozen=True)
@@ -318,9 +281,8 @@ def _solve_chunk(
     counters = Counters()
     g = graph_state.graph
     position, order = graph_state.position, graph_state.order
-    bit_graph = graph_state.mask_graph(config.options) \
-        if config.x_aware \
-        and config.options.get("backend") in ("bitset", "words") \
+    bit_graph = graph_state.bit_graph(config.options) \
+        if config.x_aware and config.options.get("backend") == "bitset" \
         and uses_in_place_phase(config.algorithm, config.options) else None
     for p in chunk.positions:
         payload, sub_counters, _ = solve_subproblem(
@@ -571,8 +533,8 @@ def _solve_split(
     v = order[task.position]
     later, earlier = subproblem_sets(g, position, v)
     cands = sorted(later, key=lambda u: position[u])
-    bit_graph = graph_state.mask_graph(config.options) \
-        if config.options.get("backend") in ("bitset", "words") else None
+    bit_graph = graph_state.bit_graph(config.options) \
+        if config.options.get("backend") == "bitset" else None
     from repro.api import get_algorithm  # deferred: api imports us lazily
 
     phase_kwargs = get_algorithm(config.algorithm).subproblem_phase
@@ -948,27 +910,18 @@ def validate_parallel_options(g: Graph, algorithm: str,
 
     An explicit ``bit_order`` permutation is the one knob whose validity
     is bound to the *actual* graph (it must permute ``range(g.n)``), so it
-    is shape-checked against ``g`` here and replaced by a named order for
-    the dry run — binding it to the empty dry-run graph would spuriously
-    reject every valid permutation.
+    is checked against ``g`` here, by the same
+    :func:`repro.graph.bitadj.check_permutation` the bit view runs, and
+    replaced by a named order for the dry run — binding it to the empty
+    dry-run graph would spuriously reject every valid permutation.
     """
     from repro.api import enumerate_to_sink  # deferred: api imports us lazily
+    from repro.graph.bitadj import check_permutation
 
     dry_options = options
     bit_order = options.get("bit_order")
     if bit_order is not None and not isinstance(bit_order, str):
-        try:
-            permutation = sorted(bit_order)
-        except TypeError:
-            raise InvalidParameterError(
-                f"bit_order must be a named order or a vertex permutation, "
-                f"got {bit_order!r}"
-            ) from None
-        if permutation != list(range(g.n)):
-            raise InvalidParameterError(
-                "bit_order must be a permutation of the vertex ids "
-                f"0..{g.n - 1}"
-            )
+        check_permutation(bit_order, g.n)
         dry_options = {**options, "bit_order": "input"}
     enumerate_to_sink(Graph(0), lambda clique: None,
                       algorithm=algorithm, **dry_options)

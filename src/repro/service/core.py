@@ -26,7 +26,11 @@ from repro.graph.generators import load_dataset
 from repro.graph.io import load_graph
 from repro.obs import MetricsRegistry, Tracer, maybe_span, render_text
 from repro.parallel.aggregate import CollectAggregator, CountAggregator
-from repro.parallel.decompose import DEFAULT_COST_MODEL, uses_in_place_phase
+from repro.parallel.decompose import (
+    COST_MODELS,
+    DEFAULT_COST_MODEL,
+    uses_in_place_phase,
+)
 from repro.parallel.pool import (
     ParallelStats,
     RequestConfig,
@@ -35,7 +39,11 @@ from repro.parallel.pool import (
     validate_n_jobs,
     validate_parallel_options,
 )
-from repro.parallel.scheduler import DEFAULT_CHUNK_STRATEGY, chunk_summary
+from repro.parallel.scheduler import (
+    CHUNK_STRATEGIES,
+    DEFAULT_CHUNK_STRATEGY,
+    chunk_summary,
+)
 from repro.service.registry import GraphRegistry
 from repro.verify import clique_fingerprint
 
@@ -72,6 +80,16 @@ class CliqueService:
             raise InvalidParameterError(
                 f"chunks_per_worker must be a positive integer, "
                 f"got {chunks_per_worker!r}"
+            )
+        if chunk_strategy not in CHUNK_STRATEGIES:
+            raise InvalidParameterError(
+                f"unknown chunk strategy {chunk_strategy!r}; "
+                f"expected one of {CHUNK_STRATEGIES}"
+            )
+        if cost_model not in COST_MODELS:
+            raise InvalidParameterError(
+                f"unknown cost model {cost_model!r}; "
+                f"expected one of {COST_MODELS}"
             )
         self.chunk_strategy = chunk_strategy
         self.cost_model = cost_model

@@ -97,7 +97,7 @@ HOOK_GRAPH = disjoint_union(erdos_renyi_gnm(16, 30, seed=12),
                             plex_caveman(4, 8, 2, seed=1))
 
 
-@pytest.mark.parametrize("backend", ["bitset", "words"])
+@pytest.mark.parametrize("backend", ["bitset"])
 def test_serial_count_calls_each_emission_hook_once(monkeypatch, backend):
     """Wrapped the way ``layers._install_sinks`` wraps them."""
     counting_calls, context_calls, counters_made = [], [], []

@@ -1,4 +1,4 @@
-"""Unit tests for counters and run reports, plus the set/bitset/words
+"""Unit tests for counters and run reports, plus the set/bitset
 counter-parity regression pins for the early-termination path."""
 
 import pytest
@@ -64,14 +64,12 @@ class TestBackendCounterParity:
     its counters must agree *exactly* — a silent divergence anywhere in
     the bit-native ET path (plex check, decomposition, clique assembly)
     fails here loudly.  The tomita vertex phases may legitimately pick
-    different equal-degree pivots between the set and mask backends
+    different equal-degree pivots between the set and bitset backends
     (documented in :mod:`repro.core.bit_phases`), so for them the
-    per-configuration counter values are pinned literally instead.  The
-    words backend replays the bitset decision sequence branch for branch,
-    so its pinned rows are the bitset literals — verbatim.
+    per-configuration counter values are pinned literally instead.
     """
 
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("backend", ["bitset"])
     @pytest.mark.parametrize("bit_order", ["input", "degeneracy"])
     @pytest.mark.parametrize(
         "graph", [g for _, g in DENSE_SEED_GRAPHS],
@@ -111,24 +109,6 @@ class TestBackendCounterParity:
             "plex_branches": 880, "plex_terminable": 480, "et_hits": 480,
             "et_cliques": 827, "emitted": 1150,
         },
-        # Words rows: the bitset literals, verbatim — branch-for-branch
-        # parity means any divergence is a words-backend bug, not a tie.
-        ("hbbmc++", "words", "input"): {
-            "plex_branches": 1724, "plex_terminable": 450, "et_hits": 450,
-            "et_cliques": 817, "emitted": 1150,
-        },
-        ("hbbmc++", "words", "degeneracy"): {
-            "plex_branches": 1734, "plex_terminable": 451, "et_hits": 451,
-            "et_cliques": 810, "emitted": 1150,
-        },
-        ("vbbmc-dgn", "words", "input"): {
-            "plex_branches": 870, "plex_terminable": 489, "et_hits": 489,
-            "et_cliques": 848, "emitted": 1150,
-        },
-        ("vbbmc-dgn", "words", "degeneracy"): {
-            "plex_branches": 880, "plex_terminable": 480, "et_hits": 480,
-            "et_cliques": 827, "emitted": 1150,
-        },
     }
 
     @pytest.mark.parametrize("key", sorted(PINNED, key=str))
@@ -143,7 +123,7 @@ class TestBackendCounterParity:
         "graph", [g for _, g in DENSE_SEED_GRAPHS],
         ids=[name for name, _ in DENSE_SEED_GRAPHS],
     )
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("backend", ["bitset"])
     @pytest.mark.parametrize("algorithm", ["hbbmc++", "vbbmc-dgn"])
     def test_assembled_clique_counts_match(self, algorithm, backend, graph):
         """Whatever the pivot ties do, the assembled output cannot move."""

@@ -73,13 +73,15 @@ class TestBitGraph:
 
     def test_bad_order_rejected(self):
         g = Graph(3)
-        with pytest.raises(InvalidParameterError):
-            BitGraph.from_graph(g, order=[0, 0, 1])
+        for bad in ([0, 0, 1], [0, 1, 2.0], [0, True, 2]):
+            with pytest.raises(InvalidParameterError):
+                BitGraph.from_graph(g, order=bad)
 
     def test_out_of_range_bit_rejected(self):
         bg = BitGraph.from_graph(Graph(2))
-        with pytest.raises(InvalidVertexError):
+        with pytest.raises(InvalidVertexError) as excinfo:
             bg.neighbors_mask(5)
+        assert str(excinfo.value) == "bit 5 is out of range for n=2"
 
     def test_empty_graph(self):
         bg = BitGraph.from_graph(Graph(0))

@@ -23,9 +23,8 @@ FIXTURES_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
 GOLDEN = json.loads((FIXTURES_DIR / "golden.json").read_text())
 
 #: backend/bit-order are branch-and-bound knobs; reverse-search takes none.
-#: Each mask backend (bitset, words) runs under both packings so a
-#: bit-order-dependent regression (translation, ET construction, edge-rank
-#: mapping, word packing) is caught.
+#: The bitset backend runs under both packings so a bit-order-dependent
+#: regression (translation, ET construction, edge-rank mapping) is caught.
 def _backend_options(algorithm: str) -> list[dict]:
     if ALGORITHMS[algorithm].family == "reverse-search":
         return [{}]
@@ -33,8 +32,6 @@ def _backend_options(algorithm: str) -> list[dict]:
         {"backend": "set"},
         {"backend": "bitset", "bit_order": "input"},
         {"backend": "bitset", "bit_order": "degeneracy"},
-        {"backend": "words", "bit_order": "input"},
-        {"backend": "words", "bit_order": "degeneracy"},
     ]
 
 

@@ -64,8 +64,9 @@ class TestValidation:
         assert "nope" in str(excinfo.value)
 
     def test_bad_backend_fails_before_pool(self, graph):
-        with pytest.raises(InvalidParameterError):
-            maximal_cliques(graph, n_jobs=2, backend="nope")
+        for backend in ("nope", "words"):
+            with pytest.raises(InvalidParameterError):
+                maximal_cliques(graph, n_jobs=2, backend=backend)
 
     def test_bad_et_threshold_fails_before_pool(self, graph):
         with pytest.raises(InvalidParameterError):
@@ -99,6 +100,17 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             maximal_cliques(graph, n_jobs=2, backend="bitset",
                             bit_order=["a", "b"])  # not vertex ids
+        # 5.0 == 5 and True == 1 pass a sorted-equals-range test, and a
+        # non-iterable or mixed-type order used to raise a raw TypeError
+        # on the serial path; all are rejected, serially and in the pool.
+        last = graph.n - 1
+        for bad in (list(range(last)) + [float(last)],
+                    [0, True] + list(range(2, graph.n)),
+                    5, ["a"] + list(range(1, graph.n))):
+            for n_jobs in (None, 1, 2):
+                with pytest.raises(InvalidParameterError):
+                    maximal_cliques(graph, n_jobs=n_jobs, backend="bitset",
+                                    bit_order=bad)
 
     def test_bit_order_permutation_still_needs_bitset(self, graph):
         with pytest.raises(InvalidParameterError):

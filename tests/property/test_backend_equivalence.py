@@ -1,10 +1,8 @@
-"""Property tests: the set, bitset and words backends are observationally equal.
+"""Property tests: the set and bitset backends are observationally equal.
 
-For every generator family and every algorithm the three backends must emit
+For every generator family and every algorithm both backends must emit
 *identical* sorted clique lists and agree on ``Counters.emitted`` — the
-bitset backend is a pure representation change, never an algorithmic one,
-and the words backend executes the bitset backend's decision sequence
-branch for branch on NumPy ``uint64`` word rows.
+bitset backend is a pure representation change, never an algorithmic one.
 """
 
 import pytest
@@ -21,7 +19,7 @@ from repro.graph.generators import (
 
 ALGORITHMS_UNDER_TEST = ["hbbmc++", "ebbmc++", "bk-pivot"]
 
-MASK_BACKENDS = ["bitset", "words"]
+MASK_BACKENDS = ["bitset"]
 
 
 def _generator_cases():
@@ -86,21 +84,3 @@ def test_backends_match_across_et_thresholds(et_threshold, backend):
     b = maximal_cliques(g, algorithm="hbbmc++", backend=backend,
                         et_threshold=et_threshold)
     assert a == b
-
-
-def test_mask_backends_agree_on_counters():
-    """bitset and words are the *same* decision sequence, not merely the
-    same clique set: every counter matches exactly."""
-    g = erdos_renyi_gnm(60, 700, seed=1)
-    for algorithm in ALGORITHMS_UNDER_TEST:
-        collectors = {}
-        counters = {}
-        for backend in MASK_BACKENDS:
-            collectors[backend] = CliqueCollector()
-            counters[backend] = enumerate_to_sink(
-                g, collectors[backend], algorithm=algorithm, backend=backend
-            )
-        assert (counters["bitset"].as_dict()
-                == counters["words"].as_dict())
-        assert (collectors["bitset"].cliques
-                == collectors["words"].cliques)

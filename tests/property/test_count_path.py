@@ -47,8 +47,6 @@ def _configs(algorithm: str) -> list[dict]:
         {"backend": "set"},
         {"backend": "bitset", "bit_order": "input"},
         {"backend": "bitset", "bit_order": "degeneracy"},
-        {"backend": "words", "bit_order": "input"},
-        {"backend": "words", "bit_order": "degeneracy"},
     ]
 
 

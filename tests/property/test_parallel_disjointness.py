@@ -24,7 +24,7 @@ from repro.graph.generators import (
 )
 
 ALGORITHMS_UNDER_TEST = ["hbbmc++", "ebbmc++", "bk-pivot"]
-BACKENDS_UNDER_TEST = ["set", "bitset", "words"]
+BACKENDS_UNDER_TEST = ["set", "bitset"]
 N_JOBS_UNDER_TEST = [1, 2, 4]
 
 GENERATOR_CASES = [

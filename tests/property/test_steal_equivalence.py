@@ -29,7 +29,7 @@ from repro.parallel import CollectAggregator, ParallelStats, run_parallel
 from repro.verify import clique_fingerprint
 
 ALGORITHM = "hbbmc++"
-BACKENDS = ["set", "bitset", "words"]
+BACKENDS = ["set", "bitset"]
 N_JOBS = [1, 2, 4]
 
 

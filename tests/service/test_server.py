@@ -35,10 +35,12 @@ BAD_NAME_REQUESTS = [
     {"op": "register", "dataset": [1]},
 ]
 
-#: every bad line above plus an inline edge past ``n``; each must be
-#: answered ``ok: false`` with the connection left open.
+#: every bad line above plus an inline edge past ``n`` and the removed
+#: ``words`` backend; each must be answered ``ok: false`` with the
+#: connection left open.
 BAD_LINES = BAD_NAME_REQUESTS + [
     {"op": "register", "n": 3, "edges": [[0, 5]]},
+    {"op": "count", "graph": "k4", "backend": "words"},
 ]
 
 
@@ -311,8 +313,10 @@ class TestTCPTransport:
             with ServiceClient(port=port) as client:
                 client.request(REGISTER_K4)
                 for bad in BAD_LINES:
-                    with pytest.raises(ServiceError,
-                                       match="must be a string|out of range"):
+                    with pytest.raises(
+                            ServiceError,
+                            match="must be a string|out of range"
+                                  "|unknown backend"):
                         client.request(bad)
                     assert client.count("k4")["count"] == 1
                 client.shutdown()

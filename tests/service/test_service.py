@@ -40,8 +40,6 @@ def _backend_options(algorithm: str) -> list[dict]:
         {"backend": "set"},
         {"backend": "bitset", "bit_order": "input"},
         {"backend": "bitset", "bit_order": "degeneracy"},
-        {"backend": "words", "bit_order": "input"},
-        {"backend": "words", "bit_order": "degeneracy"},
     ]
 
 
@@ -186,8 +184,9 @@ class TestRequestSurface:
             with pytest.raises(Exception) as excinfo:
                 service.count("g", algorithm="nope")
             assert "nope" in str(excinfo.value)
-            with pytest.raises(InvalidParameterError):
-                service.count("g", backend="nope")
+            for backend in ("nope", "words"):
+                with pytest.raises(InvalidParameterError):
+                    service.count("g", backend=backend)
             with pytest.raises(InvalidParameterError):
                 service.count("g", backend="bitset", bit_order=[0, 0, 1])
             with pytest.raises(InvalidParameterError):
@@ -217,6 +216,11 @@ class TestRequestSurface:
             CliqueService(n_jobs=0)
         with pytest.raises(InvalidParameterError):
             CliqueService(chunks_per_worker=0)
+        # Regression: these used to construct, then fail every request.
+        with pytest.raises(InvalidParameterError, match="chunk strategy"):
+            CliqueService(chunk_strategy="bogus")
+        with pytest.raises(InvalidParameterError, match="cost model"):
+            CliqueService(cost_model="bogus")
 
 
 class TestStealRequests:

@@ -97,8 +97,9 @@ class TestOptionValidation:
         assert sink.cliques == []
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            maximal_cliques(complete_graph(3), backend="numpy")
+        for backend in ("numpy", "words"):
+            with pytest.raises(InvalidParameterError):
+                maximal_cliques(complete_graph(3), backend=backend)
 
     def test_valid_et_thresholds_accepted(self):
         g = erdos_renyi_gnm(12, 30, seed=2)

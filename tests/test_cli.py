@@ -95,13 +95,15 @@ class TestBackendFlag:
         assert "skipped" in out  # reverse-search has no bitset backend
 
     def test_enumerate_words_backend(self, graph_file, capsys):
-        assert main(["enumerate", graph_file, "--backend", "words"]) == 0
-        out = capsys.readouterr().out
-        assert out.strip() == "0 1 2 3"  # K4: the one maximal clique
+        # The NumPy word backend is gone: "words" is an unknown choice.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["enumerate", graph_file, "--backend", "words"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'words'" in capsys.readouterr().err
 
 
 class TestBitOrderFlag:
-    @pytest.mark.parametrize("backend", ["bitset", "words"])
+    @pytest.mark.parametrize("backend", ["bitset"])
     @pytest.mark.parametrize("bit_order", ["input", "degeneracy"])
     def test_enumerate_bit_orders_agree(self, graph_file, bit_order, backend,
                                         capsys):
@@ -110,14 +112,14 @@ class TestBitOrderFlag:
         assert capsys.readouterr().out.strip() == "0 1 2 3"  # K4
 
     def test_bit_order_without_mask_backend_exits_2(self, graph_file, capsys):
-        # --backend defaults to set; the error names *both* mask backends
+        # --backend defaults to set; the error names the bitset backend
         # so the fix is discoverable from the one-line message.
         assert main(["enumerate", graph_file,
                      "--bit-order", "degeneracy"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "--bit-order" in err
-        assert "bitset" in err and "words" in err
+        assert "bitset" in err and "words" not in err
         assert len(err.strip().splitlines()) == 1
 
     def test_bit_order_misuse_not_swallowed_by_count_all(self, graph_file,
