@@ -202,6 +202,20 @@ def uses_in_place_phase(algorithm: str, options: dict) -> bool:
         and set(options) <= _IN_PLACE_OPTIONS
 
 
+def _subgraph_options(options: dict, old_ids: list[int]) -> dict:
+    """``options`` for a run on the compact subgraph over ``old_ids``.
+
+    An explicit ``bit_order`` permutes the whole graph's vertex ids, so the
+    subgraph gets that packing restricted to its own members, in local ids.
+    A named order is resolved on the subgraph itself.
+    """
+    order = options.get("bit_order")
+    if order is None or isinstance(order, str):
+        return options
+    local = {old: new for new, old in enumerate(old_ids)}
+    return {**options, "bit_order": [local[u] for u in order if u in local]}
+
+
 def _payload(cliques: list[tuple[int, ...]], mode: str) -> Payload:
     """What a clique-building tier ships for ``cliques`` in ``mode``."""
     return count_payload(cliques) if mode == "count" else cliques
@@ -347,7 +361,8 @@ def solve_subproblem(
         sub, old_ids, x_local = _subproblem_graph(g, later, earlier)
         collector = CliqueCollector()
         counters = enumerate_to_sink(sub, collector, algorithm=algorithm,
-                                     initial_x=x_local, **options)
+                                     initial_x=x_local,
+                                     **_subgraph_options(options, old_ids))
         cliques = sorted(
             tuple(sorted([v, *(old_ids[u] for u in local)]))
             for local in collector.cliques
@@ -357,7 +372,8 @@ def solve_subproblem(
 
     sub, old_ids = g.induced_subgraph(later)
     collector = CliqueCollector()
-    counters = enumerate_to_sink(sub, collector, algorithm=algorithm, **options)
+    counters = enumerate_to_sink(sub, collector, algorithm=algorithm,
+                                 **_subgraph_options(options, old_ids))
 
     adj = g.adj
     cliques: list[tuple[int, ...]] = []

@@ -1,6 +1,8 @@
 """Unit tests for counters and run reports, plus the set/bitset
 counter-parity regression pins for the early-termination path."""
 
+import random
+
 import pytest
 
 from repro.api import enumerate_to_sink
@@ -70,12 +72,14 @@ class TestBackendCounterParity:
     """
 
     @pytest.mark.parametrize("backend", ["bitset"])
-    @pytest.mark.parametrize("bit_order", ["input", "degeneracy"])
+    @pytest.mark.parametrize("bit_order", ["input", "degeneracy", "shuffled"])
     @pytest.mark.parametrize(
         "graph", [g for _, g in DENSE_SEED_GRAPHS],
         ids=[name for name, _ in DENSE_SEED_GRAPHS],
     )
     def test_edge_engine_exact_parity(self, graph, bit_order, backend):
+        if bit_order == "shuffled":  # an explicit, seeded permutation
+            bit_order = random.Random(graph.n).sample(range(graph.n), graph.n)
         set_counters = _run_counters(graph, "ebbmc++", "set")
         mask_counters = _run_counters(graph, "ebbmc++", backend,
                                       bit_order=bit_order)

@@ -112,3 +112,20 @@ class TestSolveSubproblem:
         b, _, _ = solve_subproblem(g, d.position, v, algorithm="hbbmc++",
                                    options={"backend": "bitset"})
         assert a == b
+
+    @pytest.mark.parametrize("algorithm, x_aware", [
+        ("ebbmc++", True),    # compact subgraph with a seeded initial_x
+        ("ebbmc++", False),   # induced subgraph, filtered afterwards
+        ("hbbmc++", False),
+    ])
+    def test_explicit_packing_reaches_subgraph_runs(self, algorithm, x_aware):
+        g = erdos_renyi_gnm(25, 120, seed=2)
+        d = decompose(g)
+        order = list(reversed(range(g.n)))
+        for v in d.order:
+            a, _, _ = solve_subproblem(g, d.position, v, algorithm=algorithm,
+                                       options={}, x_aware=x_aware)
+            b, _, _ = solve_subproblem(
+                g, d.position, v, algorithm=algorithm, x_aware=x_aware,
+                options={"backend": "bitset", "bit_order": order})
+            assert a == b

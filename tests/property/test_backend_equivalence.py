@@ -19,7 +19,13 @@ from repro.graph.generators import (
 
 ALGORITHMS_UNDER_TEST = ["hbbmc++", "ebbmc++", "bk-pivot"]
 
-MASK_BACKENDS = ["bitset"]
+#: bitset options by test id: "bitset" packs in its default (degeneracy)
+#: order, "bitset-input" in the identity order.
+MASK_OPTIONS = {
+    "bitset": {"backend": "bitset"},
+    "bitset-input": {"backend": "bitset", "bit_order": "input"},
+}
+MASK_BACKENDS = list(MASK_OPTIONS)
 
 
 def _generator_cases():
@@ -54,7 +60,7 @@ def test_backends_emit_identical_cliques(graph, algorithm):
     for backend in MASK_BACKENDS:
         collector = CliqueCollector()
         counters = enumerate_to_sink(
-            graph, collector, algorithm=algorithm, backend=backend
+            graph, collector, algorithm=algorithm, **MASK_OPTIONS[backend]
         )
         assert collector.sorted_cliques() == set_collector.sorted_cliques()
         assert counters.emitted == set_counters.emitted
@@ -66,12 +72,13 @@ def test_backends_emit_identical_cliques(graph, algorithm):
 def test_backends_match_on_edge_depth_sweep(algorithm, backend):
     """Deeper edge branching exercises the recursive mask edge engines."""
     g = erdos_renyi_gnm(45, 350, seed=9)
+    options = MASK_OPTIONS[backend]
     reference = maximal_cliques(g, algorithm=algorithm)
-    assert maximal_cliques(g, algorithm=algorithm, backend=backend) == reference
+    assert maximal_cliques(g, algorithm=algorithm, **options) == reference
     if algorithm.startswith("hbbmc"):
         for depth in (2, 3, None):
             assert maximal_cliques(
-                g, algorithm=algorithm, backend=backend, edge_depth=depth
+                g, algorithm=algorithm, **options, edge_depth=depth
             ) == reference
 
 
@@ -81,6 +88,6 @@ def test_backends_match_across_et_thresholds(et_threshold, backend):
     g = erdos_renyi_gnm(50, 450, seed=4)
     a = maximal_cliques(g, algorithm="hbbmc++", backend="set",
                         et_threshold=et_threshold)
-    b = maximal_cliques(g, algorithm="hbbmc++", backend=backend,
+    b = maximal_cliques(g, algorithm="hbbmc++", **MASK_OPTIONS[backend],
                         et_threshold=et_threshold)
     assert a == b

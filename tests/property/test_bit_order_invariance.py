@@ -160,6 +160,37 @@ class TestAlgorithmInvariance:
             assert maximal_cliques(g, backend=backend, bit_order=bit_order,
                                    n_jobs=n_jobs) == reference
 
+    @pytest.mark.parametrize(
+        "graph", [g for _, g in FUZZ_GRAPHS],
+        ids=[name for name, _ in FUZZ_GRAPHS],
+    )
+    @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
+    def test_fingerprint_invariant_on_fuzz_graphs(self, algorithm, graph):
+        """Every family of the round-trip fuzz, not only one G(n, p)."""
+        reference = clique_fingerprint(
+            maximal_cliques(graph, algorithm=algorithm, backend="set")
+        )
+        shuffled = random.Random(graph.n).sample(range(graph.n), graph.n)
+        for bit_order in ("input", "degeneracy", shuffled):
+            cliques = maximal_cliques(graph, algorithm=algorithm,
+                                      backend="bitset", bit_order=bit_order)
+            assert clique_fingerprint(cliques) == reference
+
+    @pytest.mark.parametrize("x_aware", [True, False],
+                             ids=["x-aware", "filtering"])
+    @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
+    def test_subproblem_tiers_inherit_explicit_packing(self, algorithm,
+                                                       x_aware):
+        """The compact-subgraph tier (edge family) and the filtering tier
+        run on a subgraph: an explicit permutation must reach it restricted
+        to the subgraph's members, not as the whole graph's order."""
+        g = erdos_renyi_gnp(26, 0.5, seed=9)
+        reference = maximal_cliques(g, backend="set")
+        order = random.Random(9).sample(range(g.n), g.n)
+        assert maximal_cliques(g, algorithm=algorithm, backend="bitset",
+                               bit_order=order, n_jobs=1,
+                               x_aware=x_aware) == reference
+
 
 class TestValidation:
     def test_bit_order_requires_mask_backend(self):

@@ -6,9 +6,12 @@ the counter, with graph reduction's suppression filter mapped into bit
 space; a count-mode worker folds each in-place subproblem into a
 ``(count, max_size, total_vertices)`` triple.  Collect mode still builds,
 translates and sorts every clique.  So for every registered algorithm,
-backend, bit order, ``n_jobs`` and steal setting the two modes must agree:
-on the count, on the serial run's counters, and through the service.
+backend, bit order (named or an explicit permutation), ``n_jobs`` and
+steal setting the two modes must agree: on the count, on the serial run's
+counters, and through the service.
 """
+
+import random
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.api import (
 )
 from repro.core.result import CliqueCollector, CliqueCounter
 from repro.graph import disjoint_union
+from repro.graph.coreness import core_decomposition
 from repro.graph.generators import erdos_renyi_gnm
 from repro.service import CliqueService
 
@@ -39,6 +43,16 @@ GRAPH = _graph()
 
 REFERENCE = maximal_cliques(GRAPH, algorithm="bk-pivot", backend="set")
 
+#: Explicit permutations next to the two named packings: the peel order
+#: itself (the dense core in the high bits, the reverse of "degeneracy")
+#: and a seeded shuffle.  Under them bit ids and vertex ids disagree in
+#: ways neither named order produces, and the bit-space suppression filter
+#: and the untranslated count must still come out right.
+PACKINGS = {
+    "peel": list(core_decomposition(GRAPH).order),
+    "shuffled": random.Random(5).sample(range(GRAPH.n), GRAPH.n),
+}
+
 
 def _configs(algorithm: str) -> list[dict]:
     if ALGORITHMS[algorithm].family == "reverse-search":
@@ -47,12 +61,21 @@ def _configs(algorithm: str) -> list[dict]:
         {"backend": "set"},
         {"backend": "bitset", "bit_order": "input"},
         {"backend": "bitset", "bit_order": "degeneracy"},
-    ]
+    ] + [{"backend": "bitset", "bit_order": order}
+         for order in PACKINGS.values()]
+
+
+def _label(value) -> str:
+    """An option value's test id; an explicit packing goes by its name."""
+    for name, order in PACKINGS.items():
+        if value is order:
+            return name
+    return str(value)
 
 
 CELLS = [(algorithm, options) for algorithm in sorted(ALGORITHMS)
          for options in _configs(algorithm)]
-CELL_IDS = [f"{a}-{'-'.join(map(str, o.values())) or 'default'}"
+CELL_IDS = [f"{a}-{'-'.join(map(_label, o.values())) or 'default'}"
             for a, o in CELLS]
 
 SCHEDULES = [{}, {"n_jobs": 1}, {"n_jobs": 2}, {"n_jobs": 2, "steal": True}]
@@ -84,7 +107,7 @@ def test_serial_counters_match(algorithm, options):
 
 
 @pytest.mark.parametrize("options", _configs("hbbmc++"),
-                         ids=[f"{o['backend']}-{o.get('bit_order', '')}"
+                         ids=[f"{o['backend']}-{_label(o.get('bit_order', ''))}"
                               for o in _configs("hbbmc++")])
 @pytest.mark.parametrize("algorithm", ["hbbmc++", "vbbmc-dgn"])
 def test_reduction_suppresses_inside_the_engine(algorithm, options):

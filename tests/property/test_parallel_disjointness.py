@@ -24,7 +24,15 @@ from repro.graph.generators import (
 )
 
 ALGORITHMS_UNDER_TEST = ["hbbmc++", "ebbmc++", "bk-pivot"]
-BACKENDS_UNDER_TEST = ["set", "bitset"]
+#: engine options by test id: "bitset" packs in its default (degeneracy)
+#: order, "bitset-input" in the identity order, where emitted bits need no
+#: translation back to vertex ids.
+BACKEND_OPTIONS = {
+    "set": {"backend": "set"},
+    "bitset": {"backend": "bitset"},
+    "bitset-input": {"backend": "bitset", "bit_order": "input"},
+}
+BACKENDS_UNDER_TEST = list(BACKEND_OPTIONS)
 N_JOBS_UNDER_TEST = [1, 2, 4]
 
 GENERATOR_CASES = [
@@ -49,7 +57,7 @@ def _streams(graph, algorithm, backend):
     for sp in dec.subproblems:
         cliques, _counters, dropped = solve_subproblem(
             graph, dec.position, sp.vertex,
-            algorithm=algorithm, options={"backend": backend})
+            algorithm=algorithm, options=BACKEND_OPTIONS[backend])
         assert dropped == 0, "X-aware subproblems never post-filter"
         streams.append(cliques)
     return streams
@@ -89,8 +97,9 @@ def test_each_clique_owned_by_its_earliest_vertex(name, graph, backend):
 @pytest.mark.parametrize(
     "name,graph", GENERATOR_CASES, ids=[n for n, _ in GENERATOR_CASES])
 def test_x_aware_pipeline_equals_serial(name, graph, algorithm, backend, n_jobs):
-    serial = maximal_cliques(graph, algorithm=algorithm, backend=backend)
-    assert maximal_cliques(graph, algorithm=algorithm, backend=backend,
+    options = BACKEND_OPTIONS[backend]
+    serial = maximal_cliques(graph, algorithm=algorithm, **options)
+    assert maximal_cliques(graph, algorithm=algorithm, **options,
                            n_jobs=n_jobs) == serial
 
 
