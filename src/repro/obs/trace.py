@@ -3,8 +3,15 @@
 A :class:`Tracer` owns one trace — a root span opened at construction and
 a stack of in-flight child spans.  ``tracer.span("decompose")`` is a
 context manager: it opens a child of whatever span is currently
-innermost, times it with ``perf_counter`` and pops it on exit, so nesting
-in the code *is* nesting in the trace.
+innermost, times it and pops it on exit, so nesting in the code *is*
+nesting in the trace.
+
+Every span, parent-side or worker-side, is stamped with one clock,
+``time.monotonic()``: it never steps backwards, and on Linux it is
+system-wide, so a forked worker's chunk interval lands inside the
+parent's ``execute`` interval on the same axis.  The root's ``epoch``
+attribute is the wall-clock (``time.time()``) reading at the root's
+start, the one anchor from which a viewer converts stamps to dates.
 
 Crossing a process boundary works by value, not by object: the parent
 serialises its current position as a :class:`TraceContext` (trace id +
@@ -45,7 +52,7 @@ class Span:
     name: str
     span_id: str
     parent_id: str | None
-    start: float  # wall-clock epoch seconds (comparable across processes)
+    start: float  # time.monotonic() seconds (comparable across processes)
     seconds: float = 0.0
     attrs: dict = field(default_factory=dict)
 
@@ -80,20 +87,18 @@ def span_record(name: str, *, context: TraceContext, span_id: str,
 class _OpenSpan:
     """Context manager binding one span to the tracer's stack."""
 
-    __slots__ = ("_tracer", "span", "_t0")
+    __slots__ = ("_tracer", "span")
 
     def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self.span = span
-        self._t0 = 0.0
 
     def __enter__(self) -> Span:
         self._tracer._stack.append(self.span)
-        self._t0 = time.perf_counter()
         return self.span
 
     def __exit__(self, *exc_info) -> None:
-        self.span.seconds = time.perf_counter() - self._t0
+        self.span.seconds = time.monotonic() - self.span.start
         self._tracer._stack.pop()
 
 
@@ -108,9 +113,9 @@ class Tracer:
         self._stack: list[Span] = []
         self._spans: list[Span] = []
         self._grafts: list[dict] = []
-        self._t0 = time.perf_counter()
         self.root = Span(name=name, span_id="s0", parent_id=None,
-                         start=time.time(), attrs=dict(attrs))
+                         start=time.monotonic(),
+                         attrs={**attrs, "epoch": time.time()})
         self._stack.append(self.root)
 
     # ------------------------------------------------------------------
@@ -123,7 +128,7 @@ class Tracer:
             name=name,
             span_id=f"s{next(self._seq)}",
             parent_id=parent.span_id,
-            start=time.time(),
+            start=time.monotonic(),
             attrs=attrs,
         )
         self._spans.append(child)
@@ -149,7 +154,7 @@ class Tracer:
     def finish(self) -> None:
         """Close the root span; idempotent (keeps the first duration)."""
         if self.root.seconds == 0.0:
-            self.root.seconds = time.perf_counter() - self._t0
+            self.root.seconds = time.monotonic() - self.root.start
 
     def to_dict(self) -> dict:
         """The nested span tree (closes the root if still open).

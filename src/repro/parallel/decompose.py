@@ -18,8 +18,10 @@ decomposition the natural unit of parallel work (Das et al., ParMCE).
 
 This module extracts the subproblems, attaches a per-subproblem *cost
 estimate* used by :mod:`repro.parallel.scheduler` to pack balanced chunks,
-and provides :func:`solve_subproblem`, the single code path both the
-in-process fallback and the worker processes execute.
+and solves them: :class:`InPlaceRunner` runs the in-place tier, one
+engine context per chunk, and :func:`solve_subproblem` solves any one
+subproblem on any tier.  The in-process fallback and the worker
+processes execute the same code.
 
 Subproblems are *X-set-aware* by default: the earlier neighbours of ``v``
 are seeded into the engine's exclusion set (``initial_x``), so branches
@@ -30,13 +32,15 @@ the naive decomposition's total CPU 1.5–3× the serial run.
 
 from __future__ import annotations
 
-import time
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.counters import Counters
 from repro.core.result import CliqueCollector, CliqueCounter
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
+from repro.graph.bitadj import DEFAULT_BIT_ORDER, BitGraph, iter_bits
 from repro.graph.coreness import core_decomposition
 from repro.parallel.aggregate import Payload, count_payload
 
@@ -69,14 +73,12 @@ class Decomposition:
         position: ``position[v]`` is the index of ``v`` in ``order``.
         subproblems: one :class:`Subproblem` per vertex, in order.
         total_cost: sum of all subproblem costs.
-        seconds: wall-clock time spent decomposing (cost-model included).
     """
 
     order: list[int]
     position: list[int]
     subproblems: list[Subproblem]
     total_cost: float
-    seconds: float
 
 
 def subproblem_sets(
@@ -122,8 +124,45 @@ def _estimate_cost(g: Graph, later: set[int], model: str) -> float:
     return float(triangles // 6 + edges + size + 1)
 
 
+def _estimate_mask_cost(masks: list[int], later: int, model: str) -> float:
+    """:func:`_estimate_cost` with ``later`` a bit mask over ``masks``.
+
+    Every model counts the same quantities by popcount, so each value
+    equals the set computation exactly.
+    """
+    if model == "uniform":
+        return 1.0
+    size = later.bit_count()
+    if model == "candidates":
+        return float(size + 1)
+    if model == "edges":
+        # The default model's loop, kept free of per-row storage.
+        degrees = 0
+        rest = later
+        while rest:
+            low = rest & -rest
+            degrees += (masks[low.bit_length() - 1] & later).bit_count()
+            rest ^= low
+        return float(degrees // 2 + size + 1)
+    rows = {b: masks[b] & later for b in iter_bits(later)}
+    edges = sum(row.bit_count() for row in rows.values()) // 2
+    triangles = sum((row & rows[x]).bit_count()
+                    for row in rows.values() for x in iter_bits(row))
+    return float(triangles // 6 + edges + size + 1)
+
+
+def packs_by_position(bg: BitGraph, position: list[int]) -> bool:
+    """Whether ``bg`` holds the vertex at position ``p`` in bit ``n - 1 - p``.
+
+    That is the ``"degeneracy"`` packing of the order behind ``position``:
+    a vertex's later neighbours are then the low bits of its own mask.
+    """
+    return bg.n == len(position) \
+        and set(map(operator.add, bg.bit_of, position)) <= {bg.n - 1}
+
+
 def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
-              core=None) -> Decomposition:
+              core=None, bit_graph: BitGraph | None = None) -> Decomposition:
     """Partition the root level of the search into per-vertex subproblems.
 
     ``core`` optionally supplies an already-computed
@@ -131,27 +170,48 @@ def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
     that hold one (the service registry peels once at registration) skip
     the re-peel *and* guarantee every consumer shares the same vertex
     order.
+
+    ``bit_graph`` optionally supplies the degeneracy-packed view of ``g``
+    for that order (see :func:`packs_by_position`).  ``run_parallel``
+    builds it in the parent for the requests whose workers read it, and
+    the service registry builds it at registration.  With the view, the
+    cost models read ``later(v)`` as ``masks[b] & ((1 << b) - 1)`` for
+    ``b = n - 1 - position[v]`` and count by popcount.  Without one they
+    use vertex sets and build no masks: a view costs about ``n**2 / 8``
+    bytes, too much to build for a cost estimate on a large sparse graph.
+    Both give the same costs, so the chunk packing does not depend on it.
     """
     if cost_model not in COST_MODELS:
         raise InvalidParameterError(
             f"unknown cost model {cost_model!r}; expected one of {COST_MODELS}"
         )
-    start = time.perf_counter()
     if core is None:
         core = core_decomposition(g)
+    order, position = core.order, core.position
+    if bit_graph is not None and not packs_by_position(bit_graph, position):
+        raise InvalidParameterError(
+            "bit_graph must pack the decomposition order (the "
+            "'degeneracy' bit order)"
+        )
     subproblems = []
     total = 0.0
-    for p, v in enumerate(core.order):
-        later, _ = subproblem_sets(g, core.position, v)
-        cost = _estimate_cost(g, later, cost_model)
+    last = g.n - 1
+    for p, v in enumerate(order):
+        if bit_graph is None:
+            later, _ = subproblem_sets(g, position, v)
+            cost = _estimate_cost(g, later, cost_model)
+        else:
+            b = last - p
+            cost = _estimate_mask_cost(
+                bit_graph.masks, bit_graph.masks[b] & ((1 << b) - 1),
+                cost_model)
         subproblems.append(Subproblem(position=p, vertex=v, cost=cost))
         total += cost
     return Decomposition(
-        order=core.order,
-        position=core.position,
+        order=order,
+        position=position,
         subproblems=subproblems,
         total_cost=total,
-        seconds=time.perf_counter() - start,
     )
 
 
@@ -221,77 +281,209 @@ def _payload(cliques: list[tuple[int, ...]], mode: str) -> Payload:
     return count_payload(cliques) if mode == "count" else cliques
 
 
+def _lone_root(v: int, earlier: object) -> list[tuple[int, ...]]:
+    """A root with no later neighbour: ``{v}`` is maximal iff ``v`` has no
+    earlier one either."""
+    return [] if earlier else [(v,)]
+
+
+class InPlaceRunner:
+    """The in-place tier's engine, set up once for many subproblems.
+
+    One runner serves a whole chunk, or one steal split task: the sink,
+    the :class:`Counters` and the engine context are built once, so each
+    subproblem or branch costs only its ``(C, X)`` derivation, the vertex
+    phase itself (executed in place on the whole graph's adjacency, or its
+    bitmask view) and the cut of its payload.  There is no subgraph, no
+    relabelling and no per-subproblem ordering or reduction prologue;
+    ``graph_reduction`` in ``options`` is ignored, matching the
+    frameworks' reduction bypass under a seeded exclusion set.
+
+    Branch state uses the backend's representation.  Under the
+    degeneracy packing of ``position`` (:func:`packs_by_position`, the
+    default bitset view) a root's candidates are the low bits of its own
+    adjacency mask, so ``(C, X)`` comes from two ANDs.  Any other packing,
+    and the set backend, split the neighbourhood by position.
+
+    A payload is the canonical clique list in ``"collect"`` mode (each
+    tuple ascending, list sorted).  In ``"count"`` mode the phase runs
+    into a :class:`CliqueCounter` and the payload is its ``(count,
+    max_size, total_vertices)`` triple: no clique is stored, translated
+    to vertex ids or sorted.  ``counters`` accumulates over every call,
+    with ``emitted`` the number of cliques the payloads carry.
+
+    ``bit_graph`` is the caller's cached whole-graph view for a
+    ``bitset`` request (see :meth:`repro.parallel.pool.GraphState.bit_graph`);
+    without one the runner builds it.
+    """
+
+    def __init__(self, g: Graph, position: list[int], *, algorithm: str,
+                 options: dict, bit_graph: BitGraph | None = None,
+                 mode: str = "collect") -> None:
+        from repro.api import get_algorithm  # deferred: api imports us lazily
+        from repro.core.phases import make_context
+
+        kwargs = dict(get_algorithm(algorithm).subproblem_phase or {})
+        if "et_threshold" in options:
+            kwargs["et_threshold"] = options["et_threshold"]
+        backend = options.get("backend", "set")
+        self.counters = Counters()
+        self._g = g
+        self._position = position
+        self._mode = mode
+        self._counter = CliqueCounter() if mode == "count" else None
+        self._found: list[tuple[int, ...]] = []
+        self._ctx = make_context(
+            self._counter if self._counter is not None
+            else self._found.append,
+            self.counters, backend=backend, **kwargs)
+        self._bg: BitGraph | None = None
+        #: the view again when it packs by position, for the mask fast path
+        self._packed: BitGraph | None = None
+        self._to_vertex: list[int] | None = None
+        if backend == "bitset":
+            if bit_graph is None:
+                bit_order = options.get("bit_order")
+                bit_graph = BitGraph.from_graph(
+                    g, order=DEFAULT_BIT_ORDER if bit_order is None
+                    else bit_order)
+            self._bg = bit_graph
+            if packs_by_position(bit_graph, position):
+                self._packed = bit_graph
+            if not bit_graph.is_identity:
+                self._to_vertex = bit_graph.to_vertex
+
+    def subproblem(self, v: int) -> Payload:
+        """The maximal cliques of ``G`` whose earliest member is ``v``.
+
+        The branch ``S = [v]``, ``C = later(v)``, ``X = earlier(v)``.
+        """
+        bg = self._packed
+        if bg is not None:
+            b = bg.bit_of[v]
+            row = bg.masks[b]
+            later = row & ((1 << b) - 1)
+            if not later:
+                return self._lone(v, row)
+            return self._run([v], later, row ^ later)
+        later_set, earlier = subproblem_sets(self._g, self._position, v)
+        if not later_set:
+            return self._lone(v, earlier)
+        return self.branch([v], later_set, earlier)
+
+    def split(self, v: int, branches: Sequence[int]) -> list[Payload]:
+        """Payloads of some root branches of ``v``'s subproblem.
+
+        Branch ``i`` adds ``w_i`` to the stem, where ``w_0, w_1, ...`` are
+        the later neighbours of ``v`` in position order: ``S = [v, w_i]``,
+        ``C`` the common neighbours later than ``w_i`` and ``X`` the
+        common neighbours earlier than it, which an earlier branch or an
+        earlier subproblem owns.  So the branches of one root are disjoint
+        and together cover its subproblem (the X-aware decomposition, one
+        level down).  No pivot is applied at this level.
+        """
+        bg = self._packed
+        if bg is not None:
+            bv = bg.bit_of[v]
+            row = bg.masks[bv]
+            # Descending bits are ascending positions under this packing.
+            cands = list(iter_bits(row & ((1 << bv) - 1)))[::-1]
+            payloads = []
+            for i in branches:
+                bw = cands[i]
+                common = row & bg.masks[bw]
+                low = common & ((1 << bw) - 1)
+                payloads.append(self._run([v, bg.to_vertex[bw]], low,
+                                          common ^ low))
+            return payloads
+        position, adj = self._position, self._g.adj
+        later, earlier = subproblem_sets(self._g, position, v)
+        cands = sorted(later, key=position.__getitem__)
+        payloads = []
+        for i in branches:
+            w = cands[i]
+            pw = position[w]
+            reach = later & adj[w]
+            payloads.append(self.branch(
+                [v, w], {u for u in reach if position[u] > pw},
+                (earlier & adj[w]) | {u for u in reach if position[u] < pw}))
+        return payloads
+
+    def branch(self, stem: list[int], candidates: set[int],
+               exclusion: set[int]) -> Payload:
+        """The branch ``(S=stem, C=candidates, X=exclusion)``, from vertex
+        sets (left untouched)."""
+        bg = self._bg
+        if bg is None:
+            return self._run(stem, set(candidates), set(exclusion))
+        return self._run(stem, bg.mask_of_vertices(candidates),
+                         bg.mask_of_vertices(exclusion))
+
+    def _lone(self, v: int, earlier: object) -> Payload:
+        cliques = _lone_root(v, earlier)
+        self.counters.emitted += len(cliques)
+        return _payload(cliques, self._mode)
+
+    def _run(self, stem: list[int], C, X) -> Payload:
+        """Run the phase on fresh branch state and cut the payload."""
+        ctx = self._ctx
+        bg = self._bg
+        if bg is None:
+            adj = self._g.adj
+            ctx.phase(list(stem), C, X, adj, adj, ctx)
+        else:
+            bit_of = bg.bit_of
+            ctx.phase([bit_of[u] for u in stem], C, X, bg.masks, bg.masks,
+                      ctx)
+        counter = self._counter
+        if counter is not None:
+            # Sizes survive the bit->vertex relabelling: nothing to
+            # translate.
+            triple = (counter.count, counter.max_size,
+                      counter.total_vertices)
+            counter.count = counter.max_size = counter.total_vertices = 0
+            self.counters.emitted += triple[0]
+            return triple
+        found = self._found
+        to_vertex = self._to_vertex
+        if to_vertex is not None:
+            # Branch state ran in bit space; map emitted bits back.
+            cliques = sorted(tuple(sorted([to_vertex[b] for b in clique]))
+                             for clique in found)
+        else:
+            cliques = sorted(tuple(sorted(clique)) for clique in found)
+        found.clear()
+        self.counters.emitted += len(cliques)
+        return cliques
+
+
 def solve_branch(
     g: Graph,
+    position: list[int],
     stem: list[int],
     candidates: set[int],
     exclusion: set[int],
-    phase_kwargs: dict,
+    *,
+    algorithm: str,
     options: dict,
-    bit_graph=None,
+    bit_graph: BitGraph | None = None,
     mode: str = "collect",
 ) -> tuple[Payload, Counters]:
     """Run one branch ``(S=stem, C=candidates, X=exclusion)`` on ``g``.
 
-    The engine's vertex phase executed in place on the whole graph's
-    adjacency (or its bitmask view) — no subgraph, no relabelling, no
-    per-subproblem ordering or reduction prologue.  ``graph_reduction``
-    in ``options`` is ignored, matching the frameworks' reduction bypass
-    under a seeded exclusion set.  This is the shared primitive of the
-    per-vertex subproblem (``stem=[v]``) and the work-stealing re-split
-    (``stem=[v, w]`` for each root-level candidate ``w``): both are the
-    same X-aware decomposition, applied one level apart.
+    A one-call :class:`InPlaceRunner`: ``algorithm``'s vertex phase
+    executed in place on the whole graph.  Stem ``[v]`` with ``v``'s
+    later and earlier neighbours is the per-vertex subproblem, and stem
+    ``[v, w]`` one branch of its work-stealing re-split: the same X-aware
+    decomposition, applied one level apart.  The pool does not call this
+    per branch; one runner serves a whole chunk or split task.
 
-    Returns the branch's ``mode`` payload and counters, with ``emitted``
-    set to the clique count.  In ``"collect"`` mode the payload is the
-    canonical clique list (each tuple ascending, list sorted).  In
-    ``"count"`` mode the phase runs into a :class:`CliqueCounter` and the
-    payload is its ``(count, max_size, total_vertices)`` triple: no
-    clique is stored, translated to vertex ids or sorted.
-
-    ``bit_graph`` is the caller's cached whole-graph
-    :class:`repro.graph.bitadj.BitGraph` for a ``bitset`` request (see
-    :meth:`repro.parallel.pool.GraphState.bit_graph`).
+    Returns the branch's ``mode`` payload (see :class:`InPlaceRunner`)
+    and counters, with ``emitted`` set to the clique count.
     """
-    from repro.core.phases import make_context
-
-    backend = options.get("backend", "set")
-    kwargs = dict(phase_kwargs)
-    if "et_threshold" in options:
-        kwargs["et_threshold"] = options["et_threshold"]
-    out: list[tuple[int, ...]] = []
-    counter = CliqueCounter() if mode == "count" else None
-    counters = Counters()
-    ctx = make_context(counter if counter is not None else out.append,
-                       counters, backend=backend, **kwargs)
-    if backend == "bitset":
-        from repro.graph.bitadj import DEFAULT_BIT_ORDER, BitGraph
-
-        bit_order = options.get("bit_order")
-        if bit_order is None:
-            bit_order = DEFAULT_BIT_ORDER
-        bg = bit_graph if bit_graph is not None else BitGraph.from_graph(
-            g, order=bit_order
-        )
-        masks = bg.masks
-        ctx.phase([bg.bit_of[v] for v in stem],
-                  bg.mask_of_vertices(candidates),
-                  bg.mask_of_vertices(exclusion), masks, masks, ctx)
-        if counter is None and not bg.is_identity:
-            # Branch state ran in bit space; map emitted bits back.
-            to_vertex = bg.to_vertex
-            out[:] = [tuple(to_vertex[b] for b in clique) for clique in out]
-    else:
-        adj = g.adj
-        ctx.phase(list(stem), set(candidates), set(exclusion), adj, adj, ctx)
-    if counter is not None:
-        # Sizes survive the bit->vertex relabelling: nothing to translate.
-        counters.emitted = counter.count
-        return (counter.count, counter.max_size,
-                counter.total_vertices), counters
-    cliques = sorted(tuple(sorted(clique)) for clique in out)
-    counters.emitted = len(cliques)
-    return cliques, counters
+    runner = InPlaceRunner(g, position, algorithm=algorithm, options=options,
+                           bit_graph=bit_graph, mode=mode)
+    return runner.branch(stem, candidates, exclusion), runner.counters
 
 
 def solve_subproblem(
@@ -302,7 +494,7 @@ def solve_subproblem(
     algorithm: str,
     options: dict,
     x_aware: bool = True,
-    bit_graph=None,
+    bit_graph: BitGraph | None = None,
     mode: str = "collect",
 ) -> tuple[Payload, Counters, int]:
     """Enumerate the maximal cliques of ``G`` whose earliest member is ``v``.
@@ -314,10 +506,12 @@ def solve_subproblem(
 
     * algorithms declaring :attr:`AlgorithmSpec.subproblem_phase` (the
       whole hybrid/vertex family) run their vertex phase in place on the
-      global adjacency — ``ctx.phase([v], later, earlier, ...)`` — which
-      is their exact sub-root engine with none of the per-subproblem
-      subgraph/ordering prologue (``bit_graph`` optionally supplies a
-      prebuilt whole-graph bitmask view for ``backend="bitset"``);
+      global adjacency — the branch ``([v], later, earlier)`` — which is
+      their exact sub-root engine with none of the per-subproblem
+      subgraph/ordering prologue.  This call is a one-subproblem
+      :class:`InPlaceRunner`; the pool runs one runner per chunk instead.
+      ``bit_graph`` optionally supplies the whole-graph bitmask view for
+      ``backend="bitset"`` (the pool's is built once, in the parent);
     * the pure edge-oriented family runs the registered framework on a
       compact branch graph over ``N(v)`` with ``initial_x`` seeded.
 
@@ -343,19 +537,16 @@ def solve_subproblem(
     from repro.api import enumerate_to_sink, get_algorithm  # deferred: api imports us lazily
 
     later, earlier = subproblem_sets(g, position, v)
-    counters = Counters()
     if not later:
-        # Lone root: {v} is maximal iff v has no neighbours at all.
-        cliques = [(v,)] if not earlier else []
-        counters.emitted = len(cliques)
-        return _payload(cliques, mode), counters, 0
+        cliques = _lone_root(v, earlier)
+        return _payload(cliques, mode), Counters(emitted=len(cliques)), 0
 
     spec = get_algorithm(algorithm)
     if x_aware and uses_in_place_phase(algorithm, options):
-        payload, counters = solve_branch(g, [v], later, earlier,
-                                         spec.subproblem_phase, options,
-                                         bit_graph, mode)
-        return payload, counters, 0
+        runner = InPlaceRunner(g, position, algorithm=algorithm,
+                               options=options, bit_graph=bit_graph,
+                               mode=mode)
+        return runner.subproblem(v), runner.counters, 0
 
     if x_aware and spec.supports_initial_x:
         sub, old_ids, x_local = _subproblem_graph(g, later, earlier)

@@ -51,9 +51,9 @@ from repro.parallel.aggregate import (
 from repro.parallel.decompose import (
     DEFAULT_COST_MODEL,
     Decomposition,
+    InPlaceRunner,
     Subproblem,
     decompose,
-    solve_branch,
     solve_subproblem,
     subproblem_sets,
     uses_in_place_phase,
@@ -105,25 +105,41 @@ class GraphState:
     """The heavy per-graph payload a worker caches across requests.
 
     Holds the adjacency, the degeneracy order/position from the
-    decomposition, and lazily-built whole-graph :class:`BitGraph` views
-    keyed by their packing — everything that is a function of the *graph*
-    rather than of one request, so a warm pool ships it once and reuses
-    it for every subsequent request against the same graph.
+    decomposition, and whole-graph :class:`BitGraph` views keyed by their
+    packing — everything that is a function of the *graph* rather than of
+    one request, so a warm pool ships it once and reuses it for every
+    subsequent request against the same graph.
+
+    Views are built in the parent before any worker needs them: the
+    service registry builds the ``"degeneracy"`` view at registration,
+    and :func:`run_parallel` builds its request's view inside its
+    ``decompose`` step.  Forked workers inherit them (spawned ones get
+    them pickled with the state), so a worker never packs a graph; the
+    in-place runners of every chunk and split task share the one view.
     """
 
     graph: Graph
     order: list[int]
     position: list[int]
-    bit_graphs: dict[str, BitGraph] = field(default_factory=dict)
+    bit_graphs: dict[str | tuple[int, ...], BitGraph] = \
+        field(default_factory=dict)
 
-    def bit_graph(self, options: dict[str, OptionValue]) -> BitGraph:
+    def bit_graph(self, options: dict[str, OptionValue], *,
+                  keep: bool = False) -> BitGraph:
         """Whole-graph :class:`BitGraph` for the request's ``bit_order``.
 
         The X-aware in-place path runs bitset subproblems on global
         masks; building them per subproblem would be O(m) each, so the
-        view is materialised once per (process, packing) and cached.
-        The degeneracy packing reuses the decomposition's
-        already-computed peel order instead of peeling again.
+        view is materialised once per packing and cached.  The degeneracy
+        packing reuses the decomposition's already-computed peel order
+        instead of peeling again.
+
+        Explicit permutations are unbounded in number: a long-running
+        service would otherwise accumulate one O(n^2)-bit view per
+        distinct client-supplied permutation, forever.  So their views are
+        cached only with ``keep=True``, which a one-shot run passes: its
+        state ends with the run.  The named orders, a closed set, are
+        always cached.
         """
         from repro.graph.bitadj import (
             DEFAULT_BIT_ORDER,
@@ -134,21 +150,16 @@ class GraphState:
         bit_order = options.get("bit_order")
         if bit_order is None:
             bit_order = DEFAULT_BIT_ORDER
-        if not isinstance(bit_order, str):
-            # Explicit permutations are unbounded in number (a long-running
-            # service would otherwise accumulate one O(n^2)-bit view per
-            # distinct client-supplied permutation, forever), so they are
-            # built per call instead of cached; only the named orders — a
-            # closed set — are worth retaining.
-            return BitGraph.from_graph(
-                self.graph, order=list(cast(Sequence[int], bit_order)))
-        bg = self.bit_graphs.get(bit_order)
+        key = bit_order if isinstance(bit_order, str) \
+            else tuple(cast(Sequence[int], bit_order))
+        bg = self.bit_graphs.get(key)
         if bg is None:
-            order = resolve_bit_order(
-                self.graph, bit_order, degeneracy_order=self.order,
-            )
+            order = list(key) if isinstance(key, tuple) \
+                else resolve_bit_order(self.graph, key,
+                                       degeneracy_order=self.order)
             bg = BitGraph.from_graph(self.graph, order=order)
-            self.bit_graphs[bit_order] = bg
+            if keep or isinstance(key, str):
+                self.bit_graphs[key] = bg
         return bg
 
 
@@ -257,10 +268,30 @@ def parse_jobs(text: str) -> int:
     return value
 
 
+def _in_place(algorithm: str, options: dict[str, OptionValue],
+              x_aware: bool) -> bool:
+    """Whether a request's subproblems run on the in-place tier."""
+    return x_aware and uses_in_place_phase(algorithm, options)
+
+
+def _runner(graph_state: GraphState, config: RequestConfig) -> InPlaceRunner:
+    """One in-place runner over the state's cached view (bitset requests)."""
+    bit_graph = graph_state.bit_graph(config.options) \
+        if config.options.get("backend") == "bitset" else None
+    return InPlaceRunner(graph_state.graph, graph_state.position,
+                         algorithm=config.algorithm, options=config.options,
+                         bit_graph=bit_graph, mode=config.mode)
+
+
 def _solve_chunk(
     graph_state: GraphState, config: RequestConfig, chunk: Chunk
 ) -> ChunkResult:
     """Run every subproblem of one chunk; shared by workers and inline mode.
+
+    On the in-place tier one :class:`InPlaceRunner` serves the whole
+    chunk: its sink, counters and engine context are built once, and it
+    reads the whole-graph view the parent built into ``graph_state``.
+    The other tiers solve each subproblem with :func:`solve_subproblem`.
 
     Beyond the clique payload, every chunk ships its telemetry: wall
     start/end plus CPU time (the timeline event), a worker-side metrics
@@ -272,26 +303,28 @@ def _solve_chunk(
     Timestamps use ``time.monotonic()``: it cannot step backwards (an NTP
     adjustment mid-chunk made ``time.time()`` produce negative
     ``wall_seconds``) and on Linux it is system-wide, so stamps taken in
-    different forked workers stay comparable on one timeline.
+    different forked workers stay comparable on one timeline — and with
+    the parent's trace spans, which use the same clock.
     """
     worker = multiprocessing.current_process().name
     started = time.monotonic()
     cpu_start = time.process_time()
-    items: list[tuple[int, Payload]] = []
-    counters = Counters()
-    g = graph_state.graph
-    position, order = graph_state.position, graph_state.order
-    bit_graph = graph_state.bit_graph(config.options) \
-        if config.x_aware and config.options.get("backend") == "bitset" \
-        and uses_in_place_phase(config.algorithm, config.options) else None
-    for p in chunk.positions:
-        payload, sub_counters, _ = solve_subproblem(
-            g, position, order[p],
-            algorithm=config.algorithm, options=config.options,
-            x_aware=config.x_aware, bit_graph=bit_graph, mode=config.mode,
-        )
-        counters.merge(sub_counters)
-        items.append((p, payload))
+    order = graph_state.order
+    if _in_place(config.algorithm, config.options, config.x_aware):
+        runner = _runner(graph_state, config)
+        items = [(p, runner.subproblem(order[p])) for p in chunk.positions]
+        counters = runner.counters
+    else:
+        items = []
+        counters = Counters()
+        for p in chunk.positions:
+            payload, sub_counters, _ = solve_subproblem(
+                graph_state.graph, graph_state.position, order[p],
+                algorithm=config.algorithm, options=config.options,
+                x_aware=config.x_aware, mode=config.mode,
+            )
+            counters.merge(sub_counters)
+            items.append((p, payload))
     cpu_seconds = time.process_time() - cpu_start
     finished = time.monotonic()
     registry = MetricsRegistry()
@@ -426,8 +459,8 @@ def mark_resplit(g: Graph, decomposition: Decomposition) -> list[int]:
     ``n_jobs`` and repeats by construction.  Subproblems with fewer than
     ``_MIN_RESPLIT_CANDIDATES`` root candidates are left alone.  The
     caller decides *eligibility* (re-splitting needs the in-place X-aware
-    tier, the branch primitive :func:`solve_branch`); this function only
-    applies the cost rule.
+    tier, :meth:`InPlaceRunner.split`); this function only applies the
+    cost rule.
     """
     threshold = resplit_threshold([s.cost for s in decomposition.subproblems])
     marked: list[int] = []
@@ -516,43 +549,23 @@ def _solve_split(
 ) -> ChunkResult:
     """Run one part of a re-split subproblem; telemetry mirrors a chunk.
 
-    Each branch is :func:`solve_branch` with stem ``[v, w]``: candidates
-    are the later co-neighbours of ``w`` within ``later(v)``, the
-    exclusion set everything adjacent to ``w`` that an earlier branch or
-    an earlier subproblem owns.  No pivot is applied *at* the re-split
-    level — every candidate gets a branch, so parts are independently
-    computable — which trades a little duplicated fan-out (bounded: only
-    outliers are split) for per-branch parallelism.
+    One :class:`InPlaceRunner` solves every branch of the part
+    (:meth:`InPlaceRunner.split`): stem ``[v, w]``, candidates the later
+    co-neighbours of ``w`` within ``later(v)``, the exclusion set
+    everything adjacent to both that an earlier branch or an earlier
+    subproblem owns.  No pivot is applied *at* the re-split level —
+    every candidate gets a branch, so parts are independently computable
+    — which trades a little duplicated fan-out (bounded: only outliers
+    are split) for per-branch parallelism.
     """
     worker = multiprocessing.current_process().name
     started = time.monotonic()
     cpu_start = time.process_time()
-    counters = Counters()
-    g = graph_state.graph
-    position, order = graph_state.position, graph_state.order
-    v = order[task.position]
-    later, earlier = subproblem_sets(g, position, v)
-    cands = sorted(later, key=lambda u: position[u])
-    bit_graph = graph_state.bit_graph(config.options) \
-        if config.options.get("backend") == "bitset" else None
-    from repro.api import get_algorithm  # deferred: api imports us lazily
-
-    phase_kwargs = get_algorithm(config.algorithm).subproblem_phase
-    adj = g.adj
-    payloads: list[Payload] = []
-    for i in task.branches:
-        w = cands[i]
-        pw = position[w]
-        reach = later & adj[w]
-        sub_c = {u for u in reach if position[u] > pw}
-        sub_x = (earlier & adj[w]) | {u for u in reach if position[u] < pw}
-        branch_payload, branch_counters = solve_branch(
-            g, [v, w], sub_c, sub_x, phase_kwargs, config.options, bit_graph,
-            config.mode,
-        )
-        counters.merge(branch_counters)
-        payloads.append(branch_payload)
-    payload = merge_payloads(payloads, config.mode)
+    runner = _runner(graph_state, config)
+    payload = merge_payloads(
+        runner.split(graph_state.order[task.position], task.branches),
+        config.mode)
+    counters = runner.counters
     cpu_seconds = time.process_time() - cpu_start
     finished = time.monotonic()
     registry = MetricsRegistry()
@@ -1003,17 +1016,32 @@ def run_parallel(
             f"chunks_per_worker must be a positive integer, got {chunks_per_worker!r}"
         )
     validate_parallel_options(g, algorithm, options)
+    in_place = _in_place(algorithm, options, x_aware)
 
     with maybe_span(trace, "decompose", cost_model=cost_model):
-        decomposition = decompose(g, cost_model=cost_model)
+        # Looked up at call time, so a profiler wrapping
+        # coreness.core_decomposition sees this peel as it sees others.
+        from repro.graph.coreness import core_decomposition
+
+        start = time.perf_counter()
+        core = core_decomposition(g)
+        graph_state = GraphState(graph=g, order=core.order,
+                                 position=core.position)
+        if in_place and options.get("backend") == "bitset":
+            # Pack once, here: the pool forks after this, so every worker
+            # inherits the view instead of rebuilding it.
+            graph_state.bit_graph(options, keep=True)
+        decomposition = decompose(
+            g, cost_model=cost_model, core=core,
+            bit_graph=graph_state.bit_graphs.get("degeneracy"))
+        decompose_seconds = time.perf_counter() - start
     with maybe_span(trace, "pack", strategy=chunk_strategy,
                     steal=steal) as pack_span:
         splits: list[SplitTask] = []
         if steal:
-            resplit_ok = x_aware and uses_in_place_phase(algorithm, options)
             chunks, splits, requested = plan_steal_schedule(
                 g, decomposition, n_jobs, chunks_per_worker,
-                strategy=chunk_strategy, resplit_ok=resplit_ok,
+                strategy=chunk_strategy, resplit_ok=in_place,
             )
         else:
             chunks = make_chunks(
@@ -1031,11 +1059,6 @@ def run_parallel(
                     split_tasks=len(splits),
                 )
 
-    graph_state = GraphState(
-        graph=g,
-        order=decomposition.order,
-        position=decomposition.position,
-    )
     config = RequestConfig(
         algorithm=algorithm,
         options=options,
@@ -1072,7 +1095,7 @@ def run_parallel(
         stats.resplit_subproblems = report.resplit_subproblems
         stats.resplit_tasks = report.resplit_tasks
         stats.start_method = pool.start_method
-        stats.decompose_seconds = decomposition.seconds
+        stats.decompose_seconds = decompose_seconds
         stats.balance_ratio = balance_ratio(chunks, requested)
         stats.chunk_costs = [c.cost for c in chunks]
         stats.chunk_sizes = [len(c.positions) for c in chunks]

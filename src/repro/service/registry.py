@@ -64,7 +64,8 @@ class GraphEntry:
     ``graph_state`` is the worker-shippable payload (adjacency + peel
     order + bitmask views); the degeneracy-packed :class:`BitGraph` is
     prebuilt at registration so even the first bitset request skips the
-    packing step.  Decompositions are cached per cost model and chunk
+    packing step, and every decomposition costs its subproblems by
+    popcount over it.  Decompositions are cached per cost model and chunk
     lists per (cost model, strategy, chunk count) — both tiny keys over
     expensive values.
     """
@@ -189,8 +190,9 @@ class GraphRegistry:
             if cached is not None:
                 self.stats.decompose_cache_hits += 1
                 return cached
-            decomposition = decompose(entry.graph, cost_model=cost_model,
-                                      core=entry.core)
+            decomposition = decompose(
+                entry.graph, cost_model=cost_model, core=entry.core,
+                bit_graph=entry.graph_state.bit_graphs.get("degeneracy"))
             self.stats.decompose_calls += 1
             entry._decompositions[cost_model] = decomposition
             return decomposition

@@ -5,14 +5,24 @@ import pytest
 from repro.api import maximal_cliques
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
+from repro.graph.bitadj import BitGraph
 from repro.graph.builders import complete_graph
-from repro.graph.generators import erdos_renyi_gnm, ring_of_cliques
+from repro.graph.coreness import core_decomposition
+from repro.graph.generators import (
+    ba_heavy_hub,
+    erdos_renyi_gnm,
+    mesh_graph,
+    plex_caveman,
+    ring_of_cliques,
+)
 from repro.parallel.decompose import (
     COST_MODELS,
     decompose,
     solve_subproblem,
     subproblem_sets,
 )
+from repro.parallel.pool import GraphState, plan_steal_schedule
+from repro.parallel.scheduler import CHUNK_STRATEGIES, make_chunks
 
 
 class TestDecompose:
@@ -52,6 +62,67 @@ class TestDecompose:
             # whose candidate set holds the other five clique members.
             assert d.order[0] == 6
             assert by_vertex[d.order[1]] > by_vertex[6]
+
+
+def _with_isolated_vertices():
+    g = erdos_renyi_gnm(30, 70, seed=4)
+    g.add_vertices(5)
+    return g
+
+
+COST_GRAPHS = {
+    "er": lambda: erdos_renyi_gnm(60, 500, seed=11),
+    "ba-heavy-hub": lambda: ba_heavy_hub(200, 3, hub_parts=4,
+                                         hub_part_size=3, seed=7),
+    "plex-caveman": lambda: plex_caveman(10, 8, 2, seed=3),
+    "mesh": lambda: mesh_graph(8, 10, stiffener_cliques=6, clique_size=5,
+                               seed=2, window=2),
+    "isolated": _with_isolated_vertices,
+    "empty": lambda: Graph(0),
+}
+
+
+class TestViewCosts:
+    """Costing by popcount over the degeneracy view changes no cost."""
+
+    @staticmethod
+    def _both(g, model):
+        core = core_decomposition(g)
+        state = GraphState(graph=g, order=core.order, position=core.position)
+        view = state.bit_graph({"backend": "bitset"})
+        return (decompose(g, cost_model=model, core=core),
+                decompose(g, cost_model=model, core=core, bit_graph=view))
+
+    @pytest.mark.parametrize("model", COST_MODELS)
+    @pytest.mark.parametrize("name", sorted(COST_GRAPHS))
+    def test_view_costs_equal_set_costs(self, name, model):
+        g = COST_GRAPHS[name]()
+        by_sets, by_view = self._both(g, model)
+        assert by_view.subproblems == by_sets.subproblems
+        assert by_view.total_cost == by_sets.total_cost
+        for strategy in CHUNK_STRATEGIES:
+            for k in (1, 2, 5):
+                assert make_chunks(by_view.subproblems, k,
+                                   strategy=strategy) == \
+                    make_chunks(by_sets.subproblems, k, strategy=strategy)
+        for n_jobs in (1, 2):
+            assert plan_steal_schedule(g, by_view, n_jobs, 1) == \
+                plan_steal_schedule(g, by_sets, n_jobs, 1)
+
+    def test_other_packings_are_rejected(self):
+        g = COST_GRAPHS["er"]()
+        core = core_decomposition(g)
+        assert core.order != list(range(g.n))[::-1]
+        with pytest.raises(InvalidParameterError):
+            decompose(g, core=core, bit_graph=BitGraph.from_graph(g))
+
+    def test_no_view_builds_no_masks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose built a bit view")
+
+        monkeypatch.setattr(BitGraph, "from_graph", classmethod(refuse))
+        for model in COST_MODELS:
+            decompose(COST_GRAPHS["er"](), cost_model=model)
 
 
 class TestSubproblemSets:

@@ -6,9 +6,12 @@ import time
 import pytest
 
 from repro.api import count_maximal_cliques, enumerate_to_sink, maximal_cliques
+from repro.core import phases
+from repro.core.counters import Counters
 from repro.core.result import CliqueCollector
 from repro.exceptions import InvalidParameterError, WorkerPoolError
 from repro.graph.adjacency import Graph
+from repro.graph.bitadj import BitGraph
 from repro.graph.generators import ba_heavy_hub, erdos_renyi_gnm
 from repro.parallel import (
     ChunkResult,
@@ -24,8 +27,19 @@ from repro.parallel import (
     validate_n_jobs,
 )
 from repro.parallel import pool as pool_module
-from repro.parallel.decompose import decompose
-from repro.parallel.pool import _SplitMerger, _solve_chunk
+from repro.parallel.aggregate import merge_payloads
+from repro.parallel.decompose import (
+    decompose,
+    solve_branch,
+    solve_subproblem,
+    subproblem_sets,
+)
+from repro.parallel.pool import (
+    _solve_chunk,
+    _solve_split,
+    _SplitMerger,
+    plan_steal_schedule,
+)
 from repro.parallel.scheduler import make_chunks
 
 
@@ -266,6 +280,150 @@ class TestWorkerPool:
             self._submit(pool, "g", state, chunks)
 
 
+@pytest.fixture(scope="module")
+def hub():
+    return ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
+
+
+@pytest.fixture
+def bit_packings(monkeypatch, tmp_path):
+    """A function listing every ``BitGraph.from_graph`` call so far, as
+    the packed graph's size.
+
+    Forked workers inherit the wrapper and log their calls to a file, so
+    the list covers every process: a worker must find the view the
+    parent built, never pack the graph itself.
+    """
+    parent = os.getpid()
+    log = tmp_path / "worker-packings"
+    log.touch()
+    real = BitGraph.from_graph
+    calls = []
+
+    def counting(cls, g, order=None):
+        if os.getpid() == parent:
+            calls.append(g.n)
+        else:
+            with open(log, "a") as f:
+                f.write(f"{g.n}\n")
+        return real(g, order)
+
+    monkeypatch.setattr(BitGraph, "from_graph", classmethod(counting))
+    return lambda: calls + [int(n) for n in log.read_text().split()]
+
+
+class TestSetupCounts:
+    """Setup runs per chunk and per run, not per subproblem."""
+
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    @pytest.mark.parametrize("steal", [False, True])
+    def test_one_engine_context_per_chunk_or_split(self, hub, monkeypatch,
+                                                   backend, steal):
+        real = phases.make_context
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(phases, "make_context", counting)
+        stats = ParallelStats()
+        run_parallel(hub, CountAggregator(), algorithm="hbbmc++", n_jobs=1,
+                     steal=steal, chunks_per_worker=2, stats=stats,
+                     backend=backend)
+        assert stats.n_subproblems > stats.n_chunks + stats.resplit_tasks
+        assert (stats.resplit_tasks > 0) == steal
+        assert len(calls) == stats.n_chunks + stats.resplit_tasks
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("steal", [False, True])
+    def test_bit_view_packed_once_in_the_parent(self, hub, bit_packings,
+                                                n_jobs, steal):
+        count_maximal_cliques(hub, n_jobs=n_jobs, steal=steal,
+                              backend="bitset")
+        assert bit_packings() == [hub.n]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_explicit_bit_order_packed_once(self, hub, bit_packings,
+                                            n_jobs):
+        # Regression: client permutations are not cached on the state, so
+        # every chunk and every split task used to rebuild the view.
+        permutation = list(reversed(range(hub.n)))
+        assert count_maximal_cliques(
+            hub, n_jobs=n_jobs, steal=True, backend="bitset",
+            bit_order=permutation) == count_maximal_cliques(hub)
+        assert bit_packings() == [hub.n]
+
+    def test_set_backend_never_packs(self, hub, bit_packings):
+        for n_jobs in (1, 2):
+            count_maximal_cliques(hub, n_jobs=n_jobs, steal=True,
+                                  backend="set")
+        assert bit_packings() == []
+
+
+class TestRunnerCounters:
+    """A chunk's counters are the sum of its subproblems' counters."""
+
+    @pytest.mark.parametrize("mode", ["collect", "count"])
+    @pytest.mark.parametrize("options", [
+        {"backend": "set"},
+        {"backend": "bitset"},
+        {"backend": "bitset", "bit_order": "input"},
+    ], ids=["set", "bitset", "bitset-input"])
+    def test_chunk_counters_sum_subproblem_counters(self, graph, options,
+                                                    mode):
+        state, decomposition = _graph_state(graph)
+        config = RequestConfig(algorithm="hbbmc++", options=options,
+                               mode=mode)
+        for chunk in make_chunks(decomposition.subproblems, 3):
+            result = _solve_chunk(state, config, chunk)
+            total = Counters()
+            for p, payload in result.items:
+                alone, counters, _ = solve_subproblem(
+                    graph, state.position, state.order[p],
+                    algorithm="hbbmc++", options=options, mode=mode)
+                assert payload == alone
+                total.merge(counters)
+            assert result.counters == total.as_dict()
+            assert total.emitted > 0
+
+    @pytest.mark.parametrize("mode", ["collect", "count"])
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    def test_split_counters_sum_branch_counters(self, hub, backend, mode):
+        # Each branch of a split task against solve_branch on the sets
+        # of its definition: stem [v, w], the later co-neighbours of w
+        # within later(v) as candidates, the other neighbours of w that
+        # v's subproblem or an earlier branch owns excluded.
+        options = {"backend": backend}
+        state, decomposition = _graph_state(hub)
+        _, splits, _ = plan_steal_schedule(hub, decomposition, 2, 1)
+        assert splits
+        config = RequestConfig(algorithm="hbbmc++", options=options,
+                               mode=mode)
+        position, adj = state.position, hub.adj
+        for task in splits:
+            v = state.order[task.position]
+            later, earlier = subproblem_sets(hub, position, v)
+            cands = sorted(later, key=position.__getitem__)
+            total = Counters()
+            payloads = []
+            for i in task.branches:
+                w = cands[i]
+                reach = later & adj[w]
+                candidates = {u for u in reach if position[u] > position[w]}
+                exclusion = (earlier & adj[w]) \
+                    | {u for u in reach if position[u] < position[w]}
+                payload, counters = solve_branch(
+                    hub, position, [v, w], candidates, exclusion,
+                    algorithm="hbbmc++", options=options, mode=mode)
+                payloads.append(payload)
+                total.merge(counters)
+            result = _solve_split(state, config, task)
+            assert result.items == [(task.position,
+                                     merge_payloads(payloads, mode))]
+            assert result.counters == total.as_dict()
+
+
 class TestMonotonicStamps:
     def test_solve_chunk_wall_survives_wall_clock_step(self, graph,
                                                        monkeypatch):
@@ -343,10 +501,6 @@ class TestBroadcastHang:
 
 
 class TestStealMode:
-    @pytest.fixture(scope="class")
-    def hub(self):
-        return ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
-
     @pytest.fixture(scope="class")
     def hub_reference(self, hub):
         return maximal_cliques(hub)
