@@ -340,17 +340,35 @@ def maximal_cliques(
     algorithm used.  ``n_jobs=N`` distributes the run over N worker
     processes; with ``sort=False`` the parallel order is still
     deterministic (subproblems in degeneracy order).
+
+    The workers already ship each subproblem's cliques canonical, so the
+    parallel path never re-sorts a clique: the ``merge`` step
+    concatenates the per-subproblem runs and, with ``sort=True``, merges
+    them with one sort of the list.
     """
     collector = CliqueCollector()
-    enumerate_to_sink(
-        g, collector, algorithm=algorithm, n_jobs=n_jobs,
-        chunk_strategy=chunk_strategy, cost_model=cost_model,
-        chunks_per_worker=chunks_per_worker, x_aware=x_aware, steal=steal,
-        trace=trace,
+    if n_jobs is None:
+        enumerate_to_sink(
+            g, collector, algorithm=algorithm,
+            chunk_strategy=chunk_strategy, cost_model=cost_model,
+            chunks_per_worker=chunks_per_worker, x_aware=x_aware,
+            steal=steal, trace=trace,
+            **options,
+        )
+        return collector.sorted_cliques() if sort else collector.cliques
+    from repro.parallel import CollectAggregator, run_parallel
+
+    aggregator = CollectAggregator()
+    run_parallel(
+        g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
+        **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
+                           chunks_per_worker, steal),
         **options,
     )
-    if sort:
-        return collector.sorted_cliques()
+    with maybe_span(trace, "merge", mode=aggregator.mode):
+        # The result lands in the caller's collector in one step, as on
+        # the serial path, so sink-level accounting sees it either way.
+        collector.cliques = aggregator.finish(canonical=sort)
     return collector.cliques
 
 

@@ -14,8 +14,9 @@ Three sinks cover the API surface:
   cliques either; the compact edge-family graph and the ``x_aware=False``
   filter build each subproblem's list worker-side and compress it with
   :func:`count_payload`.
-* :class:`CollectAggregator` — gathers every clique, returns the merged
-  list at the end.
+* :class:`CollectAggregator` — keeps one list per position and returns
+  the merged list at the end, in position order or canonical (one sort
+  over the workers' sorted runs).
 * :class:`CallbackAggregator` — streams cliques into a caller sink as soon
   as their position's turn comes (TCP-style in-order release: results that
   arrive early wait in a bounded reorder buffer).
@@ -144,7 +145,13 @@ class CountAggregator(Aggregator):
 
 
 class CollectAggregator(Aggregator):
-    """Gathers all cliques; ``finish`` returns them in position order."""
+    """Gathers all cliques; ``finish`` returns them in position order.
+
+    Every tier ships a position's cliques canonical (each tuple
+    ascending, the list sorted), so the position-order concatenation is
+    a sequence of sorted runs.  ``finish(canonical=True)`` sorts it once:
+    timsort finds the runs and merges them, and no clique is rebuilt.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -153,11 +160,14 @@ class CollectAggregator(Aggregator):
     def _accept_item(self, position: int, payload) -> None:
         self._by_position[position] = payload
 
-    def finish(self) -> list[tuple[int, ...]]:
+    def finish(self, *, canonical: bool = False) -> list[tuple[int, ...]]:
+        """The cliques in position order, or sorted when ``canonical``."""
         self._check_complete()
         merged: list[tuple[int, ...]] = []
         for position in sorted(self._by_position):
             merged.extend(self._by_position[position])
+        if canonical:
+            merged.sort()
         return merged
 
 

@@ -448,10 +448,12 @@ class InPlaceRunner:
         to_vertex = self._to_vertex
         if to_vertex is not None:
             # Branch state ran in bit space; map emitted bits back.
-            cliques = sorted(tuple(sorted([to_vertex[b] for b in clique]))
-                             for clique in found)
+            translate = to_vertex.__getitem__
+            cliques = [tuple(sorted(map(translate, clique)))
+                       for clique in found]
         else:
-            cliques = sorted(tuple(sorted(clique)) for clique in found)
+            cliques = [tuple(sorted(clique)) for clique in found]
+        cliques.sort()
         found.clear()
         self.counters.emitted += len(cliques)
         return cliques

@@ -45,7 +45,7 @@ from repro.parallel.scheduler import (
     chunk_summary,
 )
 from repro.service.registry import GraphRegistry
-from repro.verify import clique_fingerprint
+from repro.verify import canonical_fingerprint
 
 
 class CliqueService:
@@ -170,9 +170,17 @@ class CliqueService:
                   **options) -> dict:
         """Enumerate the maximal cliques of a registered graph.
 
-        ``limit`` truncates the returned list (the enumeration itself is
-        complete, so ``count`` is always the true total); negative limits
-        are rejected — a silent ``[:-k]`` would drop cliques from the end.
+        ``cliques`` comes in subproblem-position order (the degeneracy
+        order of each clique's earliest member), canonical within each
+        subproblem: every clique ascending, each subproblem's cliques
+        sorted.  That is the ``enumerate_to_sink(n_jobs=...)`` stream, not
+        the sorted list :func:`repro.api.maximal_cliques` returns: on
+        ``Graph(2)`` the response lists ``[1]`` before ``[0]``.
+
+        ``limit`` truncates the returned list in that order (the
+        enumeration itself is complete, so ``count`` is always the true
+        total); negative limits are rejected — a silent ``[:-k]`` would
+        drop cliques from the end.
         """
         if limit is not None:
             if isinstance(limit, bool) or not isinstance(limit, int) \
@@ -201,14 +209,16 @@ class CliqueService:
         """SHA256 fingerprint of the canonical clique list.
 
         Byte-identical to ``clique_fingerprint(maximal_cliques(g, ...))``
-        on the direct path — the golden-oracle check, served warm.
+        on the direct path — the golden-oracle check, served warm.  The
+        merge sorts the workers' canonical runs once and the digest reads
+        that list as it is, so no clique is re-sorted.
         """
         aggregator = CollectAggregator()
 
         def finalize(result: dict, tracer: Tracer | None) -> None:
             with maybe_span(tracer, "merge", mode=aggregator.mode):
-                cliques = aggregator.finish()
-                sha256 = clique_fingerprint(cliques)
+                cliques = aggregator.finish(canonical=True)
+                sha256 = canonical_fingerprint(cliques)
             result["count"] = len(cliques)
             result["sha256"] = sha256
 

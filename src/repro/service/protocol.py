@@ -23,6 +23,11 @@ in the response, for client-side correlation):
   work-stealing schedule), ``trace`` (``true`` adds the span tree and
   per-chunk worker timeline to the response).
 * ``{"op": "enumerate", "graph": ..., "limit": N, ...}`` — same knobs.
+  ``cliques`` comes in subproblem-position order (the degeneracy order
+  of each clique's earliest member), each clique ascending and each
+  subproblem's cliques sorted; ``limit`` keeps the first N in that
+  order.  So it is not the sorted list ``maximal_cliques`` returns: on
+  a two-vertex graph with no edge, ``limit: 1`` answers ``[[1]]``.
 * ``{"op": "fingerprint", "graph": ..., ...}`` — SHA256 of the canonical
   clique list (matches :func:`repro.verify.clique_fingerprint` on the
   direct path).

@@ -26,8 +26,28 @@ def clique_fingerprint(cliques: Iterable[Sequence[int]]) -> str:
     so every correct enumerator of the same graph produces the same hex
     digest.  The golden-oracle fixtures pin these digests.
     """
-    canonical = sorted(tuple(sorted(clique)) for clique in cliques)
-    text = "\n".join(" ".join(map(str, clique)) for clique in canonical)
+    return canonical_fingerprint(
+        sorted(tuple(sorted(clique)) for clique in cliques))
+
+
+class _IdText(dict[int, str]):
+    """``id -> str(id)``, each id converted once, on first use."""
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = str(key)
+        return text
+
+
+def canonical_fingerprint(canonical: list[tuple[int, ...]]) -> str:
+    """:func:`clique_fingerprint` of a list already in canonical form.
+
+    For callers whose cliques arrive canonical, such as the service's
+    merged worker runs, so nothing is re-sorted.  Cliques share their
+    ids, so each id's text is built once and looked up after that; the
+    memo holds only the ids seen, never a table sized by the largest id.
+    """
+    text_of = _IdText().__getitem__
+    text = "\n".join(" ".join(map(text_of, clique)) for clique in canonical)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

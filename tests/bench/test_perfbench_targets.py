@@ -13,6 +13,9 @@ counters and the sink the engines call) and the ``__init__``/``__call__``
 of the result sinks.  A count path that stopped calling them would
 silently zero the ``core.*`` and ``emit.*`` metrics, so the second half
 of this module drives a serial count through the same kind of wrappers.
+The ledger reads the cliques a request delivered from the caller's sink
+objects, so the last test pins that a parallel collect still hands its
+result to one ``CliqueCollector``.
 """
 
 import ast
@@ -26,6 +29,7 @@ from repro.core import frameworks, result
 from repro.core.counters import Counters
 from repro.graph import disjoint_union
 from repro.graph.generators import erdos_renyi_gnm, plex_caveman
+from repro.parallel.aggregate import CollectAggregator
 
 LAYERS = pathlib.Path(__file__).resolve().parents[2] / "perfbench" / "layers.py"
 
@@ -133,3 +137,41 @@ def test_serial_count_calls_each_emission_hook_once(monkeypatch, backend):
     (counter,) = counters_made
     assert counter.count == len(cliques)
     assert counter.total_vertices == sum(map(len, cliques))
+
+
+def test_parallel_collect_delivers_into_one_collector(monkeypatch):
+    """One ``CliqueCollector`` holds the result, filled in one step.
+
+    The merge hands over the whole list: no per-clique call, no re-sort
+    by the collector, one ``CollectAggregator.finish``.
+    """
+    made, calls = [], []
+    init = result.CliqueCollector.__dict__["__init__"]
+    finish = CollectAggregator.__dict__["finish"]
+
+    def init_hook(self):
+        init(self)
+        made.append(self)
+
+    def record(name):
+        def hook(*args, **kwargs):
+            calls.append(name)
+        return hook
+
+    def finish_hook(self, **kwargs):
+        calls.append("finish")
+        return finish(self, **kwargs)
+
+    monkeypatch.setattr(result.CliqueCollector, "__init__", init_hook)
+    monkeypatch.setattr(result.CliqueCollector, "__call__",
+                        record("__call__"))
+    monkeypatch.setattr(result.CliqueCollector, "sorted_cliques",
+                        record("sorted_cliques"))
+    monkeypatch.setattr(CollectAggregator, "finish", finish_hook)
+    cliques = maximal_cliques(HOOK_GRAPH, n_jobs=2, backend="bitset")
+    monkeypatch.undo()
+
+    (collector,) = made
+    assert collector.cliques is cliques
+    assert calls == ["finish"]
+    assert cliques == maximal_cliques(HOOK_GRAPH, backend="bitset")

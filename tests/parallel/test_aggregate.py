@@ -65,6 +65,17 @@ class TestCollectAggregator:
             agg.accept(r)
         assert agg.finish() == [(0, 1), (1, 2), (1, 3), (3, 4, 5)]
 
+    def test_canonical_finish_merges_the_sorted_runs(self):
+        # Runs sorted within each position but interleaved across them.
+        runs = {0: [(2, 3), (4, 6)], 1: [(0, 5)], 2: [(1, 4), (3, 7)]}
+        agg = CollectAggregator()
+        agg.start(n_subproblems=3)
+        agg.accept(_collect_result(0, [(2, runs[2]), (0, runs[0])]))
+        agg.accept(_collect_result(1, [(1, runs[1])]))
+        assert agg.finish() == [(2, 3), (4, 6), (0, 5), (1, 4), (3, 7)]
+        assert agg.finish(canonical=True) == \
+            [(0, 5), (1, 4), (2, 3), (3, 7), (4, 6)]
+
     def test_counters_merged(self):
         agg = CollectAggregator()
         agg.start(n_subproblems=2)

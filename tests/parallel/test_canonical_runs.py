@@ -1,0 +1,158 @@
+"""Every collect-mode tier ships canonical runs; the parent merges them as is.
+
+The parent never re-canonicalises a worker's cliques.
+``CollectAggregator.finish`` concatenates the per-position payloads and,
+for a canonical result, sorts that concatenation once.  That is correct
+only if every payload is canonical: each clique ascending, the list
+sorted.  This suite pins that precondition on every tier:
+
+* the in-place tier, on ``set`` and on ``bitset`` under the degeneracy,
+  input and an explicit packing;
+* the compact edge-family tier (``ebbmc++``);
+* the enumerate-then-filter tier (``x_aware=False``);
+* ``reverse-search``, which cannot seed an exclusion set;
+* lone roots (no later neighbour);
+* steal split parts, and their payload after ``merge_payloads``.
+
+End to end, for ``n_jobs`` 1 and 2, ``maximal_cliques`` equals the serial
+list, and with ``sort=False`` it equals the position-order concatenation
+of the payloads.
+"""
+
+import random
+
+import pytest
+
+from repro.api import maximal_cliques
+from repro.graph.adjacency import Graph
+from repro.graph.builders import disjoint_union
+from repro.graph.generators import (
+    ba_heavy_hub,
+    erdos_renyi_gnm,
+    ring_of_cliques,
+)
+from repro.parallel import GraphState, RequestConfig
+from repro.parallel.aggregate import merge_payloads
+from repro.parallel.decompose import decompose, solve_subproblem
+from repro.parallel.pool import (
+    _solve_chunk,
+    _solve_split,
+    _SplitMerger,
+    plan_steal_schedule,
+)
+from repro.parallel.scheduler import make_chunks
+
+#: a dense part, cliques sharing vertices, and three isolated vertices
+#: (lone roots that emit themselves).
+GRAPH = disjoint_union(erdos_renyi_gnm(36, 240, seed=3),
+                       ring_of_cliques(4, 4), Graph(3))
+PERMUTATION = list(range(GRAPH.n))
+random.Random(5).shuffle(PERMUTATION)
+#: a graph whose hub subproblems the steal schedule re-splits.
+HUB = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
+
+#: test id -> (algorithm, options, x_aware)
+TIERS = {
+    "in-place-set": ("hbbmc++", {"backend": "set"}, True),
+    "in-place-bitset": ("hbbmc++", {"backend": "bitset"}, True),
+    "in-place-bitset-input": (
+        "hbbmc++", {"backend": "bitset", "bit_order": "input"}, True),
+    "in-place-bitset-explicit": (
+        "hbbmc++", {"backend": "bitset", "bit_order": PERMUTATION}, True),
+    "edge-family": ("ebbmc++", {"backend": "bitset"}, True),
+    "filter": ("hbbmc++", {"backend": "bitset"}, False),
+    "reverse-search": ("reverse-search", {}, True),
+}
+
+
+def _is_canonical(cliques):
+    return all(list(c) == sorted(c) for c in cliques) \
+        and cliques == sorted(cliques)
+
+
+def _payloads(graph, algorithm, options, x_aware):
+    """Each position's collect payload, from chunks as the pool runs them."""
+    decomposition = decompose(graph)
+    state = GraphState(graph=graph, order=decomposition.order,
+                       position=decomposition.position)
+    config = RequestConfig(algorithm=algorithm, options=options,
+                           mode="collect", x_aware=x_aware)
+    payloads = {}
+    for chunk in make_chunks(decomposition.subproblems, 3):
+        payloads.update(_solve_chunk(state, config, chunk).items)
+    return [payloads[p] for p in range(graph.n)], decomposition
+
+
+@pytest.fixture(scope="module")
+def serial():
+    return maximal_cliques(GRAPH)
+
+
+@pytest.fixture(scope="module", params=list(TIERS))
+def tier(request):
+    """``(algorithm, options, x_aware, payloads, decomposition)``."""
+    algorithm, options, x_aware = TIERS[request.param]
+    return (algorithm, options, x_aware,
+            *_payloads(GRAPH, algorithm, options, x_aware))
+
+
+def test_every_payload_is_canonical(tier):
+    *_, payloads, decomposition = tier
+    assert sum(map(len, payloads)) > 0
+    for position, payload in enumerate(payloads):
+        assert _is_canonical(payload), position
+    order, position = decomposition.order, decomposition.position
+    lone = [p for p, v in enumerate(order)
+            if all(position[w] < p for w in GRAPH.adj[v])]
+    assert any(payloads[p] for p in lone), \
+        "the graph's isolated vertices are lone roots that emit"
+    for p in lone:
+        assert payloads[p] in ([], [(order[p],)])
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_merge_takes_the_runs_as_they_come(tier, n_jobs, serial):
+    algorithm, options, x_aware, payloads, _ = tier
+    kwargs = dict(algorithm=algorithm, n_jobs=n_jobs, x_aware=x_aware,
+                  **options)
+    assert maximal_cliques(GRAPH, **kwargs) == serial
+    assert maximal_cliques(GRAPH, sort=False, **kwargs) == \
+        [clique for payload in payloads for clique in payload]
+
+
+@pytest.mark.parametrize("backend", ["set", "bitset"])
+def test_steal_split_parts_are_canonical(backend):
+    decomposition = decompose(HUB)
+    state = GraphState(graph=HUB, order=decomposition.order,
+                       position=decomposition.position)
+    _, splits, _ = plan_steal_schedule(HUB, decomposition, 2, 1)
+    assert splits
+    options = {"backend": backend}
+    config = RequestConfig(algorithm="hbbmc++", options=options,
+                           mode="collect")
+    merger = _SplitMerger(splits, "collect")
+    parts: dict[int, list] = {}
+    merged = {}
+    for task in splits:
+        result = _solve_split(state, config, task)
+        ((position, payload),) = result.items
+        assert _is_canonical(payload)
+        parts.setdefault(position, []).append(payload)
+        merged.update(merger.fold(result).items)
+    for position, payloads in parts.items():
+        whole = merge_payloads(payloads, "collect")
+        assert _is_canonical(whole)
+        assert merged[position] == whole
+        alone, _, _ = solve_subproblem(
+            HUB, decomposition.position, decomposition.order[position],
+            algorithm="hbbmc++", options=options)
+        assert whole == alone
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_steal_merge_takes_the_runs_as_they_come(n_jobs):
+    payloads, _ = _payloads(HUB, "hbbmc++", {"backend": "bitset"}, True)
+    kwargs = dict(n_jobs=n_jobs, steal=True, backend="bitset")
+    assert maximal_cliques(HUB, **kwargs) == maximal_cliques(HUB)
+    assert maximal_cliques(HUB, sort=False, **kwargs) == \
+        [clique for payload in payloads for clique in payload]

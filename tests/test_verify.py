@@ -1,6 +1,10 @@
 """Unit tests for the verification utilities."""
 
+import hashlib
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
@@ -9,6 +13,8 @@ from repro.graph.generators import erdos_renyi_gnm
 from repro.verify import (
     assert_valid_enumeration,
     brute_force_maximal_cliques,
+    canonical_fingerprint,
+    clique_fingerprint,
     is_maximal_clique,
     verify_enumeration,
 )
@@ -77,3 +83,44 @@ class TestVerifyEnumeration:
         g = complete_graph(3)
         with pytest.raises(AssertionError, match="enumeration invalid"):
             assert_valid_enumeration(g, [(0, 1)])
+
+
+def _reference_fingerprint(cliques):
+    """``clique_fingerprint``'s body before the canonical helper, verbatim."""
+    canonical = sorted(tuple(sorted(clique)) for clique in cliques)
+    text = "\n".join(" ".join(map(str, clique)) for clique in canonical)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+IDS = st.one_of(st.integers(-40, 40),
+                st.integers(10**12 - 3, 10**12 + 3),
+                st.integers(-10**12 - 3, -10**12 + 3))
+#: unsorted cliques that may repeat an id, be empty, or repeat a clique.
+CLIQUE_LISTS = st.lists(st.lists(IDS, max_size=6), max_size=25).map(
+    lambda cliques: cliques + cliques[::3])
+
+
+class TestFingerprint:
+    @settings(max_examples=200, deadline=None)
+    @given(CLIQUE_LISTS)
+    @example([])
+    @example([[]])
+    @example([[], [], [2, 1]])
+    @example([[3, 1, 2], [2, 3, 1], [-1, 10**12]])
+    def test_digest_parity(self, cliques):
+        want = _reference_fingerprint(cliques)
+        assert clique_fingerprint(cliques) == want
+        canonical = sorted(tuple(sorted(c)) for c in cliques)
+        assert canonical_fingerprint(canonical) == want
+
+    def test_large_ids_build_no_table(self):
+        # The id-to-text memo holds the ids it saw, nothing sized by the
+        # largest id.
+        tracemalloc.start()
+        try:
+            digest = clique_fingerprint([(0, 10**12)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == _reference_fingerprint([(0, 10**12)])
+        assert peak < 64 * 1024
