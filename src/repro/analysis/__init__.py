@@ -1,8 +1,8 @@
 """Project linter (``repro-mce lint`` / ``python -m repro.analysis``).
 
 AST-based enforcement of the repo's load-bearing conventions: backend-twin
-parity, bit hot-path purity, knob-threading consistency across API / CLI /
-service / worker layers, and the process-boundary error conventions.  See
+parity, bit hot-path purity, the process-boundary error conventions, lock
+discipline, pickle and fork safety, and resource lifecycle.  See
 :mod:`repro.analysis.runner` for the driver and the checker modules under
 :mod:`repro.analysis.checkers` for the individual rules.
 """

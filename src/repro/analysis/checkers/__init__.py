@@ -15,7 +15,6 @@ from typing import Callable
 from repro.analysis.checkers import (
     boundaries,
     forksafety,
-    knob_drift,
     lifecycle,
     locks,
     parity,
@@ -31,7 +30,6 @@ Checker = Callable[[ModuleIndex, LintConfig], "list[Finding]"]
 CHECKERS: dict[str, Checker] = {
     parity.CHECKER: parity.check,
     purity.CHECKER: purity.check,
-    knob_drift.CHECKER: knob_drift.check,
     boundaries.CHECKER: boundaries.check,
     locks.CHECKER: locks.check,
     picklesafety.CHECKER: picklesafety.check,
@@ -42,7 +40,6 @@ CHECKERS: dict[str, Checker] = {
 EXPLAIN: dict[str, dict[str, str]] = {
     parity.CHECKER: parity.EXPLAIN,
     purity.CHECKER: purity.EXPLAIN,
-    knob_drift.CHECKER: knob_drift.EXPLAIN,
     boundaries.CHECKER: boundaries.EXPLAIN,
     locks.CHECKER: locks.EXPLAIN,
     picklesafety.CHECKER: picklesafety.EXPLAIN,

@@ -8,9 +8,7 @@ deliberately broken code without touching real modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.knobs import Knob, default_knobs
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -62,40 +60,19 @@ class LintConfig:
     #: file-basename prefix selecting the hot-path modules.
     purity_prefix: str = "bit_"
 
-    # --- knob threading -------------------------------------------------
-    api_module: str = "repro.api"
-    #: public entry points whose keyword-only parameters are knobs.
-    api_functions: tuple[str, ...] = (
-        "enumerate_to_sink",
-        "maximal_cliques",
-        "count_maximal_cliques",
-        "run_with_report",
-    )
-    cli_module: str = "repro.cli"
-    #: the function whose flags form the shared knob surface of the CLI.
-    cli_knob_function: str = "_add_graph_arguments"
-    protocol_module: str = "repro.service.protocol"
-    option_fields_name: str = "OPTION_FIELDS"
-    request_options_function: str = "_request_options"
-    request_handler_function: str = "handle_request"
-    service_module: str = "repro.service.core"
-    service_class: str = "CliqueService"
-    pool_module: str = "repro.parallel.pool"
-    request_config_class: str = "RequestConfig"
-    #: RequestConfig fields that are not knobs (task plumbing).
-    request_config_exempt: tuple[str, ...] = ("options", "mode")
-    knobs: tuple[Knob, ...] = field(default_factory=default_knobs)
-
     # --- boundary conventions -------------------------------------------
+    cli_module: str = "repro.cli"
     cli_main_function: str = "main"
+    protocol_module: str = "repro.service.protocol"
+    request_handler_function: str = "handle_request"
     #: packages whose functions run (or may run) worker-side; ``global``
     #: statements there break fork/respawn safety.
     worker_packages: tuple[str, ...] = ("repro.parallel", "repro.service")
 
     # --- lock discipline -------------------------------------------------
     #: classes whose shared attributes must mutate under their own lock
-    #: when reachable from a public method — declared here like the knob
-    #: registry, so new concurrent classes join with one roster entry.
+    #: when reachable from a public method — declared here, so new
+    #: concurrent classes join with one roster entry.
     lock_rosters: tuple[LockRoster, ...] = (
         LockRoster(
             module="repro.service.core", cls="CliqueService",
@@ -132,7 +109,7 @@ class LintConfig:
     #: other classes that recursively satisfy the same rule).
     pickle_roster: tuple[str, ...] = (
         "repro.parallel.pool:GraphState",
-        "repro.parallel.pool:RequestConfig",
+        "repro.config:RunConfig",
         "repro.parallel.pool:SplitTask",
         "repro.parallel.scheduler:Chunk",
         "repro.parallel.aggregate:ChunkResult",
@@ -164,7 +141,7 @@ class LintConfig:
     #: the task/initializer functions workers actually execute; anything
     #: they can reach through the call graph runs worker-side.
     worker_entry_functions: tuple[str, ...] = (
-        "_init_worker", "_install_graph", "_run_chunk", "_run_split",
+        "_init_worker", "_install_graph", "_run_task",
     )
     #: factories whose products do not survive ``fork`` (locks held by
     #: other threads, live sockets, nested pools); calling one at import

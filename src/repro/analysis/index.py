@@ -41,7 +41,6 @@ class FunctionInfo:
     lineno: int
     end_lineno: int
     params: tuple[str, ...]
-    has_kwargs: bool
     is_public: bool
     node: ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -118,7 +117,6 @@ def _collect_functions(tree: ast.Module) -> list[FunctionInfo]:
                     lineno=child.lineno,
                     end_lineno=child.end_lineno or child.lineno,
                     params=params,
-                    has_kwargs=args.kwarg is not None,
                     is_public=not child.name.startswith("_"),
                     node=child,
                 ))

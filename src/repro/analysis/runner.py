@@ -208,9 +208,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Project linter: backend-twin parity, hot-path purity, "
-                    "knob-threading drift, boundary conventions, lock "
-                    "discipline, pickle safety, fork safety and resource "
-                    "lifecycle.",
+                    "boundary conventions, lock discipline, pickle safety, "
+                    "fork safety and resource lifecycle.",
     )
     add_lint_arguments(parser)
     return run_from_args(parser.parse_args(argv))

@@ -30,8 +30,9 @@ bitset backend is bit-native end to end (:mod:`repro.core.bit_plex`):
 plex branches are decomposed and their cliques assembled directly on the
 masks.
 
-``maximal_cliques``, ``count_maximal_cliques`` and ``enumerate_to_sink``
-also accept ``n_jobs=N`` to fan the enumeration out over the
+``maximal_cliques``, ``count_maximal_cliques``, ``enumerate_to_sink``
+and ``run_with_report`` also accept ``n_jobs=N`` to fan the enumeration
+out over the
 degeneracy-partitioned worker pool (:mod:`repro.parallel`): the root level
 splits into per-vertex subproblems packed into cost-balanced chunks
 (``chunk_strategy=``, ``cost_model=``), each solved by the selected
@@ -42,14 +43,22 @@ restores the enumerate-then-filter decomposition).  Results merge
 deterministically, so every ``n_jobs`` value yields the identical clique
 stream; ``n_jobs=1`` runs the same partitioned pipeline in-process and
 ``n_jobs=None`` (the default) is the classic single-process path.
+
+Each entry point turns its keywords into one :class:`repro.config.RunConfig`
+for the same serial/parallel branch, and :meth:`RunConfig.validate` checks
+it before any work: :class:`UnknownAlgorithmError` for an unregistered
+algorithm, :class:`InvalidParameterError` for any other bad knob — an
+option the runner does not take (``et_threshold`` on ``reverse-search``),
+a wrong type or range, a scheduling knob without ``n_jobs``.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from functools import cached_property, partial
+from typing import Any, Callable
 
 from repro.baselines import (
     bk,
@@ -65,10 +74,11 @@ from repro.baselines import (
     rref,
     reverse_search,
 )
+from repro.config import RunConfig
 from repro.core.counters import Counters, RunReport
 from repro.core.frameworks import run_hybrid, run_vertex
 from repro.core.result import CliqueCollector, CliqueCounter, CliqueSink
-from repro.exceptions import UnknownAlgorithmError
+from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.graph.adjacency import Graph
 from repro.obs import Tracer, maybe_span
 
@@ -78,12 +88,6 @@ AlgorithmFn = Callable[..., Counters]
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Registry entry: a runnable algorithm plus its description.
-
-    ``supports_initial_x`` records whether the runner accepts an
-    ``initial_x`` seeded exclusion set — every branch-and-bound framework
-    does; output-sensitive algorithms (reverse search) do not, and the
-    X-aware parallel decomposition falls back to its filtering path for
-    them.
 
     ``subproblem_phase`` declares how an X-aware parallel subproblem runs
     the algorithm *below* the decomposition's per-vertex root: keyword
@@ -104,16 +108,21 @@ class AlgorithmSpec:
     runner: AlgorithmFn
     description: str
     family: str  # "hybrid", "vertex", "edge" or "reverse-search"
-    supports_initial_x: bool = True
     subproblem_phase: dict | None = None
 
+    @cached_property
+    def option_names(self) -> frozenset[str]:
+        """The options ``runner`` takes: its parameters after ``g, sink``."""
+        return frozenset(list(inspect.signature(self.runner).parameters)[2:])
 
-def _spec(name: str, runner: AlgorithmFn, description: str, family: str,
-          supports_initial_x: bool = True,
-          subproblem_phase: dict | None = None) -> AlgorithmSpec:
-    return AlgorithmSpec(name=name, runner=runner, description=description,
-                         family=family, supports_initial_x=supports_initial_x,
-                         subproblem_phase=subproblem_phase)
+    @property
+    def supports_initial_x(self) -> bool:
+        """Whether the runner can seed an exclusion set (reverse search
+        cannot: the X-aware decomposition filters its subproblems)."""
+        return "initial_x" in self.option_names
+
+
+_spec = AlgorithmSpec  # short name for the registry table below
 
 
 ALGORITHMS: dict[str, AlgorithmSpec] = {
@@ -190,8 +199,8 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
               subproblem_phase={"vertex_strategy": "fac", "et_threshold": 0}),
         # --- related work ---------------------------------------------------
         _spec("reverse-search", reverse_search,
-              "output-sensitive lexicographic reverse search", "reverse-search",
-              supports_initial_x=False),
+              "output-sensitive lexicographic reverse search",
+              "reverse-search"),
     ]
 }
 
@@ -242,81 +251,48 @@ def enumerate_to_sink(
     decompose/pack/ship/chunk/merge pipeline) and the paper counters land
     on the trace root.
     """
-    _validate_trace(trace)
-    if n_jobs is not None:
-        from repro.parallel import CallbackAggregator, run_parallel
-
-        aggregator = CallbackAggregator(sink)
-        counters = run_parallel(
-            g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
-                               chunks_per_worker, steal),
-            **options,
-        )
-        with maybe_span(trace, "merge", mode=aggregator.mode):
-            aggregator.finish()
-        return counters
-    _reject_serial_parallel_options(chunk_strategy, cost_model, x_aware,
-                                    chunks_per_worker, steal)
-    spec = get_algorithm(algorithm)
-    if "initial_x" in options and not spec.supports_initial_x:
-        from repro.exceptions import InvalidParameterError
-
-        raise InvalidParameterError(
-            f"algorithm {algorithm!r} does not support initial_x (it cannot "
-            "seed an exclusion set)"
-        )
-    runner = partial(spec.runner, **options) if options else spec.runner
-    if trace is None:
-        return runner(g, sink)
-    with trace.span("enumerate", algorithm=algorithm):
-        counters = runner(g, sink)
-    trace.annotate(counters=counters.as_dict())
-    return counters
+    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
+                       cost_model, chunks_per_worker, x_aware, steal)
+    return _run(g, config, trace, sink, "callback")[0]
 
 
-def _validate_trace(trace: Tracer | None) -> None:
+def _run(g: Graph, config: RunConfig, trace: Tracer | None, sink: CliqueSink,
+         mode: str, **finish) -> tuple[Counters, Any]:
+    """The one serial/parallel branch behind the four entry points.
+
+    A serial run streams into ``sink`` and returns ``(counters, None)``.
+    With ``n_jobs`` the run goes through
+    :func:`repro.parallel.run_parallel` into a ``mode`` aggregator
+    (``"callback"`` forwards every clique to ``sink``), and the second
+    item is what the aggregator's merge step returns.
+    """
     if trace is not None and not isinstance(trace, Tracer):
-        from repro.exceptions import InvalidParameterError
-
         raise InvalidParameterError(
             f"trace must be a repro.obs.Tracer or None, got {trace!r}"
         )
+    if config.n_jobs is None:
+        config.validate(g)
+        runner = get_algorithm(config.algorithm).runner
+        if config.options:
+            runner = partial(runner, **config.options)
+        if trace is None:
+            return runner(g, sink), None
+        with trace.span("enumerate", algorithm=config.algorithm):
+            counters = runner(g, sink)
+        trace.annotate(counters=counters.as_dict())
+        return counters, None
+    from repro import parallel  # deferred: serial runs never load the pool
 
-
-def _parallel_kwargs(chunk_strategy: str | None, cost_model: str | None,
-                     x_aware: bool | None = None,
-                     chunks_per_worker: int | None = None,
-                     steal: bool | None = None) -> dict:
-    kwargs = {}
-    if chunk_strategy is not None:
-        kwargs["chunk_strategy"] = chunk_strategy
-    if cost_model is not None:
-        kwargs["cost_model"] = cost_model
-    if x_aware is not None:
-        kwargs["x_aware"] = x_aware
-    if chunks_per_worker is not None:
-        kwargs["chunks_per_worker"] = chunks_per_worker
-    if steal is not None:
-        kwargs["steal"] = steal
-    return kwargs
-
-
-def _reject_serial_parallel_options(
-    chunk_strategy: str | None, cost_model: str | None,
-    x_aware: bool | None = None, chunks_per_worker: int | None = None,
-    steal: bool | None = None,
-) -> None:
-    """Scheduling knobs without ``n_jobs`` are almost certainly a mistake."""
-    from repro.exceptions import InvalidParameterError
-
-    if chunk_strategy is not None or cost_model is not None \
-            or x_aware is not None or chunks_per_worker is not None \
-            or steal is not None:
-        raise InvalidParameterError(
-            "chunk_strategy/cost_model/x_aware/chunks_per_worker/steal "
-            "require n_jobs (the parallel path)"
-        )
+    if mode == "callback":
+        aggregator = parallel.CallbackAggregator(sink)
+    elif mode == "collect":
+        aggregator = parallel.CollectAggregator()
+    else:
+        aggregator = parallel.CountAggregator()
+    counters = parallel.run_parallel(g, aggregator, trace=trace,
+                                     **config.keywords())
+    with maybe_span(trace, "merge", mode=aggregator.mode):
+        return counters, aggregator.finish(**finish)
 
 
 def maximal_cliques(
@@ -346,29 +322,15 @@ def maximal_cliques(
     concatenates the per-subproblem runs and, with ``sort=True``, merges
     them with one sort of the list.
     """
+    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
+                       cost_model, chunks_per_worker, x_aware, steal)
     collector = CliqueCollector()
-    if n_jobs is None:
-        enumerate_to_sink(
-            g, collector, algorithm=algorithm,
-            chunk_strategy=chunk_strategy, cost_model=cost_model,
-            chunks_per_worker=chunks_per_worker, x_aware=x_aware,
-            steal=steal, trace=trace,
-            **options,
-        )
+    _, merged = _run(g, config, trace, collector, "collect", canonical=sort)
+    if merged is None:
         return collector.sorted_cliques() if sort else collector.cliques
-    from repro.parallel import CollectAggregator, run_parallel
-
-    aggregator = CollectAggregator()
-    run_parallel(
-        g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-        **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
-                           chunks_per_worker, steal),
-        **options,
-    )
-    with maybe_span(trace, "merge", mode=aggregator.mode):
-        # The result lands in the caller's collector in one step, as on
-        # the serial path, so sink-level accounting sees it either way.
-        collector.cliques = aggregator.finish(canonical=sort)
+    # The result lands in the caller's collector in one step, as on the
+    # serial path, so sink-level accounting sees it either way.
+    collector.cliques = merged
     return collector.cliques
 
 
@@ -399,23 +361,16 @@ def count_maximal_cliques(
     ``reverse-search``, which cannot seed an exclusion set).  Only the
     triples cross the process boundary either way.
     """
-    if n_jobs is not None:
-        from repro.parallel import CountAggregator, run_parallel
+    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
+                       cost_model, chunks_per_worker, x_aware, steal)
+    return _count(g, config, trace)[1]
 
-        aggregator = CountAggregator()
-        run_parallel(
-            g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
-                               chunks_per_worker, steal),
-            **options,
-        )
-        with maybe_span(trace, "merge", mode=aggregator.mode):
-            return aggregator.finish()
-    _reject_serial_parallel_options(chunk_strategy, cost_model, x_aware,
-                                    chunks_per_worker, steal)
+
+def _count(g: Graph, config: RunConfig,
+           trace: Tracer | None) -> tuple[Counters, int]:
     counter = CliqueCounter()
-    enumerate_to_sink(g, counter, algorithm=algorithm, trace=trace, **options)
-    return counter.count
+    counters, merged = _run(g, config, trace, counter, "count")
+    return counters, counter.count if merged is None else merged
 
 
 def run_with_report(
@@ -438,29 +393,12 @@ def run_with_report(
     never the cliques themselves.
     """
     start = time.perf_counter()
-    if n_jobs is not None:
-        from repro.parallel import CountAggregator, run_parallel
-
-        aggregator = CountAggregator()
-        counters = run_parallel(
-            g, aggregator, algorithm=algorithm, n_jobs=n_jobs, trace=trace,
-            **_parallel_kwargs(chunk_strategy, cost_model, x_aware,
-                               chunks_per_worker, steal),
-            **options,
-        )
-        with maybe_span(trace, "merge", mode=aggregator.mode):
-            count = aggregator.finish()
-    else:
-        _reject_serial_parallel_options(chunk_strategy, cost_model, x_aware,
-                                        chunks_per_worker, steal)
-        counter = CliqueCounter()
-        counters = enumerate_to_sink(g, counter, algorithm=algorithm,
-                                     trace=trace, **options)
-        count = counter.count
-    elapsed = time.perf_counter() - start
+    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
+                       cost_model, chunks_per_worker, x_aware, steal)
+    counters, count = _count(g, config, trace)
     return RunReport(
         algorithm=algorithm,
         clique_count=count,
-        seconds=elapsed,
+        seconds=time.perf_counter() - start,
         counters=counters,
     )

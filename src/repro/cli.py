@@ -15,10 +15,13 @@ Sub-commands:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
+from dataclasses import replace
 
 from repro.api import ALGORITHMS, DEFAULT_ALGORITHM, maximal_cliques, run_with_report
+from repro.config import RunConfig
 from repro.core.phases import BACKENDS
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.graph.bitadj import BIT_ORDERS
@@ -73,24 +76,11 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help="bitmask packing for --backend bitset: "
                              "'degeneracy' (default; dense core in the low "
                              "mask words) or 'input' (vertex id = bit id)")
-    parser.add_argument("--jobs", metavar="N", default=None,
-                        help="worker processes for the degeneracy-partitioned "
-                             "parallel pool (positive integer; default: "
-                             "classic single-process run; 1 = partitioned "
-                             "pipeline without subprocesses)")
-    parser.add_argument("--chunk-strategy", choices=CHUNK_STRATEGIES,
-                        default=None,
-                        help="how subproblems are packed into worker chunks "
-                             f"(default: {DEFAULT_CHUNK_STRATEGY}; requires "
-                             "--jobs)")
-    parser.add_argument("--cost-model", choices=COST_MODELS, default=None,
-                        help="subproblem cost estimate driving the chunk "
-                             f"packing (default: {DEFAULT_COST_MODEL}; "
-                             "requires --jobs)")
-    parser.add_argument("--chunks-per-worker", type=int, default=None,
-                        metavar="K",
-                        help="cut K cost-balanced chunks per worker instead "
-                             "of 1 (finer-grained stealing; requires --jobs)")
+    _add_pool_arguments(
+        parser, "worker processes for the degeneracy-partitioned parallel "
+                "pool (positive integer; default: classic single-process "
+                "run; 1 = partitioned pipeline without subprocesses); the "
+                "other pool flags require it")
     parser.add_argument("--no-x-aware", action="store_true",
                         help="disable X-set-aware subproblems: enumerate "
                              "each subproblem fully, then filter duplicated "
@@ -102,54 +92,50 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                              "static chunking)")
 
 
-def _backend_options(args: argparse.Namespace) -> dict:
-    """Translate --backend/--bit-order into API keyword arguments.
+def _add_pool_arguments(parser: argparse.ArgumentParser,
+                        jobs_help: str) -> None:
+    """The worker-pool flags the graph commands and ``serve`` share."""
+    parser.add_argument("--jobs", metavar="N", default=None, help=jobs_help)
+    parser.add_argument("--chunk-strategy", metavar="NAME", default=None,
+                        help="how subproblems are packed into worker chunks: "
+                             f"{', '.join(CHUNK_STRATEGIES)} (default: "
+                             f"{DEFAULT_CHUNK_STRATEGY})")
+    parser.add_argument("--cost-model", metavar="NAME", default=None,
+                        help="subproblem cost estimate driving the chunk "
+                             f"packing: {', '.join(COST_MODELS)} (default: "
+                             f"{DEFAULT_COST_MODEL})")
+    parser.add_argument("--chunks-per-worker", type=int, default=None,
+                        metavar="K",
+                        help="cut K cost-balanced chunks per worker instead "
+                             "of 1 (finer-grained stealing)")
 
-    ``--bit-order`` is a bitmask packing knob, so it follows the library's
-    convention and is rejected (exit code 2, one-line message) unless
-    ``--backend bitset`` is selected.
-    """
-    options = {"backend": args.backend}
+
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The one run the graph-taking flags describe (the API validates it;
+    ``--jobs`` is parsed here so a bad value exits 2 with one line)."""
+    options: dict = {"backend": args.backend}
     if args.bit_order is not None:
-        if args.backend != "bitset":
-            raise InvalidParameterError(
-                "--bit-order requires --backend bitset; it selects the "
-                "bitmask packing"
-            )
         options["bit_order"] = args.bit_order
-    return options
+    return RunConfig(
+        args.algorithm, options,
+        n_jobs=None if args.jobs is None else parse_jobs(args.jobs),
+        chunk_strategy=args.chunk_strategy, cost_model=args.cost_model,
+        chunks_per_worker=args.chunks_per_worker,
+        x_aware=False if args.no_x_aware else None,
+        steal=True if args.steal else None,
+    )
 
 
-def _parallel_options(args: argparse.Namespace) -> dict:
-    """Translate --jobs/--chunk-strategy into API keyword arguments.
-
-    ``--jobs`` is validated here (not by argparse) so bad values follow the
-    library's error convention: exit code 2 with a one-line message.
-    """
-    if args.jobs is None:
-        for flag, given in (("--chunk-strategy", args.chunk_strategy is not None),
-                            ("--cost-model", args.cost_model is not None),
-                            ("--chunks-per-worker",
-                             args.chunks_per_worker is not None),
-                            ("--no-x-aware", args.no_x_aware),
-                            ("--steal", args.steal)):
-            if given:
-                raise InvalidParameterError(
-                    f"{flag} requires --jobs (the parallel path)"
-                )
-        return {}
-    options = {"n_jobs": parse_jobs(args.jobs)}
-    if args.chunk_strategy is not None:
-        options["chunk_strategy"] = args.chunk_strategy
-    if args.cost_model is not None:
-        options["cost_model"] = args.cost_model
-    if args.chunks_per_worker is not None:
-        options["chunks_per_worker"] = args.chunks_per_worker
-    if args.no_x_aware:
-        options["x_aware"] = False
-    if args.steal:
-        options["steal"] = True
-    return options
+#: The library's knob names as the flags that set them: an error reads in
+#: the spelling the user typed.  Only a knob the message is about is
+#: renamed — its subject, or what it requires — never a word of a path.
+_FLAGS = {"n_jobs": "--jobs", "chunk_strategy": "--chunk-strategy",
+          "cost_model": "--cost-model",
+          "chunks_per_worker": "--chunks-per-worker",
+          "x_aware": "--no-x-aware", "steal": "--steal",
+          "bit_order": "--bit-order"}
+_FLAG_NAMES = re.compile(
+    r"(?:^|(?<=requires ))(" + "|".join(_FLAGS) + r")\b")
 
 
 def _start_trace(args: argparse.Namespace, op: str) -> Tracer | None:
@@ -179,11 +165,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             f"--limit must be a non-negative integer, got {args.limit}"
         )
-    parallel = _parallel_options(args)
+    config = _config(args)
     g = _load(args)
     tracer = _start_trace(args, "enumerate")
-    cliques = maximal_cliques(g, algorithm=args.algorithm, trace=tracer,
-                              **_backend_options(args), **parallel)
+    cliques = maximal_cliques(g, trace=tracer, **config.keywords())
     _dump_trace(args, tracer)
     limit = args.limit if args.limit is not None else len(cliques)
     for clique in cliques[:limit]:
@@ -199,17 +184,20 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             "--trace records one request; it cannot be combined with --all"
         )
-    parallel = _parallel_options(args)
-    # Flag-combination errors are user errors even under --all (the skip
-    # path below is for genuine per-algorithm incompatibilities).
-    backend_options = _backend_options(args)
+    config = _config(args)
     g = _load(args)
+    if args.all:
+        # Flag misuse is a user error even under --all (the skip path
+        # below is for genuine per-algorithm incompatibilities): the
+        # default algorithm takes every flag, so try them on it first.
+        maximal_cliques(Graph(0), **replace(
+            config, algorithm=DEFAULT_ALGORITHM).keywords())
     tracer = _start_trace(args, "count")
     names = sorted(ALGORITHMS) if args.all else [args.algorithm]
     for name in names:
         try:
-            report = run_with_report(g, algorithm=name, trace=tracer,
-                                     **backend_options, **parallel)
+            report = run_with_report(
+                g, trace=tracer, **replace(config, algorithm=name).keywords())
         except InvalidParameterError as exc:
             if not args.all:
                 raise
@@ -259,10 +247,9 @@ def cmd_algorithms(_args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    parallel = _parallel_options(args)
+    config = _config(args)
     g = _load(args)
-    cliques = maximal_cliques(g, algorithm=args.algorithm,
-                              **_backend_options(args), **parallel)
+    cliques = maximal_cliques(g, **config.keywords())
     problems = verify_enumeration(g, cliques)
     if problems:
         for problem in problems[:25]:
@@ -400,17 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", type=int, default=None, metavar="PORT",
                    help="also serve Prometheus text metrics over HTTP on "
                         "this port (0 = ephemeral, announced on stderr)")
-    p.add_argument("--jobs", metavar="N", default=None,
-                   help="worker processes for the warm pool (positive "
-                        "integer; default: 1 = in-process)")
-    p.add_argument("--chunk-strategy", choices=CHUNK_STRATEGIES, default=None,
-                   help=f"chunk packing strategy (default: "
-                        f"{DEFAULT_CHUNK_STRATEGY})")
-    p.add_argument("--cost-model", choices=COST_MODELS, default=None,
-                   help=f"subproblem cost model (default: "
-                        f"{DEFAULT_COST_MODEL})")
-    p.add_argument("--chunks-per-worker", type=int, default=None, metavar="K",
-                   help="cost-balanced chunks per worker (default: 1)")
+    _add_pool_arguments(p, "worker processes for the warm pool (positive "
+                           "integer; default: 1 = in-process)")
     p.add_argument("--dataset", action="append", metavar="CODE",
                    help="pre-register a bundled dataset (repeatable)")
     p.add_argument("--graph", action="append", metavar="FILE",
@@ -421,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("lint", help="run the project linter (backend "
-                                    "parity, hot-path purity, knob drift, "
-                                    "boundary conventions, lock discipline, "
+                                    "parity, hot-path purity, boundary "
+                                    "conventions, lock discipline, "
                                     "pickle/fork safety, lifecycle)")
     from repro.analysis.runner import add_lint_arguments
 
@@ -444,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (UnknownAlgorithmError, InvalidParameterError) as exc:
         # User errors exit with a one-line diagnostic, not a traceback.
-        print(f"error: {exc}", file=sys.stderr)
+        message = _FLAG_NAMES.sub(lambda m: _FLAGS[m.group()], str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -30,6 +30,9 @@ class InvalidParameterError(ReproError, ValueError):
 class UnknownAlgorithmError(ReproError, KeyError):
     """Raised when an algorithm name is not present in the registry."""
 
+    # KeyError's own __str__ quotes its message like a dict key.
+    __str__ = Exception.__str__
+
 
 class NotAPlexError(ReproError):
     """Raised when a t-plex-only routine receives a graph that is not one."""

@@ -97,7 +97,8 @@ def check_permutation(order: Sequence[int], n: int) -> list[int]:
     if not all(type(v) is int for v in perm) \
             or sorted(perm) != list(range(n)):
         raise InvalidParameterError(
-            f"bit_order must be a permutation of the vertex ids 0..{n - 1}"
+            "bit_order must be a permutation of the integer vertex ids "
+            f"0..{n - 1}"
         )
     return perm
 

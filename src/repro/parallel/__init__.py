@@ -21,6 +21,7 @@ Most callers never import this package directly — pass ``n_jobs=`` to
 or :func:`repro.api.enumerate_to_sink` (CLI: ``--jobs``).
 """
 
+from repro.config import validate_n_jobs
 from repro.parallel.aggregate import (
     Aggregator,
     CallbackAggregator,
@@ -39,17 +40,13 @@ from repro.parallel.decompose import (
 from repro.parallel.pool import (
     GraphState,
     ParallelStats,
-    RequestConfig,
     SplitTask,
     SubmitReport,
     WorkerPool,
     mark_resplit,
     parse_jobs,
     plan_steal_schedule,
-    record_steal_metrics,
     run_parallel,
-    validate_n_jobs,
-    validate_parallel_options,
 )
 from repro.parallel.scheduler import (
     CHUNK_STRATEGIES,
@@ -78,17 +75,14 @@ __all__ = [
     "solve_subproblem",
     "GraphState",
     "ParallelStats",
-    "RequestConfig",
     "SplitTask",
     "SubmitReport",
     "WorkerPool",
     "mark_resplit",
     "parse_jobs",
     "plan_steal_schedule",
-    "record_steal_metrics",
     "run_parallel",
     "validate_n_jobs",
-    "validate_parallel_options",
     "CHUNK_STRATEGIES",
     "DEFAULT_CHUNK_STRATEGY",
     "Chunk",

@@ -7,17 +7,19 @@ Task encoding is deliberately pickling-lean and split by weight:
   per graph: inherited through ``fork`` at pool creation, shipped through
   the pool initializer under ``spawn``, or broadcast once to a live pool
   (:meth:`WorkerPool.submit` with a new key) and cached worker-side.
-* :class:`RequestConfig` — the light per-request knobs (algorithm name,
-  options, sink mode, X-awareness).  A few bytes, shipped with each task.
-* a task is then just ``(graph key, config, Chunk)`` and a result is one
-  :class:`ChunkResult`.
+* :class:`repro.config.RunConfig` — the light per-request knobs,
+  validated in the parent.  A few bytes, shipped with each task next to
+  the sink mode and the trace context.
+* a task is then just ``(graph key, config, mode, trace context, Chunk)``
+  and a result is one :class:`ChunkResult`.
 
 :class:`WorkerPool` owns the pool lifecycle: create once, ``submit()``
 many times (any mix of graphs and configs), explicit ``close()``.  The
 long-running service mode (:mod:`repro.service`) keeps one warm instance
 across requests so repeated queries skip the spin-up entirely;
 :func:`run_parallel` wraps a one-shot instance so classic callers see a
-single function call.
+single function call.  Both go through :func:`execute`, the one
+decompose → pack → submit → merge pipeline.
 
 ``n_jobs=1`` runs the identical decomposition + chunk pipeline in-process
 (no subprocesses), so the parallel path can be tested and profiled without
@@ -34,8 +36,9 @@ import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, cast
+from typing import TYPE_CHECKING, Any, Protocol, cast
 
+from repro.config import OptionValue, RunConfig, validate_n_jobs
 from repro.core.counters import Counters
 from repro.exceptions import InvalidParameterError, WorkerPoolError
 from repro.graph.adjacency import Graph
@@ -92,13 +95,6 @@ _BROADCAST_GRACE = 15.0
 #: a subproblem below this many root-level candidates is never re-split —
 #: the per-branch dispatch overhead cannot pay for itself.
 _MIN_RESPLIT_CANDIDATES = 4
-
-#: What a per-request knob value may be: the JSON scalars plus an explicit
-#: ``bit_order`` vertex permutation.  Spelled out (rather than ``Any``) so
-#: the picklesafety checker can verify the request side of the process
-#: boundary, exactly like the payload side.
-OptionValue = str | int | float | bool | None | list[int] | tuple[int, ...]
-
 
 @dataclass
 class GraphState:
@@ -163,22 +159,10 @@ class GraphState:
         return bg
 
 
-@dataclass(frozen=True)
-class RequestConfig:
-    """The light per-request knobs shipped with every chunk task.
-
-    ``trace`` is the parent's trace position (trace id + owning span id)
-    when the request wants per-chunk spans back; ``None`` keeps the
-    worker's span construction off (timeline events are always recorded —
-    they are two clock reads).
-    """
-
-    algorithm: str
-    options: dict[str, OptionValue]
-    mode: str  # "collect" or "count"
-    x_aware: bool = True
-    steal: bool = False
-    trace: TraceContext | None = None
+#: One pool task: graph key, config, sink mode (``"collect"`` or
+#: ``"count"``), the parent's trace position (``None``: no worker spans;
+#: timeline events are always recorded) and the chunk or split part.
+Task = tuple[str, RunConfig, str, TraceContext | None, "Chunk | SplitTask"]
 
 
 @dataclass
@@ -242,63 +226,45 @@ class ParallelStats:
             if serial_seconds > 0 else float("nan")
 
 
-def validate_n_jobs(n_jobs: object) -> int:
-    """``n_jobs`` must be a positive ``int`` (bools are rejected too)."""
-    if isinstance(n_jobs, bool) or not isinstance(n_jobs, int):
-        raise InvalidParameterError(
-            f"n_jobs must be a positive integer, got {n_jobs!r}"
-        )
-    if n_jobs < 1:
-        raise InvalidParameterError(
-            f"n_jobs must be a positive integer, got {n_jobs}"
-        )
-    return n_jobs
-
-
 def parse_jobs(text: str) -> int:
     """CLI-side ``--jobs`` parsing with the library's error convention."""
     try:
-        value = int(text)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or value < 1:
+        return validate_n_jobs(int(text))
+    except ValueError:  # InvalidParameterError is one too
         raise InvalidParameterError(
             f"--jobs must be a positive integer, got {text!r}"
-        )
-    return value
+        ) from None
 
 
-def _in_place(algorithm: str, options: dict[str, OptionValue],
-              x_aware: bool) -> bool:
+def _in_place(config: RunConfig) -> bool:
     """Whether a request's subproblems run on the in-place tier."""
-    return x_aware and uses_in_place_phase(algorithm, options)
+    return config.x_aware is not False \
+        and uses_in_place_phase(config.algorithm, config.options)
 
 
-def _runner(graph_state: GraphState, config: RequestConfig) -> InPlaceRunner:
+def _runner(graph_state: GraphState, config: RunConfig,
+            mode: str) -> InPlaceRunner:
     """One in-place runner over the state's cached view (bitset requests)."""
     bit_graph = graph_state.bit_graph(config.options) \
         if config.options.get("backend") == "bitset" else None
     return InPlaceRunner(graph_state.graph, graph_state.position,
                          algorithm=config.algorithm, options=config.options,
-                         bit_graph=bit_graph, mode=config.mode)
+                         bit_graph=bit_graph, mode=mode)
 
 
-def _solve_chunk(
-    graph_state: GraphState, config: RequestConfig, chunk: Chunk
+def _result(
+    index: int, items: list[tuple[int, Payload]], counters: Counters,
+    started: float, cpu_start: float, context: TraceContext | None,
+    span: str, span_id: str, **attrs: object,
 ) -> ChunkResult:
-    """Run every subproblem of one chunk; shared by workers and inline mode.
+    """A task's payload plus its telemetry, for chunks and split parts.
 
-    On the in-place tier one :class:`InPlaceRunner` serves the whole
-    chunk: its sink, counters and engine context are built once, and it
-    reads the whole-graph view the parent built into ``graph_state``.
-    The other tiers solve each subproblem with :func:`solve_subproblem`.
-
-    Beyond the clique payload, every chunk ships its telemetry: wall
+    Beyond the clique payload, every task ships its telemetry: wall
     start/end plus CPU time (the timeline event), a worker-side metrics
     registry snapshot (chunk CPU histogram labelled by worker, branch
-    counters folded as ``mce_*_total``), and — when the request carries a
-    trace context — a span record parented on the parent's enumerate
-    span.  Per-chunk cost is a handful of clock reads and one small dict.
+    counters folded as ``mce_*_total``), and — given the request's trace
+    ``context`` — a ``span`` record parented on the parent's enumerate
+    span.  Per-task cost is a handful of clock reads and one small dict.
 
     Timestamps use ``time.monotonic()``: it cannot step backwards (an NTP
     adjustment mid-chunk made ``time.time()`` produce negative
@@ -307,11 +273,51 @@ def _solve_chunk(
     the parent's trace spans, which use the same clock.
     """
     worker = multiprocessing.current_process().name
+    cpu_seconds = time.process_time() - cpu_start
+    finished = time.monotonic()
+    registry = MetricsRegistry()
+    registry.histogram("worker_chunk_cpu_seconds",
+                       labels={"worker": worker}).observe(cpu_seconds)
+    registry.counter("worker_chunks_total",
+                     labels={"worker": worker}).inc()
+    registry.fold_counters(counters)
+    record = None
+    if context is not None:
+        record = span_record(
+            span, context=context, span_id=span_id,
+            start=started, seconds=finished - started,
+            worker_id=worker, chunk_id=index, cpu_seconds=cpu_seconds,
+            counters=counters.as_dict(), **attrs,
+        )
+    return ChunkResult(
+        chunk_index=index,
+        items=items,
+        counters=counters.as_dict(),
+        cpu_seconds=cpu_seconds,
+        worker=worker,
+        started=started,
+        finished=finished,
+        metrics=registry.as_dict(),
+        span=record,
+    )
+
+
+def _solve_chunk(
+    graph_state: GraphState, config: RunConfig, chunk: Chunk, mode: str,
+    context: TraceContext | None = None,
+) -> ChunkResult:
+    """Run every subproblem of one chunk; shared by workers and inline mode.
+
+    On the in-place tier one :class:`InPlaceRunner` serves the whole
+    chunk: its sink, counters and engine context are built once, and it
+    reads the whole-graph view the parent built into ``graph_state``.
+    The other tiers solve each subproblem with :func:`solve_subproblem`.
+    """
     started = time.monotonic()
     cpu_start = time.process_time()
     order = graph_state.order
-    if _in_place(config.algorithm, config.options, config.x_aware):
-        runner = _runner(graph_state, config)
+    if _in_place(config):
+        runner = _runner(graph_state, config, mode)
         items = [(p, runner.subproblem(order[p])) for p in chunk.positions]
         counters = runner.counters
     else:
@@ -321,38 +327,13 @@ def _solve_chunk(
             payload, sub_counters, _ = solve_subproblem(
                 graph_state.graph, graph_state.position, order[p],
                 algorithm=config.algorithm, options=config.options,
-                x_aware=config.x_aware, mode=config.mode,
+                x_aware=config.x_aware is not False, mode=mode,
             )
             counters.merge(sub_counters)
             items.append((p, payload))
-    cpu_seconds = time.process_time() - cpu_start
-    finished = time.monotonic()
-    registry = MetricsRegistry()
-    registry.histogram("worker_chunk_cpu_seconds",
-                       labels={"worker": worker}).observe(cpu_seconds)
-    registry.counter("worker_chunks_total",
-                     labels={"worker": worker}).inc()
-    registry.fold_counters(counters)
-    span = None
-    if config.trace is not None:
-        span = span_record(
-            "chunk", context=config.trace, span_id=f"chunk{chunk.index}",
-            start=started, seconds=finished - started,
-            worker_id=worker, chunk_id=chunk.index,
-            subproblems=len(chunk.positions), cpu_seconds=cpu_seconds,
-            counters=counters.as_dict(),
-        )
-    return ChunkResult(
-        chunk_index=chunk.index,
-        items=items,
-        counters=counters.as_dict(),
-        cpu_seconds=cpu_seconds,
-        worker=worker,
-        started=started,
-        finished=finished,
-        metrics=registry.as_dict(),
-        span=span,
-    )
+    return _result(chunk.index, items, counters, started, cpu_start,
+                   context, "chunk", f"chunk{chunk.index}",
+                   subproblems=len(chunk.positions))
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +396,15 @@ def _install_graph(task: tuple[str, GraphState]) -> str:
     return key
 
 
-def _run_chunk(task: tuple[str, RequestConfig, Chunk]) -> ChunkResult:
-    """Pool task: resolve the cached graph state and solve the chunk."""
-    key, config, chunk = task
+def _run_task(task: Task) -> ChunkResult:
+    """Pool task: resolve the cached graph state, solve the chunk or part."""
+    key, config, mode, context, work = task
     graph_state = _WORKER_GRAPHS.get(key)
     if graph_state is None:  # pragma: no cover - defensive
         raise RuntimeError(f"worker never received graph state {key!r}")
-    return _solve_chunk(graph_state, config, chunk)
+    if isinstance(work, SplitTask):
+        return _solve_split(graph_state, config, work, mode, context)
+    return _solve_chunk(graph_state, config, work, mode, context)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +528,8 @@ def plan_steal_schedule(
 
 
 def _solve_split(
-    graph_state: GraphState, config: RequestConfig, task: SplitTask
+    graph_state: GraphState, config: RunConfig, task: SplitTask, mode: str,
+    context: TraceContext | None = None,
 ) -> ChunkResult:
     """Run one part of a re-split subproblem; telemetry mirrors a chunk.
 
@@ -558,52 +542,16 @@ def _solve_split(
     — which trades a little duplicated fan-out (bounded: only outliers
     are split) for per-branch parallelism.
     """
-    worker = multiprocessing.current_process().name
     started = time.monotonic()
     cpu_start = time.process_time()
-    runner = _runner(graph_state, config)
+    runner = _runner(graph_state, config, mode)
     payload = merge_payloads(
-        runner.split(graph_state.order[task.position], task.branches),
-        config.mode)
-    counters = runner.counters
-    cpu_seconds = time.process_time() - cpu_start
-    finished = time.monotonic()
-    registry = MetricsRegistry()
-    registry.histogram("worker_chunk_cpu_seconds",
-                       labels={"worker": worker}).observe(cpu_seconds)
-    registry.counter("worker_chunks_total",
-                     labels={"worker": worker}).inc()
-    registry.fold_counters(counters)
-    span = None
-    if config.trace is not None:
-        span = span_record(
-            "split", context=config.trace,
-            span_id=f"split{task.position}.{task.part}",
-            start=started, seconds=finished - started,
-            worker_id=worker, chunk_id=task.index, position=task.position,
-            part=task.part, parts=task.parts, branches=len(task.branches),
-            cpu_seconds=cpu_seconds, counters=counters.as_dict(),
-        )
-    return ChunkResult(
-        chunk_index=task.index,
-        items=[(task.position, payload)],
-        counters=counters.as_dict(),
-        cpu_seconds=cpu_seconds,
-        worker=worker,
-        started=started,
-        finished=finished,
-        metrics=registry.as_dict(),
-        span=span,
-    )
-
-
-def _run_split(task: tuple[str, RequestConfig, SplitTask]) -> ChunkResult:
-    """Pool task: resolve the cached graph state and solve one split part."""
-    key, config, split = task
-    graph_state = _WORKER_GRAPHS.get(key)
-    if graph_state is None:  # pragma: no cover - defensive
-        raise RuntimeError(f"worker never received graph state {key!r}")
-    return _solve_split(graph_state, config, split)
+        runner.split(graph_state.order[task.position], task.branches), mode)
+    return _result(task.index, [(task.position, payload)], runner.counters,
+                   started, cpu_start, context, "split",
+                   f"split{task.position}.{task.part}",
+                   position=task.position, part=task.part, parts=task.parts,
+                   branches=len(task.branches))
 
 
 class _SplitMerger:
@@ -651,16 +599,6 @@ class SubmitReport:
 
     steals: int = 0
     steals_by_worker: dict[str, int] = field(default_factory=dict)
-    resplit_subproblems: int = 0
-    resplit_tasks: int = 0
-
-
-def record_steal_metrics(registry: MetricsRegistry,
-                         report: SubmitReport) -> None:
-    """Fold a submit's steal counts into a metrics registry."""
-    for worker, n in sorted(report.steals_by_worker.items()):
-        registry.counter("worker_steals_total",
-                         labels={"worker": worker}).inc(n)
 
 
 def _pool_context() -> tuple[BaseContext, str]:
@@ -680,7 +618,8 @@ class WorkerPool:
     of the first request's chunk count and routes even single-chunk
     requests through the live pool (the service profile); ``warm=False``
     keeps the one-shot economics — pool sized to the work, single-chunk
-    runs solved inline (the :func:`run_parallel` profile).
+    runs solved inline, and the first graph inherited through the spawn
+    instead of broadcast (the :func:`run_parallel` profile).
 
     Observability for the service layer: :attr:`spinups` counts
     ``multiprocessing`` pool creations (0 or 1 over a pool's life) and
@@ -688,14 +627,8 @@ class WorkerPool:
     both flat across warm repeat requests.
     """
 
-    def __init__(
-        self,
-        n_jobs: int,
-        *,
-        warm: bool = False,
-        preload: tuple[str, GraphState] | None = None,
-    ) -> None:
-        self.n_jobs = validate_n_jobs(n_jobs)
+    def __init__(self, n_jobs: int, *, warm: bool = False) -> None:
+        self.n_jobs = n_jobs
         self.warm = warm
         # The pool is shared by the service's connection threads; every
         # mutation of the state below happens under this lock (an RLock
@@ -708,9 +641,6 @@ class WorkerPool:
         # respawned workers re-read it (fork snapshot / fresh pickle) and
         # recover all states shipped up to that moment.
         self._states: dict[str, GraphState] = {}
-        if preload is not None:
-            key, graph_state = preload
-            self._states[key] = graph_state
         self._closed = False
         self.start_method = "inline"
         self.spinups = 0
@@ -743,17 +673,19 @@ class WorkerPool:
         self,
         key: str,
         graph_state: GraphState,
-        config: RequestConfig,
+        config: RunConfig,
         chunks: list[Chunk],
         accept: Callable[[ChunkResult], None],
         *,
+        mode: str,
         tracer: Tracer | None = None,
         splits: list[SplitTask] | None = None,
     ) -> SubmitReport:
         """Solve ``chunks`` (and ``splits``) against ``graph_state``.
 
         ``accept`` is called with each :class:`ChunkResult` in arrival
-        order (an :class:`repro.parallel.aggregate.Aggregator` re-orders).
+        order (an :class:`repro.parallel.aggregate.Aggregator` re-orders);
+        ``mode`` is that aggregator's payload mode.
         ``key`` identifies the graph state for the worker-side cache: the
         state is shipped only the first time a key is seen, so repeat
         submits with the same key are pure compute.
@@ -772,18 +704,16 @@ class WorkerPool:
         present so traces have one shape; ``shipped`` records whether a
         broadcast actually happened) and an ``execute`` span wrapping the
         fan-out — worker chunk spans are parented on the *caller's*
-        current span via ``config.trace``, not on these.
+        current span, not on these.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         splits = list(splits or [])
-        report = SubmitReport(
-            resplit_subproblems=len({t.position for t in splits}),
-            resplit_tasks=len(splits),
-        )
+        report = SubmitReport()
         if not chunks and not splits:
             return report
-        merger = _SplitMerger(splits, config.mode)
+        context = tracer.current if tracer is not None else None
+        merger = _SplitMerger(splits, mode)
         n_tasks = len(chunks) + len(splits)
         if self.n_jobs == 1 \
                 or (self._pool is None and not self.warm and n_tasks == 1):
@@ -795,11 +725,17 @@ class WorkerPool:
                             n_chunks=len(chunks), n_splits=len(splits),
                             steal=config.steal):
                 for split in splits:
-                    accept(merger.fold(_solve_split(graph_state, config,
-                                                    split)))
+                    accept(merger.fold(_solve_split(
+                        graph_state, config, split, mode, context)))
                 for chunk in chunks:
-                    accept(_solve_chunk(graph_state, config, chunk))
+                    accept(_solve_chunk(graph_state, config, chunk, mode,
+                                        context))
             return report
+        if self._pool is None and not self.warm:
+            # One-shot profile: the first graph rides the spawn (the fork
+            # snapshot, or the initializer pickle) rather than a broadcast.
+            with self._lock:
+                self._states.setdefault(key, graph_state)
         pool = self._ensure_pool(n_tasks)
         ship_needed = key not in self._states
         with maybe_span(tracer, "ship", transport=self.start_method,
@@ -835,18 +771,17 @@ class WorkerPool:
                 with self._lock:
                     self._states[key] = graph_state
                     self.graph_ships += 1
-        tasks: list[tuple[str, Chunk | SplitTask]] = \
-            [("split", t) for t in splits] + [("chunk", c) for c in chunks]
+        work: list[Chunk | SplitTask] = [*splits, *chunks]
+        tasks: list[Task] = [(key, config, mode, context, w) for w in work]
         with maybe_span(tracer, "execute", transport=self.start_method,
                         n_chunks=len(chunks), n_splits=len(splits),
                         steal=config.steal) as execute_span:
-            self._dispatch(pool, key, config, tasks, merger, accept, report)
+            self._dispatch(pool, tasks, merger, accept, report)
             if tracer is not None:
                 execute_span.attrs.update(steals=report.steals)
         return report
 
-    def _dispatch(self, pool: MpPool, key: str, config: RequestConfig,
-                  tasks: list[tuple[str, Chunk | SplitTask]],
+    def _dispatch(self, pool: MpPool, tasks: list[Task],
                   merger: _SplitMerger,
                   accept: Callable[[ChunkResult], None],
                   report: SubmitReport) -> None:
@@ -862,13 +797,10 @@ class WorkerPool:
         results: queue.SimpleQueue[tuple[str, Any]] = queue.SimpleQueue()
 
         def _send(i: int, dynamic: bool) -> None:
-            kind, obj = tasks[i]
-            fn: Callable[[Any], ChunkResult] = \
-                _run_split if kind == "split" else _run_chunk
             if dynamic:
-                dynamic_indices.add(obj.index)
+                dynamic_indices.add(tasks[i][4].index)
             pool.apply_async(
-                fn, ((key, config, obj),),
+                _run_task, (tasks[i],),
                 callback=lambda r: results.put(("ok", r)),
                 error_callback=lambda e: results.put(("err", e)),
             )
@@ -912,32 +844,146 @@ class WorkerPool:
         self.close()
 
 
-def validate_parallel_options(g: Graph, algorithm: str,
-                              options: dict[str, Any]) -> None:
-    """Fail fast in the parent, before any worker is spawned.
+class Plans(Protocol):
+    """Where :func:`execute` gets a run's graph state and its schedule:
+    computed for one run (:class:`_OneShot`) or the service's caches."""
 
-    A dry run on the empty graph exercises the registry lookup and every
-    boundary validator (``et_threshold``, ``backend``, ...) in
-    microseconds, so bad options surface as one clean
-    :class:`InvalidParameterError` instead of a pickled worker traceback.
+    key: str
 
-    An explicit ``bit_order`` permutation is the one knob whose validity
-    is bound to the *actual* graph (it must permute ``range(g.n)``), so it
-    is checked against ``g`` here, by the same
-    :func:`repro.graph.bitadj.check_permutation` the bit view runs, and
-    replaced by a named order for the dry run — binding it to the empty
-    dry-run graph would spuriously reject every valid permutation.
+    def decomposition(self, cost_model: str
+                      ) -> tuple[GraphState, Decomposition]: ...
+
+    def chunks(self, decomposition: Decomposition, cost_model: str,
+               strategy: str, n_chunks: int) -> list[Chunk]: ...
+
+    def steal_plan(
+        self, decomposition: Decomposition, cost_model: str, strategy: str,
+        n_jobs: int, chunks_per_worker: int, resplit_ok: bool,
+    ) -> tuple[list[Chunk], list[SplitTask], int]: ...
+
+
+class _OneShot:
+    """:func:`run_parallel`'s plans: computed for the one run, not cached."""
+
+    key = "oneshot"
+
+    def __init__(self, g: Graph, config: RunConfig) -> None:
+        self.g = g
+        self.config = config
+
+    def decomposition(self, cost_model: str
+                      ) -> tuple[GraphState, Decomposition]:
+        # Looked up at call time, so a profiler wrapping
+        # coreness.core_decomposition sees this peel as it sees others.
+        from repro.graph.coreness import core_decomposition
+
+        core = core_decomposition(self.g)
+        graph_state = GraphState(graph=self.g, order=core.order,
+                                 position=core.position)
+        if _in_place(self.config) \
+                and self.config.options.get("backend") == "bitset":
+            # Pack once, here: the pool forks after this, so every worker
+            # inherits the view instead of rebuilding it.
+            graph_state.bit_graph(self.config.options, keep=True)
+        return graph_state, decompose(
+            self.g, cost_model=cost_model, core=core,
+            bit_graph=graph_state.bit_graphs.get("degeneracy"))
+
+    def chunks(self, decomposition: Decomposition, cost_model: str,
+               strategy: str, n_chunks: int) -> list[Chunk]:
+        return make_chunks(decomposition.subproblems, n_chunks,
+                           strategy=strategy)
+
+    def steal_plan(
+        self, decomposition: Decomposition, cost_model: str, strategy: str,
+        n_jobs: int, chunks_per_worker: int, resplit_ok: bool,
+    ) -> tuple[list[Chunk], list[SplitTask], int]:
+        return plan_steal_schedule(
+            self.g, decomposition, n_jobs, chunks_per_worker,
+            strategy=strategy, resplit_ok=resplit_ok,
+        )
+
+
+def execute(
+    config: RunConfig,
+    aggregator: Aggregator,
+    plans: Plans,
+    pool: WorkerPool,
+    *,
+    trace: Tracer | None = None,
+) -> ParallelStats:
+    """Run one validated parallel config: decompose, pack, submit.
+
+    The one pipeline behind :func:`run_parallel` (a transient pool, a
+    fresh decomposition) and :class:`repro.service.CliqueService` (its
+    warm pool and registry caches).  Results stream into ``aggregator``;
+    its merge (``finish()``) stays with the caller.
+
+    With a ``trace`` the run contributes ``decompose``/``pack``/``ship``/
+    ``execute`` spans plus one grafted ``chunk`` span per chunk (and a
+    ``split`` span per re-split part), and the folded paper counters land
+    on the trace root as the ``counters`` attribute.
     """
-    from repro.api import enumerate_to_sink  # deferred: api imports us lazily
-    from repro.graph.bitadj import check_permutation
+    strategy, cost_model = config.chunk_strategy, config.cost_model
+    per_worker, steal = config.chunks_per_worker, config.steal is True
+    assert strategy and cost_model and per_worker, "validate() the config"
+    n_jobs = pool.n_jobs
+    with maybe_span(trace, "decompose", cost_model=cost_model):
+        start = time.perf_counter()
+        graph_state, decomposition = plans.decomposition(cost_model)
+        decompose_seconds = time.perf_counter() - start
+    with maybe_span(trace, "pack", strategy=strategy,
+                    steal=steal) as pack_span:
+        splits: list[SplitTask] = []
+        if steal:
+            chunks, splits, requested = plans.steal_plan(
+                decomposition, cost_model, strategy, n_jobs, per_worker,
+                _in_place(config),
+            )
+        else:
+            chunks = plans.chunks(decomposition, cost_model, strategy,
+                                  n_jobs * per_worker)
+            requested = min(n_jobs * per_worker,
+                            len(decomposition.subproblems))
+        resplit = len({t.position for t in splits})
+        if trace is not None:
+            pack_span.attrs.update(chunk_summary(chunks, requested))
+            if steal:
+                pack_span.attrs.update(resplit_subproblems=resplit,
+                                       split_tasks=len(splits))
 
-    dry_options = options
-    bit_order = options.get("bit_order")
-    if bit_order is not None and not isinstance(bit_order, str):
-        check_permutation(bit_order, g.n)
-        dry_options = {**options, "bit_order": "input"}
-    enumerate_to_sink(Graph(0), lambda clique: None,
-                      algorithm=algorithm, **dry_options)
+    aggregator.start(len(decomposition.subproblems))
+    report = pool.submit(plans.key, graph_state, config, chunks,
+                         aggregator.accept, mode=aggregator.mode,
+                         tracer=trace, splits=splits)
+    for worker, n in sorted(report.steals_by_worker.items()):
+        aggregator.metrics.counter("worker_steals_total",
+                                   labels={"worker": worker}).inc(n)
+
+    if trace is not None:
+        for record in aggregator.spans:
+            trace.attach(record)
+        trace.annotate(counters=aggregator.counters.as_dict())
+
+    return ParallelStats(
+        n_jobs=n_jobs,
+        n_subproblems=len(decomposition.subproblems),
+        n_chunks=len(chunks),
+        chunk_strategy=strategy,
+        cost_model=cost_model,
+        start_method=pool.start_method,
+        x_aware=config.x_aware is not False,
+        steal=steal,
+        steals=report.steals,
+        resplit_subproblems=resplit,
+        resplit_tasks=len(splits),
+        decompose_seconds=decompose_seconds,
+        balance_ratio=balance_ratio(chunks, requested),
+        chunk_costs=[c.cost for c in chunks],
+        chunk_sizes=[len(c.positions) for c in chunks],
+        chunk_cpu_seconds=dict(aggregator.chunk_cpu_seconds),
+        timeline=list(aggregator.timeline),
+    )
 
 
 def run_parallel(
@@ -964,7 +1010,8 @@ def run_parallel(
     merge; the returned :class:`Counters` sum the per-worker counters
     (``emitted`` equals the true clique count).
 
-    This is a thin wrapper over :class:`WorkerPool` — one pool per call,
+    The knobs form one :class:`repro.config.RunConfig`, validated before
+    any worker starts, and :func:`execute` runs it on a pool of its own,
     torn down before returning.  Long-running callers that issue many
     requests should hold a warm :class:`WorkerPool` (or use
     :class:`repro.service.CliqueService`, which also caches the per-graph
@@ -986,119 +1033,15 @@ def run_parallel(
     construction (the re-split is the same X-aware decomposition one
     level down — disjoint, complete, deterministic).
 
-    ``trace=`` takes an :class:`repro.obs.trace.Tracer`: the run
-    contributes ``decompose``/``pack``/``ship``/``execute`` spans plus
-    one grafted ``chunk`` span per chunk (and a ``split`` span per
-    re-split part), and the folded paper counters land on the trace root
-    as the ``counters`` attribute.
+    ``stats`` (a :class:`ParallelStats`) is filled in place; ``trace=``
+    takes a :class:`repro.obs.trace.Tracer` (see :func:`execute`).
     """
-    n_jobs = validate_n_jobs(n_jobs)
-    if trace is not None and not isinstance(trace, Tracer):
-        raise InvalidParameterError(
-            f"trace must be a repro.obs.Tracer or None, got {trace!r}"
-        )
-    if not isinstance(x_aware, bool):
-        raise InvalidParameterError(
-            f"x_aware must be a bool, got {x_aware!r}"
-        )
-    if not isinstance(steal, bool):
-        raise InvalidParameterError(
-            f"steal must be a bool, got {steal!r}"
-        )
-    if "initial_x" in options:
-        raise InvalidParameterError(
-            "initial_x cannot be combined with the parallel path; the "
-            "decomposition seeds it per subproblem"
-        )
-    if isinstance(chunks_per_worker, bool) or not isinstance(chunks_per_worker, int) \
-            or chunks_per_worker < 1:
-        raise InvalidParameterError(
-            f"chunks_per_worker must be a positive integer, got {chunks_per_worker!r}"
-        )
-    validate_parallel_options(g, algorithm, options)
-    in_place = _in_place(algorithm, options, x_aware)
-
-    with maybe_span(trace, "decompose", cost_model=cost_model):
-        # Looked up at call time, so a profiler wrapping
-        # coreness.core_decomposition sees this peel as it sees others.
-        from repro.graph.coreness import core_decomposition
-
-        start = time.perf_counter()
-        core = core_decomposition(g)
-        graph_state = GraphState(graph=g, order=core.order,
-                                 position=core.position)
-        if in_place and options.get("backend") == "bitset":
-            # Pack once, here: the pool forks after this, so every worker
-            # inherits the view instead of rebuilding it.
-            graph_state.bit_graph(options, keep=True)
-        decomposition = decompose(
-            g, cost_model=cost_model, core=core,
-            bit_graph=graph_state.bit_graphs.get("degeneracy"))
-        decompose_seconds = time.perf_counter() - start
-    with maybe_span(trace, "pack", strategy=chunk_strategy,
-                    steal=steal) as pack_span:
-        splits: list[SplitTask] = []
-        if steal:
-            chunks, splits, requested = plan_steal_schedule(
-                g, decomposition, n_jobs, chunks_per_worker,
-                strategy=chunk_strategy, resplit_ok=in_place,
-            )
-        else:
-            chunks = make_chunks(
-                decomposition.subproblems,
-                n_jobs * chunks_per_worker,
-                strategy=chunk_strategy,
-            )
-            requested = min(n_jobs * chunks_per_worker,
-                            len(decomposition.subproblems))
-        if trace is not None:
-            pack_span.attrs.update(chunk_summary(chunks, requested))
-            if steal:
-                pack_span.attrs.update(
-                    resplit_subproblems=len({t.position for t in splits}),
-                    split_tasks=len(splits),
-                )
-
-    config = RequestConfig(
-        algorithm=algorithm,
-        options=options,
-        mode=aggregator.mode,
-        x_aware=x_aware,
-        steal=steal,
-        trace=trace.current if trace is not None else None,
-    )
-
-    aggregator.start(len(decomposition.subproblems))
-    key = "oneshot"
-    pool = WorkerPool(n_jobs, preload=(key, graph_state))
-    try:
-        report = pool.submit(key, graph_state, config, chunks,
-                             aggregator.accept, tracer=trace, splits=splits)
-    finally:
-        pool.close()
-    record_steal_metrics(aggregator.metrics, report)
-
-    if trace is not None:
-        for record in aggregator.spans:
-            trace.attach(record)
-        trace.annotate(counters=aggregator.counters.as_dict())
-
+    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
+                       cost_model, chunks_per_worker, x_aware,
+                       steal).validate(g)
+    with WorkerPool(n_jobs) as pool:
+        run_stats = execute(config, aggregator, _OneShot(g, config), pool,
+                            trace=trace)
     if stats is not None:
-        stats.n_jobs = n_jobs
-        stats.n_subproblems = len(decomposition.subproblems)
-        stats.n_chunks = len(chunks)
-        stats.chunk_strategy = chunk_strategy
-        stats.cost_model = cost_model
-        stats.x_aware = x_aware
-        stats.steal = steal
-        stats.steals = report.steals
-        stats.resplit_subproblems = report.resplit_subproblems
-        stats.resplit_tasks = report.resplit_tasks
-        stats.start_method = pool.start_method
-        stats.decompose_seconds = decompose_seconds
-        stats.balance_ratio = balance_ratio(chunks, requested)
-        stats.chunk_costs = [c.cost for c in chunks]
-        stats.chunk_sizes = [len(c.positions) for c in chunks]
-        stats.chunk_cpu_seconds = dict(aggregator.chunk_cpu_seconds)
-        stats.timeline = list(aggregator.timeline)
+        vars(stats).update(vars(run_stats))
     return aggregator.counters

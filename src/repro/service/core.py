@@ -18,34 +18,42 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 from repro.api import DEFAULT_ALGORITHM
+from repro.config import RunConfig
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.generators import load_dataset
 from repro.graph.io import load_graph
 from repro.obs import MetricsRegistry, Tracer, maybe_span, render_text
 from repro.parallel.aggregate import CollectAggregator, CountAggregator
-from repro.parallel.decompose import (
-    COST_MODELS,
-    DEFAULT_COST_MODEL,
-    uses_in_place_phase,
-)
-from repro.parallel.pool import (
-    ParallelStats,
-    RequestConfig,
-    WorkerPool,
-    record_steal_metrics,
-    validate_n_jobs,
-    validate_parallel_options,
-)
-from repro.parallel.scheduler import (
-    CHUNK_STRATEGIES,
-    DEFAULT_CHUNK_STRATEGY,
-    chunk_summary,
-)
-from repro.service.registry import GraphRegistry
+from repro.parallel.decompose import DEFAULT_COST_MODEL
+from repro.parallel.pool import WorkerPool, execute
+from repro.parallel.scheduler import DEFAULT_CHUNK_STRATEGY
+from repro.service.registry import GraphEntry, GraphRegistry
 from repro.verify import canonical_fingerprint
+
+
+class _Cached:
+    """:func:`repro.parallel.pool.execute`'s plans for a registered graph:
+    the registry's per-graph caches, so a warm request computes nothing.
+    """
+
+    def __init__(self, registry: GraphRegistry, entry: GraphEntry) -> None:
+        self.registry = registry
+        self.entry = entry
+        self.key = entry.fingerprint
+
+    def decomposition(self, cost_model):
+        return self.entry.graph_state, \
+            self.registry.decomposition(self.entry, cost_model)
+
+    def chunks(self, decomposition, *knobs):
+        return self.registry.chunks(self.entry, *knobs)
+
+    def steal_plan(self, decomposition, *knobs):
+        return self.registry.steal_plan(self.entry, *knobs)
 
 
 class CliqueService:
@@ -61,8 +69,10 @@ class CliqueService:
 
     Every request accepts any registered algorithm plus the
     branch-and-bound knobs (``backend=``, ``bit_order=``,
-    ``et_threshold=``, ...) — the cached artifacts are knob-independent,
-    so switching algorithms between requests stays warm.
+    ``et_threshold=``, ...) and ``x_aware``/``steal`` — the cached
+    artifacts are knob-independent, so switching algorithms between
+    requests stays warm.  The schedule is fixed at construction; each
+    request's :class:`repro.config.RunConfig` inherits it.
     """
 
     def __init__(
@@ -73,27 +83,11 @@ class CliqueService:
         cost_model: str = DEFAULT_COST_MODEL,
         chunks_per_worker: int = 1,
     ) -> None:
-        self.n_jobs = validate_n_jobs(n_jobs)
-        if isinstance(chunks_per_worker, bool) \
-                or not isinstance(chunks_per_worker, int) \
-                or chunks_per_worker < 1:
-            raise InvalidParameterError(
-                f"chunks_per_worker must be a positive integer, "
-                f"got {chunks_per_worker!r}"
-            )
-        if chunk_strategy not in CHUNK_STRATEGIES:
-            raise InvalidParameterError(
-                f"unknown chunk strategy {chunk_strategy!r}; "
-                f"expected one of {CHUNK_STRATEGIES}"
-            )
-        if cost_model not in COST_MODELS:
-            raise InvalidParameterError(
-                f"unknown cost model {cost_model!r}; "
-                f"expected one of {COST_MODELS}"
-            )
-        self.chunk_strategy = chunk_strategy
-        self.cost_model = cost_model
-        self.chunks_per_worker = chunks_per_worker
+        self.config = RunConfig(
+            DEFAULT_ALGORITHM, n_jobs=n_jobs, chunk_strategy=chunk_strategy,
+            cost_model=cost_model, chunks_per_worker=chunks_per_worker,
+        ).validate(Graph(0))
+        self.n_jobs = self.config.n_jobs
         self.registry = GraphRegistry()
         self._pool = WorkerPool(self.n_jobs, warm=True)
         self._lock = threading.RLock()
@@ -159,10 +153,8 @@ class CliqueService:
                 result["count"] = aggregator.finish()
             result["max_clique_size"] = aggregator.max_size
 
-        result, tracer = self._execute("count", graph, aggregator, algorithm,
-                                       x_aware, steal, trace, options,
-                                       finalize)
-        return self._attach_trace(result, tracer)
+        return self._execute("count", graph, aggregator, algorithm, x_aware,
+                             steal, trace, options, finalize)
 
     def enumerate(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
                   limit: int | None = None, x_aware: bool = True,
@@ -198,10 +190,8 @@ class CliqueService:
             result["cliques"] = [list(c) for c in shown]
             result["truncated"] = len(shown) < len(cliques)
 
-        result, tracer = self._execute("enumerate", graph, aggregator,
-                                       algorithm, x_aware, steal, trace,
-                                       options, finalize)
-        return self._attach_trace(result, tracer)
+        return self._execute("enumerate", graph, aggregator, algorithm,
+                             x_aware, steal, trace, options, finalize)
 
     def fingerprint(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
                     x_aware: bool = True, steal: bool = False,
@@ -222,22 +212,11 @@ class CliqueService:
             result["count"] = len(cliques)
             result["sha256"] = sha256
 
-        result, tracer = self._execute("fingerprint", graph, aggregator,
-                                       algorithm, x_aware, steal, trace,
-                                       options, finalize)
-        return self._attach_trace(result, tracer)
-
-    @staticmethod
-    def _attach_trace(result: dict, tracer: Tracer | None) -> dict:
-        """Close the request's tracer and embed the span tree, if any."""
-        if tracer is not None:
-            tracer.finish()
-            result["trace"] = tracer.to_dict()
-        return result
+        return self._execute("fingerprint", graph, aggregator, algorithm,
+                             x_aware, steal, trace, options, finalize)
 
     def _execute(self, op: str, graph: str, aggregator, algorithm: str,
-                 x_aware, steal, trace, options: dict,
-                 finalize) -> tuple[dict, Tracer | None]:
+                 x_aware, steal, trace, options: dict, finalize) -> dict:
         """Run one request end to end under the service lock.
 
         ``finalize`` is the operation's merge step (``aggregator.finish``
@@ -250,25 +229,14 @@ class CliqueService:
         """
         with self._lock:
             self._check_open()
-            if not isinstance(x_aware, bool):
-                raise InvalidParameterError(
-                    f"x_aware must be a bool, got {x_aware!r}"
-                )
-            if not isinstance(steal, bool):
-                raise InvalidParameterError(
-                    f"steal must be a bool, got {steal!r}"
-                )
             if not isinstance(trace, bool):
                 raise InvalidParameterError(
                     f"trace must be a bool, got {trace!r}"
                 )
-            if "initial_x" in options:
-                raise InvalidParameterError(
-                    "initial_x cannot be combined with the service path; "
-                    "the decomposition seeds it per subproblem"
-                )
             entry = self.registry.resolve(graph)
-            validate_parallel_options(entry.graph, algorithm, options)
+            config = replace(self.config, algorithm=algorithm,
+                             options=options, x_aware=x_aware,
+                             steal=steal).validate(entry.graph)
 
             tracer = Tracer(
                 op, graph=entry.fingerprint, graph_name=entry.name,
@@ -280,39 +248,9 @@ class CliqueService:
             decomposes = self.registry.stats.decompose_calls
 
             start = time.perf_counter()
-            with maybe_span(tracer, "decompose", cost_model=self.cost_model):
-                decomposition = self.registry.decomposition(
-                    entry, self.cost_model)
-            decompose_seconds = time.perf_counter() - start
-            with maybe_span(tracer, "pack", strategy=self.chunk_strategy,
-                            steal=steal) as pack_span:
-                splits = []
-                if steal:
-                    resplit_ok = x_aware and uses_in_place_phase(
-                        algorithm, options)
-                    chunks, splits, requested = self.registry.steal_plan(
-                        entry, self.cost_model, self.chunk_strategy,
-                        self.n_jobs, self.chunks_per_worker, resplit_ok,
-                    )
-                else:
-                    chunks = self.registry.chunks(
-                        entry, self.cost_model, self.chunk_strategy,
-                        self.n_jobs * self.chunks_per_worker,
-                    )
-                    requested = min(self.n_jobs * self.chunks_per_worker,
-                                    len(decomposition.subproblems))
-                if tracer is not None:
-                    pack_span.attrs.update(chunk_summary(chunks, requested))
-            config = RequestConfig(
-                algorithm=algorithm, options=options,
-                mode=aggregator.mode, x_aware=x_aware, steal=steal,
-                trace=tracer.current if tracer is not None else None,
-            )
-            aggregator.start(len(decomposition.subproblems))
-            report = self._pool.submit(entry.fingerprint, entry.graph_state,
-                                       config, chunks, aggregator.accept,
-                                       tracer=tracer, splits=splits)
-            record_steal_metrics(aggregator.metrics, report)
+            stats = execute(config, aggregator,
+                            _Cached(self.registry, entry), self._pool,
+                            trace=tracer)
 
             warm = (self._pool.spinups == spinups
                     and self._pool.graph_ships == ships
@@ -349,27 +287,6 @@ class CliqueService:
             self.metrics.merge(aggregator.metrics)
 
             if tracer is not None:
-                for record in aggregator.spans:
-                    tracer.attach(record)
-                tracer.annotate(counters=aggregator.counters.as_dict())
-
-            if tracer is not None:
-                stats = ParallelStats(
-                    n_jobs=self.n_jobs,
-                    n_subproblems=len(decomposition.subproblems),
-                    n_chunks=len(chunks),
-                    chunk_strategy=self.chunk_strategy,
-                    cost_model=self.cost_model,
-                    start_method=self._pool.start_method,
-                    x_aware=x_aware,
-                    steal=steal,
-                    steals=report.steals,
-                    resplit_subproblems=report.resplit_subproblems,
-                    resplit_tasks=report.resplit_tasks,
-                    decompose_seconds=decompose_seconds,
-                    chunk_cpu_seconds=dict(aggregator.chunk_cpu_seconds),
-                    timeline=list(aggregator.timeline),
-                )
                 result["timeline"] = [e.as_dict() for e in stats.timeline]
                 result["parallel"] = {
                     "n_chunks": stats.n_chunks,
@@ -381,7 +298,10 @@ class CliqueService:
                     "total_cpu_seconds": stats.total_cpu_seconds,
                     "critical_path_seconds": stats.critical_path_seconds,
                 }
-            return result, tracer
+        if tracer is not None:
+            tracer.finish()
+            result["trace"] = tracer.to_dict()
+        return result
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
@@ -414,8 +334,8 @@ class CliqueService:
                 "pool_live": self._pool.is_live,
                 "start_method": self._pool.start_method,
                 "n_jobs": self.n_jobs,
-                "chunk_strategy": self.chunk_strategy,
-                "cost_model": self.cost_model,
+                "chunk_strategy": self.config.chunk_strategy,
+                "cost_model": self.config.cost_model,
             }
 
     def metrics_snapshot(self) -> dict:

@@ -42,7 +42,8 @@ Responses
 ``{"ok": true, ...payload...}`` on success;
 ``{"ok": false, "error": "one-line message"}`` on any user error (bad
 JSON, unknown op, unknown graph/algorithm, invalid knob) — the service
-never tears down a connection over a bad request.
+never tears down a connection over a bad request.  Knob values are
+checked by the service's :class:`repro.config.RunConfig`, as in the API.
 """
 
 from __future__ import annotations
@@ -71,25 +72,19 @@ def _exact_int(value: object, what: str) -> int:
     return value
 
 
-def _request_options(request: dict[str, Any], *extra: str) -> dict[str, Any]:
-    """Split a request into algorithm options, rejecting unknown fields."""
-    allowed = _COMMON_FIELDS | {"graph", "algorithm", "x_aware", "steal",
-                                "trace"} \
-        | set(OPTION_FIELDS) | set(extra)
+def _request_kwargs(request: dict[str, Any], *extra: str) -> dict[str, Any]:
+    """A request's keyword arguments for the service; unknown fields are
+    rejected, values go on for the service's ``RunConfig`` to check."""
+    fields = ("algorithm", "x_aware", "steal", "trace", *OPTION_FIELDS,
+              *extra)
+    allowed = _COMMON_FIELDS | {"graph", *fields}
     unknown = sorted(set(request) - allowed)
     if unknown:
         raise ReproError(
             f"unknown request field(s) {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
-    options: dict[str, Any] = {}
-    for field in OPTION_FIELDS:
-        if field in request:
-            value = request[field]
-            if field == "bit_order" and isinstance(value, list):
-                value = [_exact_int(v, "bit_order entries") for v in value]
-            options[field] = value
-    return options
+    return {field: request[field] for field in fields if field in request}
 
 
 def _graph_key(request: dict[str, Any]) -> str:
@@ -98,28 +93,6 @@ def _graph_key(request: dict[str, Any]) -> str:
         raise ReproError("request needs a 'graph' (registered name or "
                          "fingerprint)")
     return key
-
-
-def _kwargs(request: dict[str, Any]) -> dict[str, Any]:
-    kwargs: dict[str, Any] = {}
-    if "algorithm" in request:
-        kwargs["algorithm"] = request["algorithm"]
-    if "x_aware" in request:
-        x_aware = request["x_aware"]
-        if not isinstance(x_aware, bool):
-            raise ReproError(f"x_aware must be a bool, got {x_aware!r}")
-        kwargs["x_aware"] = x_aware
-    if "steal" in request:
-        steal = request["steal"]
-        if not isinstance(steal, bool):
-            raise ReproError(f"steal must be a bool, got {steal!r}")
-        kwargs["steal"] = steal
-    if "trace" in request:
-        trace = request["trace"]
-        if not isinstance(trace, bool):
-            raise ReproError(f"trace must be a bool, got {trace!r}")
-        kwargs["trace"] = trace
-    return kwargs
 
 
 def _handle_register(service: CliqueService,
@@ -195,19 +168,15 @@ def handle_request(service: CliqueService,
         elif op == "graphs":
             response["graphs"] = service.graphs()
         elif op == "count":
-            options = _request_options(request)
-            response.update(service.count(
-                _graph_key(request), **_kwargs(request), **options))
+            kwargs = _request_kwargs(request)
+            response.update(service.count(_graph_key(request), **kwargs))
         elif op == "enumerate":
-            options = _request_options(request, "limit")
-            limit = request.get("limit")
-            response.update(service.enumerate(
-                _graph_key(request), limit=limit, **_kwargs(request),
-                **options))
+            kwargs = _request_kwargs(request, "limit")
+            response.update(service.enumerate(_graph_key(request), **kwargs))
         elif op == "fingerprint":
-            options = _request_options(request)
-            response.update(service.fingerprint(
-                _graph_key(request), **_kwargs(request), **options))
+            kwargs = _request_kwargs(request)
+            response.update(service.fingerprint(_graph_key(request),
+                                                **kwargs))
         elif op == "stats":
             response["stats"] = service.stats()
         elif op == "metrics":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.coreness import core_decomposition
-from repro.parallel.decompose import COST_MODELS, Decomposition, decompose
+from repro.parallel.decompose import Decomposition, decompose
 from repro.parallel.pool import GraphState, SplitTask, plan_steal_schedule
 from repro.parallel.scheduler import Chunk, make_chunks
 
@@ -180,11 +180,6 @@ class GraphRegistry:
 
     def decomposition(self, entry: GraphEntry, cost_model: str) -> Decomposition:
         """The entry's decomposition under ``cost_model``, cached."""
-        if cost_model not in COST_MODELS:
-            raise InvalidParameterError(
-                f"unknown cost model {cost_model!r}; "
-                f"expected one of {COST_MODELS}"
-            )
         with self._lock:
             cached = entry._decompositions.get(cost_model)
             if cached is not None:

@@ -23,11 +23,11 @@ class TestModuleIndex:
         assert index.get_by_rel("nope.py") is None
 
     def test_methods_get_qualnames(self, fixtures):
-        index = ModuleIndex.build(fixtures / "knobs_bad")
-        info = index.get("service_core")
-        init = info.function("Service.__init__")
+        index = ModuleIndex.build(fixtures / "lifecycle_good")
+        info = index.get("svc.net")
+        init = info.function("Client.__init__")
         assert init is not None
-        assert "n_jobs" in init.params
+        assert "host" in init.params
 
 
 class TestPragmas:

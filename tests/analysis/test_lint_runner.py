@@ -46,11 +46,6 @@ def _seed_violating_tree(root: Path) -> None:
         "def bit_hot_scan(S, ctx):\n"
         "    seen = set()\n"
         "    return seen\n")
-    # Unregistered api knob -> knob-drift finding.
-    (root / "repro" / "api.py").write_text(
-        "def maximal_cliques(graph, *, algorithm='default',\n"
-        "                    rogue_knob=None, **options):\n"
-        "    return None\n")
     service = root / "repro" / "service"
     parallel = root / "repro" / "parallel"
     service.mkdir()
@@ -157,7 +152,6 @@ class TestCliFrontend:
         assert code == 1
         assert "has no 'bit_pivot_phase' twin" in out
         assert "bit_hot_scan" in out and "set() call" in out
-        assert "rogue_knob" in out
         assert "GraphRegistry.bump" in out and "· locks ·" in out
         assert "GraphState.blob" in out and "· picklesafety ·" in out
         assert "threading.Lock" in out and "· forksafety ·" in out
@@ -240,9 +234,9 @@ class TestCheckersSubset:
 
 
 class TestLiveTree:
-    def test_registry_has_all_eight_checkers(self):
+    def test_registry_has_all_seven_checkers(self):
         assert set(CHECKERS) == {
-            "parity", "purity", "knobs", "boundaries",
+            "parity", "purity", "boundaries",
             "locks", "picklesafety", "forksafety", "lifecycle",
         }
         assert set(EXPLAIN) == set(CHECKERS)

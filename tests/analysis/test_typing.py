@@ -2,9 +2,9 @@
 
 The container used for local development does not ship mypy; CI does.
 This test runs the exact configuration CI enforces (mypy.ini scopes the
-strict check to protocol.py, scheduler.py, pool.py and the analysis
-callgraph/cfg substrate) so a local run with mypy installed reproduces
-the CI gate.
+strict check to config.py, protocol.py, scheduler.py, pool.py and the
+analysis callgraph/cfg substrate) so a local run with mypy installed
+reproduces the CI gate.
 """
 
 from pathlib import Path

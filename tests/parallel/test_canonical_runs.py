@@ -24,6 +24,7 @@ import random
 import pytest
 
 from repro.api import maximal_cliques
+from repro.config import RunConfig
 from repro.graph.adjacency import Graph
 from repro.graph.builders import disjoint_union
 from repro.graph.generators import (
@@ -31,7 +32,7 @@ from repro.graph.generators import (
     erdos_renyi_gnm,
     ring_of_cliques,
 )
-from repro.parallel import GraphState, RequestConfig
+from repro.parallel import GraphState
 from repro.parallel.aggregate import merge_payloads
 from repro.parallel.decompose import decompose, solve_subproblem
 from repro.parallel.pool import (
@@ -75,11 +76,10 @@ def _payloads(graph, algorithm, options, x_aware):
     decomposition = decompose(graph)
     state = GraphState(graph=graph, order=decomposition.order,
                        position=decomposition.position)
-    config = RequestConfig(algorithm=algorithm, options=options,
-                           mode="collect", x_aware=x_aware)
+    config = RunConfig(algorithm=algorithm, options=options, x_aware=x_aware)
     payloads = {}
     for chunk in make_chunks(decomposition.subproblems, 3):
-        payloads.update(_solve_chunk(state, config, chunk).items)
+        payloads.update(_solve_chunk(state, config, chunk, "collect").items)
     return [payloads[p] for p in range(graph.n)], decomposition
 
 
@@ -128,13 +128,12 @@ def test_steal_split_parts_are_canonical(backend):
     _, splits, _ = plan_steal_schedule(HUB, decomposition, 2, 1)
     assert splits
     options = {"backend": backend}
-    config = RequestConfig(algorithm="hbbmc++", options=options,
-                           mode="collect")
+    config = RunConfig(algorithm="hbbmc++", options=options)
     merger = _SplitMerger(splits, "collect")
     parts: dict[int, list] = {}
     merged = {}
     for task in splits:
-        result = _solve_split(state, config, task)
+        result = _solve_split(state, config, task, "collect")
         ((position, payload),) = result.items
         assert _is_canonical(payload)
         parts.setdefault(position, []).append(payload)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.api import count_maximal_cliques, enumerate_to_sink, maximal_cliques
+from repro.config import RunConfig
 from repro.core import phases
 from repro.core.counters import Counters
 from repro.core.result import CliqueCollector
@@ -19,7 +20,6 @@ from repro.parallel import (
     CountAggregator,
     GraphState,
     ParallelStats,
-    RequestConfig,
     SplitTask,
     WorkerPool,
     parse_jobs,
@@ -192,10 +192,10 @@ class TestWorkerPool:
     """The reusable pool: ship once, submit many, close once."""
 
     def _submit(self, pool, key, state, chunks, mode="count"):
-        config = RequestConfig(algorithm="hbbmc++", options={}, mode=mode)
+        config = RunConfig(algorithm="hbbmc++", options={})
         aggregator = CountAggregator()
         aggregator.start(sum(len(c.positions) for c in chunks))
-        pool.submit(key, state, config, chunks, aggregator.accept)
+        pool.submit(key, state, config, chunks, aggregator.accept, mode=mode)
         return aggregator.finish()
 
     def test_warm_pool_ships_each_graph_once(self, graph, reference):
@@ -373,10 +373,9 @@ class TestRunnerCounters:
     def test_chunk_counters_sum_subproblem_counters(self, graph, options,
                                                     mode):
         state, decomposition = _graph_state(graph)
-        config = RequestConfig(algorithm="hbbmc++", options=options,
-                               mode=mode)
+        config = RunConfig(algorithm="hbbmc++", options=options)
         for chunk in make_chunks(decomposition.subproblems, 3):
-            result = _solve_chunk(state, config, chunk)
+            result = _solve_chunk(state, config, chunk, mode)
             total = Counters()
             for p, payload in result.items:
                 alone, counters, _ = solve_subproblem(
@@ -398,8 +397,7 @@ class TestRunnerCounters:
         state, decomposition = _graph_state(hub)
         _, splits, _ = plan_steal_schedule(hub, decomposition, 2, 1)
         assert splits
-        config = RequestConfig(algorithm="hbbmc++", options=options,
-                               mode=mode)
+        config = RunConfig(algorithm="hbbmc++", options=options)
         position, adj = state.position, hub.adj
         for task in splits:
             v = state.order[task.position]
@@ -418,7 +416,7 @@ class TestRunnerCounters:
                     algorithm="hbbmc++", options=options, mode=mode)
                 payloads.append(payload)
                 total.merge(counters)
-            result = _solve_split(state, config, task)
+            result = _solve_split(state, config, task, mode)
             assert result.items == [(task.position,
                                      merge_payloads(payloads, mode))]
             assert result.counters == total.as_dict()
@@ -436,8 +434,8 @@ class TestMonotonicStamps:
                             lambda: next(ticks, real - 3600.0))
         state, decomposition = _graph_state(graph)
         chunks = make_chunks(decomposition.subproblems, 1)
-        config = RequestConfig(algorithm="hbbmc++", options={}, mode="count")
-        result = _solve_chunk(state, config, chunks[0])
+        config = RunConfig(algorithm="hbbmc++", options={})
+        result = _solve_chunk(state, config, chunks[0], "count")
         assert result.finished >= result.started
 
     def test_timeline_events_have_nonnegative_wall(self, graph):
@@ -485,17 +483,19 @@ class TestBroadcastHang:
         monkeypatch.setattr(pool_module, "_BROADCAST_GRACE", 1.0)
         state, decomposition = _graph_state(graph)
         chunks = make_chunks(decomposition.subproblems, 4)
-        config = RequestConfig(algorithm="hbbmc++", options={}, mode="count")
+        config = RunConfig(algorithm="hbbmc++", options={})
         poison = _PoisonState(str(tmp_path / "killed"))
         pool = WorkerPool(2, warm=True)
         try:
             start = time.monotonic()
             with pytest.raises(WorkerPoolError):
-                pool.submit("g", poison, config, chunks, lambda r: None)
+                pool.submit("g", poison, config, chunks, lambda r: None,
+                            mode="count")
             assert time.monotonic() - start < 30.0
             # The pool closed itself: reuse fails loudly, not silently.
             with pytest.raises(RuntimeError):
-                pool.submit("g", state, config, chunks, lambda r: None)
+                pool.submit("g", state, config, chunks, lambda r: None,
+                            mode="count")
         finally:
             pool.close()
 
@@ -546,11 +546,12 @@ class TestStealMode:
     def test_dynamic_dispatch_counts_steals(self, graph, reference):
         state, decomposition = _graph_state(graph)
         chunks = make_chunks(decomposition.subproblems, 8)
-        config = RequestConfig(algorithm="hbbmc++", options={}, mode="count")
+        config = RunConfig(algorithm="hbbmc++", options={})
         with WorkerPool(2, warm=True) as pool:
             agg = CountAggregator()
             agg.start(sum(len(c.positions) for c in chunks))
-            report = pool.submit("g", state, config, chunks, agg.accept)
+            report = pool.submit("g", state, config, chunks, agg.accept,
+                                 mode="count")
             assert agg.finish() == len(reference)
             # Window of 2 in flight; the other 6 are dynamic pulls.
             assert report.steals == len(chunks) - 2
