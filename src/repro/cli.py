@@ -23,7 +23,11 @@ from dataclasses import replace
 from repro.api import ALGORITHMS, DEFAULT_ALGORITHM, maximal_cliques, run_with_report
 from repro.config import RunConfig
 from repro.core.phases import BACKENDS
-from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
+from repro.exceptions import (
+    GraphFormatError,
+    InvalidParameterError,
+    UnknownAlgorithmError,
+)
 from repro.graph.bitadj import BIT_ORDERS
 from repro.parallel import (
     CHUNK_STRATEGIES,
@@ -424,6 +428,10 @@ def main(argv: list[str] | None = None) -> int:
         # User errors exit with a one-line diagnostic, not a traceback.
         message = _FLAG_NAMES.sub(lambda m: _FLAGS[m.group()], str(exc))
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except (GraphFormatError, OSError) as exc:
+        # A graph file that is missing, unreadable or malformed.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -29,13 +29,26 @@ Each is a handful of word-parallel operations per edge, and no rank
 lookup happens inside the walk: the rank table is built only when a deeper
 edge level must sort its edges.  The set engine keeps its triangle-pass
 root as the independent reference.
+
+Tiny root branches
+------------------
+Under HBBMC most root branches are far below the τ bound: on sparse
+social and web graphs the majority have ``|C| <= 2``.  The tomita phase
+answers such a branch with one or two mask tests and reads its candidate
+view only for the one pair inside ``C``
+(:func:`repro.core.bit_phases.bit_pivot_phase`).  ``alive`` agrees with
+the view :func:`_bit_dual_view` would build on that pair, so with the
+default tomita phase the root hands those branches ``alive`` and skips
+the dual-view scan: it runs only on root branches with ``|C| >= 3``.
+Other vertex strategies, and :func:`bit_edge_phase` below the root,
+build the view for every branch.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.bit_phases import bit_try_early_termination
+from repro.core.bit_phases import bit_pivot_phase, bit_try_early_termination
 from repro.core.phases import EngineContext
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import BitGraph, iter_bits
@@ -234,6 +247,7 @@ def bit_run_edge_root(
     next_depth = None if depth is None else depth - 1
     rank = _rank_table(pairs, n) if descend_edges else {}
     vertex_phase = ctx.phase
+    tiny = vertex_phase is bit_pivot_phase and ctx.pivot == "tomita"
     alive = list(adj)
 
     S: list[int] = []
@@ -247,6 +261,10 @@ def bit_run_edge_root(
         if descend_edges:
             bit_edge_phase(S, new_c, new_x, _alive_masks(new_c, alive), adj,
                            rank, n, edge_rank, next_depth, ctx)
+        elif tiny and new_c.bit_count() <= 2:
+            # The tomita phase reads this branch's view only for the one
+            # pair in C, where ``alive`` agrees with _bit_dual_view's.
+            vertex_phase(S, new_c, new_x, alive, adj, ctx)
         else:
             view = _bit_dual_view(new_c, alive, adj)
             vertex_phase(S, new_c, new_x, adj if view is None else view,

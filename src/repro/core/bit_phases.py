@@ -70,7 +70,15 @@ def bit_pivot_phase(
     full: BitAdjacency,
     ctx: EngineContext,
 ) -> None:
-    """Bron–Kerbosch with pivoting on bitmask branch state."""
+    """Bron–Kerbosch with pivoting on bitmask branch state.
+
+    Under the tomita rule a branch with ``|C| <= 2`` opens no pivot scan:
+    :func:`_bit_tiny_candidate_set` answers it with one or two mask tests
+    and reads ``cand`` only for the one pair inside ``C``.  So a caller may
+    hand such a branch any view that agrees with its candidate masks on
+    that pair; the bitset edge root passes its ``alive`` masks instead of
+    building a dual view.  The branch still counts as one ``vertex_calls``.
+    """
     counters = ctx.counters
     counters.vertex_calls += 1
     if not C:

@@ -290,7 +290,9 @@ def run_hybrid(
                                  edge_depth, ctx)
         return counters
 
-    ordering = edge_ordering(work, edge_order_kind)
+    # A bitset run has packed `work` already: the truss peel reads its
+    # initial supports from those masks.
+    ordering = edge_ordering(work, edge_order_kind, bit_graph=bg)
     if backend == "bitset":
         from repro.core.bit_edge_engine import bit_run_edge_root
 

@@ -13,10 +13,15 @@ of the sub-branch instances:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Edge, Graph
 from repro.graph.coreness import core_decomposition
 from repro.graph.truss import EdgeOrdering, truss_edge_ordering
+
+if TYPE_CHECKING:
+    from repro.graph.bitadj import BitGraph
 
 VERTEX_ORDERINGS = ("degeneracy", "degree")
 EDGE_ORDERINGS = ("truss", "degen-lex", "min-degree")
@@ -79,10 +84,17 @@ def min_degree_edge_ordering(g: Graph) -> EdgeOrdering:
     return _ordering_from_sorted_edges(g, [e for _, e in keyed], "min-degree")
 
 
-def edge_ordering(g: Graph, kind: str = "truss") -> EdgeOrdering:
-    """Dispatch on the edge ordering ``kind``."""
+def edge_ordering(g: Graph, kind: str = "truss", *,
+                  bit_graph: BitGraph | None = None) -> EdgeOrdering:
+    """Dispatch on the edge ordering ``kind``.
+
+    ``bit_graph`` is an optional bitmask view of ``g`` the caller already
+    holds; the truss peel reads its initial supports from it (see
+    :func:`~repro.graph.truss.truss_edge_ordering`).  The other kinds do
+    not count supports and ignore it.  The ordering is the same either way.
+    """
     if kind == "truss":
-        return truss_edge_ordering(g)
+        return truss_edge_ordering(g, bit_graph=bit_graph)
     if kind == "degen-lex":
         return degen_lex_edge_ordering(g)
     if kind == "min-degree":

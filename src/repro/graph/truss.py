@@ -15,15 +15,21 @@ which is exactly why the hybrid framework branches on edges first.
 The peel uses a lazy bucket queue over support values (supports only move
 down by 1 per removed triangle, like the core-decomposition peel), so the
 whole ordering costs O(m + #triangles) beyond the initial support
-computation, one set intersection per edge (O(sum of min(deg u, deg v))),
-in O(m) memory.
+computation, in O(m) memory.  The initial supports are one set
+intersection per edge (O(sum of min(deg u, deg v))), or, when the caller
+already holds the graph's bitmask view, one AND and popcount per edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
+from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Edge, Graph, canonical_edge
+
+if TYPE_CHECKING:
+    from repro.graph.bitadj import BitGraph
 
 
 @dataclass
@@ -45,21 +51,38 @@ class EdgeOrdering:
     kind: str = "truss"
 
 
-def truss_edge_ordering(g: Graph) -> EdgeOrdering:
+def truss_edge_ordering(g: Graph, *,
+                        bit_graph: BitGraph | None = None) -> EdgeOrdering:
     """Greedy min-support peel; returns ordering, ranks and ``tau``.
 
     Edge ids are looked up through one ``{neighbour: edge id}`` map per
     vertex.  The peel iterates ``adj[u] & adj[v]`` over its shrinking set
     copies: that iteration order decides the LIFO buckets' tie-breaks, so
     it is what fixes the ordering edge for edge.
+
+    ``bit_graph`` optionally supplies a bitmask view of ``g`` under any
+    packing, already built by the caller: each initial support is then a
+    popcount of two of its masks instead of a set intersection.  A support
+    is a count, so the packing does not change it, and the ordering, ranks
+    and ``tau`` are the same with or without the view.
     """
     adj = [set(nbrs) for nbrs in g.adj]  # mutable working copy
     edges = list(g.edges())
     edge_ids: list[dict[int, int]] = [{} for _ in range(g.n)]
-    support: list[int] = []
     for i, (u, v) in enumerate(edges):
         edge_ids[u][v] = edge_ids[v][u] = i
-        support.append(len(adj[u] & adj[v]))
+    if bit_graph is None:
+        support = [len(adj[u] & adj[v]) for u, v in edges]
+    else:
+        if bit_graph.n != g.n:
+            raise InvalidParameterError(
+                f"bit_graph must be a view of g: it has {bit_graph.n} "
+                f"vertices, g has {g.n}"
+            )
+        masks = bit_graph.masks
+        bit_of = bit_graph.bit_of
+        support = [(masks[bit_of[u]] & masks[bit_of[v]]).bit_count()
+                   for u, v in edges]
 
     max_support = max(support, default=0)
     buckets: list[list[int]] = [[] for _ in range(max_support + 1)]

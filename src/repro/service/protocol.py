@@ -110,14 +110,10 @@ def _handle_register(service: CliqueService,
         path = request["path"]
         if not isinstance(path, str):
             raise ReproError(f"path must be a string, got {path!r}")
-        try:
-            return service.register_file(path, fmt=request.get("format"),
-                                         name=name)
-        except (ValueError, TypeError, UnicodeDecodeError) as exc:
-            # Malformed graph files surface parser-level ValueErrors (bad
-            # int fields, binary junk) that are user errors at this
-            # boundary, not server bugs.
-            raise ReproError(f"cannot load {path}: {exc}") from exc
+        # A malformed file or an unusable path raises GraphFormatError, a
+        # missing or unreadable file OSError: both answer as user errors.
+        return service.register_file(path, fmt=request.get("format"),
+                                     name=name)
     if "format" in request:
         raise ReproError("'format' applies to file registration only")
     if "dataset" in request:

@@ -9,6 +9,7 @@ from repro.api import enumerate_to_sink
 from repro.core.counters import Counters, RunReport
 from repro.core.result import CliqueCounter
 from repro.graph.generators import erdos_renyi_gnm, erdos_renyi_gnp, plex_caveman
+from repro.graph.generators.dataset_suite import social_proxy
 
 
 class TestCounters:
@@ -138,6 +139,108 @@ class TestBackendCounterParity:
             assert mask_counters["emitted"] == set_counters["emitted"]
             assert mask_counters["et_hits"] == mask_counters["plex_terminable"]
             assert mask_counters["et_cliques"] >= mask_counters["et_hits"]
+
+
+#: a sparse social proxy: most root edge branches have |C| <= 2, the
+#: branches the bitset edge root hands its alive masks, not a dual view.
+SPARSE_SOCIAL = social_proxy(200, 4, 0.5, 30, 200, seed=5, plexes=4,
+                             plex_size=8, plex_missing=2)
+
+FULL_PIN_GRAPHS = {
+    "gnm-50-650": DENSE_SEED_GRAPHS[0][1],
+    "social-200": SPARSE_SOCIAL,
+}
+
+#: the Counters fields a bitset run of these algorithms moves; every other
+#: field must stay 0.
+FULL_PIN_COLUMNS = ('vertex_calls', 'edge_calls', 'plex_branches', 'plex_terminable', 'et_hits', 'et_cliques', 'emitted')
+
+
+class TestFullCounterPins:
+    """Every Counters field of the bitset edge and vertex roots, pinned.
+
+    Every branch counts as one ``vertex_calls``, however the engine
+    reaches its answer; a path that skipped or doubled a charge would pass
+    every output check and move only these numbers.  The values were
+    recorded before the edge root stopped building a dual view for its
+    |C| <= 2 branches.  ``shuffled`` is the seeded explicit permutation
+    of :class:`TestBackendCounterParity`.
+    """
+
+    PINNED = {
+        ("gnm-50-650", "hbbmc++", "input"):
+            (2175,    1, 1724,  450,  450,  817, 1150),
+        ("gnm-50-650", "hbbmc++", "degeneracy"):
+            (2193,    1, 1734,  451,  451,  810, 1150),
+        ("gnm-50-650", "hbbmc++", "shuffled"):
+            (2186,    1, 1716,  467,  467,  830, 1150),
+        ("gnm-50-650", "hbbmc", "input"):
+            (2534,    1,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "hbbmc", "degeneracy"):
+            (2537,    1,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "hbbmc", "shuffled"):
+            (2565,    1,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "hbbmc-dgn", "input"):
+            (2204,    1, 1563,  466,  466,  797, 1150),
+        ("gnm-50-650", "hbbmc-dgn", "degeneracy"):
+            (2201,    1, 1575,  473,  473,  810, 1150),
+        ("gnm-50-650", "hbbmc-dgn", "shuffled"):
+            (2173,    1, 1562,  458,  458,  795, 1150),
+        ("gnm-50-650", "vbbmc-dgn", "input"):
+            (1576,    0,  870,  489,  489,  848, 1150),
+        ("gnm-50-650", "vbbmc-dgn", "degeneracy"):
+            (1579,    0,  880,  480,  480,  827, 1150),
+        ("gnm-50-650", "vbbmc-dgn", "shuffled"):
+            (1580,    0,  873,  479,  479,  830, 1150),
+        ("social-200", "hbbmc++", "input"):
+            (1227,    1,  885,  180,  180,  211,  654),
+        ("social-200", "hbbmc++", "degeneracy"):
+            (1229,    1,  887,  167,  167,  198,  654),
+        ("social-200", "hbbmc++", "shuffled"):
+            (1226,    1,  884,  186,  186,  219,  654),
+        ("social-200", "hbbmc", "input"):
+            (1243,    1,    0,    0,    0,    0,  654),
+        ("social-200", "hbbmc", "degeneracy"):
+            (1243,    1,    0,    0,    0,    0,  654),
+        ("social-200", "hbbmc", "shuffled"):
+            (1243,    1,    0,    0,    0,    0,  654),
+        ("social-200", "hbbmc-dgn", "input"):
+            (1217,    1,  803,  246,  246,  329,  654),
+        ("social-200", "hbbmc-dgn", "degeneracy"):
+            (1220,    1,  805,  246,  246,  329,  654),
+        ("social-200", "hbbmc-dgn", "shuffled"):
+            (1215,    1,  803,  248,  248,  333,  654),
+        ("social-200", "vbbmc-dgn", "input"):
+            ( 862,    0,  446,  249,  249,  414,  654),
+        ("social-200", "vbbmc-dgn", "degeneracy"):
+            ( 866,    0,  449,  248,  248,  413,  654),
+        ("social-200", "vbbmc-dgn", "shuffled"):
+            ( 864,    0,  438,  241,  241,  406,  654),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED), ids="|".join)
+    def test_bitset_counters(self, key):
+        name, algorithm, bit_order = key
+        g = FULL_PIN_GRAPHS[name]
+        if bit_order == "shuffled":
+            bit_order = random.Random(g.n).sample(range(g.n), g.n)
+        counters = _run_counters(g, algorithm, "bitset", bit_order=bit_order)
+        want = dict.fromkeys(counters, 0)
+        want.update(zip(FULL_PIN_COLUMNS, self.PINNED[key]))
+        assert counters == want
+
+    def test_sparse_graph_is_mostly_tiny_root_branches(self):
+        from repro.graph.truss import truss_edge_ordering
+
+        g = SPARSE_SOCIAL
+        rank = truss_edge_ordering(g).rank
+        tiny = 0
+        for (a, b), r in rank.items():
+            size = sum(1 for w in g.common_neighbors(a, b)
+                       if rank[(a, w) if a < w else (w, a)] > r
+                       and rank[(b, w) if b < w else (w, b)] > r)
+            tiny += size <= 2
+        assert tiny > len(rank) // 2
 
 
 class TestRunReport:

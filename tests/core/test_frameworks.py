@@ -14,6 +14,45 @@ def _canon(cliques):
     return sorted(tuple(sorted(c)) for c in cliques)
 
 
+class TestEdgeOrderingInputs:
+    """Which graph the root's edge ordering peels, and with which view."""
+
+    def _orderings(self, monkeypatch, **options):
+        import repro.core.frameworks as frameworks
+
+        calls = []
+        real = frameworks.edge_ordering
+
+        def recording(g, kind, **kwargs):
+            calls.append((g, kwargs.get("bit_graph")))
+            return real(g, kind, **kwargs)
+
+        monkeypatch.setattr(frameworks, "edge_ordering", recording)
+        g = erdos_renyi_gnm(25, 120, seed=3)
+        run_hybrid(g, CliqueCollector(), graph_reduction=False, **options)
+        assert len(calls) == 1
+        return g, calls[0]
+
+    def test_bitset_run_hands_over_its_packed_view(self, monkeypatch):
+        g, (ordered, view) = self._orderings(monkeypatch, backend="bitset")
+        assert ordered is g
+        assert view is not None and view.n == g.n
+
+    def test_set_run_intersects_sets(self, monkeypatch):
+        _, (_, view) = self._orderings(monkeypatch)
+        assert view is None
+
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    def test_initial_x_orders_its_candidate_graph(self, monkeypatch,
+                                                  backend):
+        # The ranked graph is G[C], not the packed whole graph.
+        g, (ordered, view) = self._orderings(monkeypatch, backend=backend,
+                                             initial_x={0, 1, 2})
+        assert view is None
+        assert ordered is not g and ordered.m < g.m
+        assert not any(ordered.degree(v) for v in (0, 1, 2))
+
+
 class TestRunHybrid:
     def test_counts_emitted(self):
         sink = CliqueCollector()

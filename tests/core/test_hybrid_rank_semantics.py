@@ -8,10 +8,13 @@ containing it is enumerated twice (once here, once in the earlier branch
 that owns the pair).  Our engine keeps the rank threshold through the
 vertex phase instead; `_candidate_view` detects affected branches in the
 set engine, and `_bit_dual_view` (a graph edge inside the branch that the
-rank peel already cleared) in the bitset engine.
+rank peel already cleared) in the bitset engine.  A bitset root branch
+with |C| <= 2 skips the dual view: its one pair is read from the root's
+alive masks.
 
 These tests (a) take real graphs with such rank-inverted pairs (the
-`pruned_pair_graphs` fixture of this directory's conftest), (b) show both
+`pruned_pair_graphs` and `pair_branch_witnesses` fixtures of this
+directory's conftest), (b) show both
 engines stay duplicate-free on them, and (c) demonstrate that ignoring the
 threshold (the literal reading) produces duplicates in either engine.
 """
@@ -19,6 +22,7 @@ threshold (the literal reading) produces duplicates in either engine.
 import pytest
 
 import repro.core.bit_edge_engine as bit_edge_engine
+import repro.core.bit_phases as bit_phases
 import repro.core.edge_engine as edge_engine
 from repro.core.bit_edge_engine import bit_run_edge_root
 from repro.core.counters import Counters
@@ -75,6 +79,17 @@ class TestCorrectSemantics:
             assert len(out) == len(set(map(frozenset, out)))
             assert _canon(out) == _reference(g)
 
+    @pytest.mark.parametrize("bit_order", BIT_ORDERS)
+    @pytest.mark.parametrize("et_threshold", [0, 3])
+    def test_bitset_root_no_duplicates_on_pair_branch_witnesses(
+            self, pair_branch_witnesses, bit_order, et_threshold):
+        # The |C| = 2 root branch gets the root's alive masks as its
+        # candidate view instead of a dual view.
+        for g in pair_branch_witnesses:
+            out = _bit_cliques(g, bit_order, et_threshold)
+            assert len(out) == len(set(map(frozenset, out)))
+            assert _canon(out) == _reference(g)
+
 
 class TestLiteralReadingFails:
     def test_ignoring_threshold_double_counts(self, pruned_pair_graphs,
@@ -102,14 +117,30 @@ class TestLiteralReadingFails:
 
     @pytest.mark.parametrize("bit_order", BIT_ORDERS)
     def test_bitset_prune_check_is_load_bearing(self, pruned_pair_graphs,
+                                                pair_branch_witnesses,
                                                 monkeypatch, bit_order):
         """The bitset engine's prune check, forced to report 'nothing
         pruned', hands every branch the plain graph masks: the same literal
-        re-induction, and it must go wrong on some witness."""
+        re-induction, and it must go wrong on some witness.  Root branches
+        with |C| <= 2 skip the dual view and hand the tomita phase the
+        root's alive masks, so its |C| <= 2 rule is made to read the graph
+        masks too; each witness whose only pruned pair sits in such a
+        branch must then go wrong as well."""
         monkeypatch.setattr(bit_edge_engine, "_bit_dual_view",
                             lambda C, alive, adj: None)
+        tiny_branch = bit_phases._bit_tiny_candidate_set
+        monkeypatch.setattr(
+            bit_phases, "_bit_tiny_candidate_set",
+            lambda S, C, X, cand, full, ctx, et: tiny_branch(S, C, X, full,
+                                                             full, ctx, et))
         assert any(_wrong(_bit_cliques(g, bit_order, 0), g)
                    for g in pruned_pair_graphs), (
             "forcing same-view mode left every witness correct — the "
             "bitset prune check would be unnecessary"
         )
+        for g in pair_branch_witnesses:
+            for et_threshold in (0, 3):
+                assert _wrong(_bit_cliques(g, bit_order, et_threshold), g), (
+                    "the graph masks left a |C| = 2 witness correct — the "
+                    "pair rule's candidate view would be unnecessary"
+                )

@@ -101,6 +101,100 @@ class TestJson:
         with pytest.raises(GraphFormatError):
             read_json(path)
 
+    def test_trailing_edge_fields_ignored(self, tmp_path):
+        # Like a weight column in the text formats.
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1, 2.5], [1, 2, "w", 7]]}')
+        assert sorted(read_json(path).edges()) == [(0, 1), (1, 2)]
+
+
+#: (file name, content, the token the error must name) — one per field.
+MALFORMED_FIELDS = [
+    ("p-count.col", b"p edge x 3\n", "'x'"),
+    ("p-edges.col", b"p edge 3 y\n", "'y'"),
+    ("p-negative.col", b"p edge -3 0\n", "'-3'"),
+    ("e-id.col", b"p edge 3 1\ne 1 2.5\n", "'2.5'"),
+    ("e-range.col", b"p edge 3 1\ne 1 4\n", "(1, 4)"),
+    ("header-n.metis", b"n 1\n2\n1\n", "'n'"),
+    ("header-m.metis", b"2 m\n2\n1\n", "'m'"),
+    ("token.metis", b"2 1\n2 q\n1\n", "'q'"),
+    ("n.json", b'{"n": "3", "edges": []}', "'3'"),
+    ("n-bool.json", b'{"n": true, "edges": []}', "True"),
+    ("edges.json", b'{"n": 3, "edges": 5}', "5"),
+    ("range.json", b'{"n": 3, "edges": [[0, 5]]}', "[0, 5]"),
+    ("negative.json", b'{"n": 3, "edges": [[-1, 2]]}', "[-1, 2]"),
+    ("short.json", b'{"n": 3, "edges": [[0, 1], [2]]}', "[2]"),
+    ("float.json", b'{"n": 3, "edges": [[0, 1.0]]}', "[0, 1.0]"),
+    ("syntax.json", b'{"n": 3,', "invalid JSON"),
+    ("huge-int.json", b'{"n": ' + b"9" * 5000 + b', "edges": []}',
+     "invalid JSON"),
+    ("deep.json", b"[" * 100000, "invalid JSON"),
+    ("bytes.txt", b"0 1\n\xff\xfe 2\n", "\\xff\\xfe"),
+    ("bytes.col", b"p edge 3 1\ne 1 2 \xe9\n", "\\xe9"),
+    ("bytes.json", b'{"n": 3, "edges": []} \xff', "\\xff"),
+]
+
+#: (file name, content, line number the error must name).
+MALFORMED_LINES = [
+    ("p-count.col", b"c comment\np edge x 3\n", 2),
+    ("e-id.col", b"p edge 3 1\ne 1 2.5\n", 2),
+    ("e-range.col", b"p edge 3 2\ne 1 2\ne 1 4\n", 3),
+    ("token.metis", b"2 1\n2 q\n1\n", 2),
+    ("bytes.txt", b"0 1\n# note\n\xff\xfe 2\n", 3),
+    ("syntax.json", b'{"n": 3,\n "edges": [[0, 1]\n', 3),
+    ("bytes.json", b'{"n": 3,\n "edges": []} \xff', 2),
+]
+
+
+class TestMalformedFields:
+    """Every malformed field is a GraphFormatError naming file and token."""
+
+    @pytest.mark.parametrize("name,content,token", MALFORMED_FIELDS,
+                             ids=[case[0] for case in MALFORMED_FIELDS])
+    def test_raises_format_error(self, tmp_path, name, content, token):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(path)
+        assert name in str(info.value)
+        assert token in str(info.value)
+
+    @pytest.mark.parametrize("name,content,line", MALFORMED_LINES,
+                             ids=[case[0] for case in MALFORMED_LINES])
+    def test_names_the_line(self, tmp_path, name, content, line):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(GraphFormatError, match=f"{name}:{line}: "):
+            load_graph(path)
+
+    @pytest.mark.parametrize("name,content", [
+        ("g.txt.gz", gzip.compress(b"0 1\n1 2\n")[:12]),  # truncated
+        ("g.json.gz", b'{"n": 2, "edges": []}'),  # never compressed
+    ])
+    def test_damaged_gzip(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(GraphFormatError, match=name):
+            load_graph(path)
+
+    @pytest.mark.parametrize("path", ["a\0b.txt", "a\0b.json.gz",
+                                      "\ud800", "\ud800.col"])
+    def test_unusable_path(self, path):
+        # open() raises ValueError for these before touching the disk.
+        with pytest.raises(GraphFormatError, match="not a usable file name"):
+            load_graph(path)
+
+    def test_unhashable_format_name(self, tmp_path, sample):
+        path = tmp_path / "g.txt"
+        write_edge_list(sample, path)
+        with pytest.raises(GraphFormatError, match="unknown format"):
+            load_graph(path, fmt=["json"])
+
+    def test_utf8_labels_still_read(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes("caf\u00e9 na\u00efve\n".encode("utf-8"))
+        assert read_edge_list(path).graph.m == 1
+
 
 class TestGzipTransparency:
     """Every format reads (and writes) ``.gz`` files transparently."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import InvalidParameterError
+from repro.graph.bitadj import BitGraph
 from repro.graph.builders import complete_graph, star_graph
 from repro.graph.generators import erdos_renyi_gnm
 from repro.graph.orderings import (
@@ -44,6 +45,15 @@ class TestEdgeOrderings:
     def test_unknown_edge_ordering(self):
         with pytest.raises(InvalidParameterError):
             edge_ordering(complete_graph(3), "bogus")
+
+    @pytest.mark.parametrize("kind", ["truss", "degen-lex", "min-degree"])
+    def test_bit_graph_changes_nothing(self, kind):
+        g = erdos_renyi_gnm(25, 120, seed=7)
+        bg = BitGraph.from_graph(g, order="degeneracy")
+        plain = edge_ordering(g, kind)
+        packed = edge_ordering(g, kind, bit_graph=bg)
+        assert packed.order == plain.order
+        assert packed.tau == plain.tau
 
     def test_min_degree_keys_nondecreasing(self):
         g = erdos_renyi_gnm(20, 80, seed=5)

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
+from repro.graph.bitadj import BitGraph
 from repro.graph.builders import complete_graph, cycle_graph, path_graph
 from repro.graph.coreness import degeneracy
 from repro.graph.generators import erdos_renyi_gnm, moon_moser
@@ -197,3 +199,51 @@ class TestSamePeelAsReference:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_fixtures(self, name):
         _assert_same_peel(load_graph(FIXTURES_DIR / GOLDEN[name]["file"]))
+
+
+PACKINGS = ("input", "degeneracy", "shuffled")
+
+
+def _assert_same_peel_from_masks(g: Graph, packing: str) -> None:
+    """The peel with popcount supports against the reference peel."""
+    if packing == "shuffled":  # an explicit, seeded permutation
+        order = random.Random(g.n).sample(range(g.n), g.n)
+    else:
+        order = packing
+    got = truss_edge_ordering(g, bit_graph=BitGraph.from_graph(g, order=order))
+    want = _reference_truss_edge_ordering(g)
+    assert got.order == want.order
+    assert got.rank == want.rank
+    assert got.tau == want.tau
+
+
+class TestPopcountSupports:
+    """Initial supports read off packed masks move no edge of the peel."""
+
+    @pytest.mark.parametrize("packing", PACKINGS)
+    @pytest.mark.parametrize("family", sorted(SERIAL_COUNT_FAMILIES))
+    def test_serial_count_proxies(self, family, packing):
+        build = SERIAL_COUNT_FAMILIES[family]
+        _assert_same_peel_from_masks(build(_benchmark_seed(1, family)),
+                                     packing)
+
+    @pytest.mark.parametrize("packing", PACKINGS)
+    def test_seeded_erdos_renyi(self, packing):
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randrange(2, 60)
+            m = rng.randrange(0, n * (n - 1) // 2 + 1)
+            _assert_same_peel_from_masks(erdos_renyi_gnm(n, m, seed=seed),
+                                         packing)
+
+    @pytest.mark.parametrize("packing", PACKINGS)
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_fixtures(self, name, packing):
+        _assert_same_peel_from_masks(
+            load_graph(FIXTURES_DIR / GOLDEN[name]["file"]), packing)
+
+    def test_view_of_another_graph_is_rejected(self):
+        g = erdos_renyi_gnm(10, 20, seed=1)
+        other = BitGraph.from_graph(erdos_renyi_gnm(12, 20, seed=1))
+        with pytest.raises(InvalidParameterError, match="bit_graph"):
+            truss_edge_ordering(g, bit_graph=other)

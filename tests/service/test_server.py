@@ -173,6 +173,36 @@ class TestHandleRequest:
         response, _ = handle_request(service, {"op": "ping"})
         assert response["ok"]
 
+    @pytest.mark.parametrize("name,content,extra", [
+        ("binary.txt", b"0 1\n\xff 2\n", {}),
+        ("edges.json", b'{"n": 3, "edges": 5}', {}),
+        ("range.json", b'{"n": 3, "edges": [[0, 5]]}', {}),
+        ("k.txt", b"0 1\n", {"format": ["json"]}),
+        # past the int-conversion digit limit: a plain ValueError in json
+        ("huge.json", b'{"n": ' + b"9" * 5000 + b', "edges": []}', {}),
+    ], ids=["binary", "edges", "range", "format", "huge"])
+    def test_file_errors_need_no_catch_all(self, service, tmp_path, name,
+                                           content, extra):
+        # The readers raise GraphFormatError for every malformed field, so
+        # the register op answers without a ValueError/TypeError net.
+        path = tmp_path / name
+        path.write_bytes(content)
+        response, _ = handle_request(
+            service, {"op": "register", "path": str(path), **extra})
+        assert not response["ok"]
+        assert name in response["error"] or "format" in response["error"]
+        response, _ = handle_request(service, {"op": "ping"})
+        assert response["ok"]
+
+    @pytest.mark.parametrize("path", ["missing.txt", "a\0b.txt", "\ud800",
+                                      "\ud800.txt.gz"])
+    def test_unopenable_path_is_an_error_response(self, service, path):
+        response, _ = handle_request(service, {"op": "register",
+                                               "path": path})
+        assert not response["ok"]
+        response, _ = handle_request(service, {"op": "ping"})
+        assert response["ok"]
+
     @pytest.mark.parametrize("request_", BAD_NAME_REQUESTS,
                              ids=[json.dumps(r) for r in BAD_NAME_REQUESTS])
     def test_non_string_names_are_error_responses(self, service, request_):
@@ -244,6 +274,21 @@ class TestStdioTransport:
         assert responses[3]["warm"]
         assert responses[4]["stats"]["decompose_calls"] == 1
         assert responses[5]["bye"]
+
+    def test_unusable_graph_files_keep_serving(self, service, tmp_path):
+        # A path open() cannot encode and a JSON file json cannot convert
+        # both raised plain ValueErrors, which ended the stdio loop.
+        path = tmp_path / "huge.json"
+        path.write_bytes(b'{"n": ' + b"9" * 5000 + b', "edges": []}')
+        responses = self._drive(service, [
+            '{"op": "register", "path": "\\ud800"}',
+            json.dumps({"op": "ping"}),
+            json.dumps({"op": "register", "path": str(path)}),
+            json.dumps({"op": "ping"}),
+        ])
+        assert [r["ok"] for r in responses] == [False, True, False, True]
+        assert "ud800" in responses[0]["error"]
+        assert "huge.json" in responses[2]["error"]
 
     def test_bad_json_and_blank_lines_keep_serving(self, service):
         responses = self._drive(service, [

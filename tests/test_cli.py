@@ -19,6 +19,48 @@ def graph_file(tmp_path):
     return str(path)
 
 
+#: graph files that used to escape ``main()`` as a traceback and exit 1.
+MALFORMED_FILES = [
+    ("bad-count.col", b"p edge x 3\n"),
+    ("bad-id.col", b"p edge 3 1\ne 1 2.5\n"),
+    ("out-of-range.json", b'{"n": 3, "edges": [[0, 5]]}'),
+    ("edges-not-list.json", b'{"n": 3, "edges": 5}'),
+    ("bad-token.metis", b"2 1\n2 q\n1\n"),
+    ("line-count.metis", b"3 1\n2\n1\n"),
+    ("binary.txt", b"0 1\n\xff\xfe 2\n"),
+    ("huge-int.json", b'{"n": ' + b"9" * 5000 + b', "edges": []}'),
+    ("deep.json", b"[" * 100000),
+]
+
+
+class TestGraphFileErrors:
+    """A bad graph file exits 2 with one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("name,content", MALFORMED_FILES,
+                             ids=[name for name, _ in MALFORMED_FILES])
+    def test_malformed_file_exits_2(self, tmp_path, name, content, capsys):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["count", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and name in err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        assert main(["count", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "absent.txt" in err
+
+    @pytest.mark.parametrize("path", ["a\0b.txt", "\ud800", "\ud800.col"])
+    def test_unusable_path_exits_2(self, path, capsys):
+        assert main(["count", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and repr(path) in err
+
+
 class TestEnumerate:
     def test_enumerate_file(self, graph_file, capsys):
         assert main(["enumerate", graph_file]) == 0
