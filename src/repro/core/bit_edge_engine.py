@@ -247,7 +247,7 @@ def bit_run_edge_root(
     next_depth = None if depth is None else depth - 1
     rank = _rank_table(pairs, n) if descend_edges else {}
     vertex_phase = ctx.phase
-    tiny = vertex_phase is bit_pivot_phase and ctx.pivot == "tomita"
+    tiny = vertex_phase is bit_pivot_phase  # the tomita rule's phase
     alive = list(adj)
 
     S: list[int] = []

@@ -27,6 +27,22 @@ Bitmask conventions:
   branch orderings of the set backend, so both backends enumerate branches
   in comparable order.
 
+Same-view fast path
+-------------------
+A branch whose candidate view *is* its graph view (``cand is full``) takes
+the tomita phase's fast path: the rule was chosen once in ``make_context``
+(:data:`PIVOT_RULE_PHASES`), children are refined inline as ``C & full[v]``
+and ``X & full[v]``, and the exclusion scan stops at the first vertex that
+covers ``C``.  Those are the in-place parallel subproblems (``n_jobs`` and
+the service), ``run_vertex``'s roots, and every hybrid-root or
+:func:`repro.core.bit_edge_engine.bit_edge_phase` branch whose
+``_bit_dual_view`` is ``None``.  A dual-view branch (a rank-pruned pair
+inside ``C``) keeps :func:`_bit_refine` and :func:`_bit_cand_plex_ok`.
+Handed a copy of the graph masks as its view, that general body makes the
+same branches, pivots and counters and emits the same cliques in the same
+order as the fast path, so it is the fast path's oracle
+(``tests/core/test_same_view_fast_path.py``).
+
 Early termination is bit-native end to end: the plex check runs
 bit-parallel on every branch, and the plex *construction* (Algorithms 6-8)
 runs directly on the masks too — complement discovery, path/cycle walks
@@ -40,7 +56,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.core.bit_plex import bit_fire_plex
-from repro.core.phases import EngineContext
+from repro.core.phases import EngineContext, PhaseFn
 from repro.graph.bitadj import iter_bits
 
 BitAdjacency = Mapping[int, int] | Sequence[int]
@@ -70,9 +86,18 @@ def bit_pivot_phase(
     full: BitAdjacency,
     ctx: EngineContext,
 ) -> None:
-    """Bron–Kerbosch with pivoting on bitmask branch state.
+    """Bron–Kerbosch with tomita pivoting and the merged plex scan.
 
-    Under the tomita rule a branch with ``|C| <= 2`` opens no pivot scan:
+    The phase of the ``tomita`` rule; ``ref`` and ``none`` have phases of
+    their own, and :func:`repro.core.phases.make_context` picks one per
+    run.  One scan over ``C`` finds the pivot candidate and the minimum
+    within-C degree for the early-termination check; the scan over ``X``
+    stops at the first exclusion vertex adjacent to all of ``C``: every
+    clique of the branch extends by it, so none is maximal.  A same-view
+    branch (``cand is full``) refines its children inline; a dual-view
+    branch refines them through :func:`_bit_refine`.
+
+    A branch with ``|C| <= 2`` opens no pivot scan:
     :func:`_bit_tiny_candidate_set` answers it with one or two mask tests
     and reads ``cand`` only for the one pair inside ``C``.  So a caller may
     hand such a branch any view that agrees with its candidate masks on
@@ -86,87 +111,157 @@ def bit_pivot_phase(
             ctx.sink(tuple(S))
         return
 
-    kind = ctx.pivot
     et = ctx.et_threshold
-    if kind == "none":
-        if et and bit_try_early_termination(S, C, X, cand, full, ctx):
-            return
-        extension = C
-    elif kind == "ref":
-        if et and bit_try_early_termination(S, C, X, cand, full, ctx):
-            return
-        size = C.bit_count()
-        best_mask = 0
-        best = -1
-        rest = X
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nbrs = full[low.bit_length() - 1]
-            d = (nbrs & C).bit_count()
-            if d == size:
-                return
-            if d > best:
-                best, best_mask = d, nbrs
-        rest = C
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nbrs = full[low.bit_length() - 1]
-            d = (nbrs & C).bit_count()
-            if d == size - 1:
-                best, best_mask = d, nbrs
-                break
-            if d > best:
-                best, best_mask = d, nbrs
-        extension = C & ~best_mask
-    else:  # tomita: merged pivot + plex scan
-        size = C.bit_count()
-        if size <= 2:
-            _bit_tiny_candidate_set(S, C, X, cand, full, ctx, et)
-            return
-        best_mask = 0
-        best = -1
-        min_degree = size
-        rest = C
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nbrs = full[low.bit_length() - 1]
-            d = (nbrs & C).bit_count()
-            if d > best:
-                best, best_mask = d, nbrs
-            if d < min_degree:
-                min_degree = d
-        if et and min_degree >= size - et:
-            same = cand is full
-            if same or _bit_cand_plex_ok(C, cand, full, et):
-                counters.plex_branches += 1
-                if not X:
-                    bit_fire_plex(S, C, cand, ctx, min_degree if same else None)
-                    return
-        rest = X
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nbrs = full[low.bit_length() - 1]
-            d = (nbrs & C).bit_count()
-            if d > best:
-                best, best_mask = d, nbrs
-        extension = C & ~best_mask
-
-    phase = ctx.phase or bit_pivot_phase
-    rest = extension
+    size = C.bit_count()
+    if size <= 2:
+        _bit_tiny_candidate_set(S, C, X, cand, full, ctx, et)
+        return
+    best_mask = 0
+    best = -1
+    min_degree = size
+    rest = C
     while rest:
         low = rest & -rest
         rest ^= low
+        nbrs = full[low.bit_length() - 1]
+        d = (nbrs & C).bit_count()
+        if d > best:
+            best, best_mask = d, nbrs
+        if d < min_degree:
+            min_degree = d
+    same = cand is full
+    if et and min_degree >= size - et:
+        if same or _bit_cand_plex_ok(C, cand, full, et):
+            counters.plex_branches += 1
+            if not X:
+                bit_fire_plex(S, C, cand, ctx, min_degree if same else None)
+                return
+    rest = X
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = full[low.bit_length() - 1]
+        d = (nbrs & C).bit_count()
+        if d > best:
+            if d == size:
+                return  # covers C: the pivot would leave nothing to branch on
+            best, best_mask = d, nbrs
+
+    phase = ctx.phase or bit_pivot_phase
+    rest = C & ~best_mask
+    if not same:
+        _bit_expand(S, C, X, rest, cand, full, ctx, phase)
+        return
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        nbrs = full[v]
+        S.append(v)
+        phase(S, C & nbrs, X & nbrs, full, full, ctx)
+        S.pop()
+        C ^= low
+        X |= low
+
+
+def _bit_expand(
+    S: list[int],
+    C: int,
+    X: int,
+    extension: int,
+    cand: BitAdjacency,
+    full: BitAdjacency,
+    ctx: EngineContext,
+    phase: PhaseFn,
+) -> None:
+    """Branch on each vertex of ``extension``, ascending: BK's child loop."""
+    while extension:
+        low = extension & -extension
+        extension ^= low
         v = low.bit_length() - 1
         new_c, new_x = _bit_refine(v, C, X, cand, full)
         S.append(v)
         phase(S, new_c, new_x, cand, full, ctx)
         S.pop()
-        C &= ~low
+        C ^= low
         X |= low
+
+
+def _bit_ref_phase(
+    S: list[int],
+    C: int,
+    X: int,
+    cand: BitAdjacency,
+    full: BitAdjacency,
+    ctx: EngineContext,
+) -> None:
+    """The ``ref`` rule: tomita's pivot with Naudé's domination shortcuts.
+
+    An exclusion vertex adjacent to all of ``C`` ends the branch; a
+    candidate adjacent to all other candidates is taken as the pivot at
+    once.
+    """
+    ctx.counters.vertex_calls += 1
+    if not C:
+        if not X:
+            ctx.sink(tuple(S))
+        return
+    if ctx.et_threshold and bit_try_early_termination(S, C, X, cand, full, ctx):
+        return
+    size = C.bit_count()
+    best_mask = 0
+    best = -1
+    rest = X
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = full[low.bit_length() - 1]
+        d = (nbrs & C).bit_count()
+        if d == size:
+            return
+        if d > best:
+            best, best_mask = d, nbrs
+    rest = C
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = full[low.bit_length() - 1]
+        d = (nbrs & C).bit_count()
+        if d == size - 1:
+            best, best_mask = d, nbrs
+            break
+        if d > best:
+            best, best_mask = d, nbrs
+    _bit_expand(S, C, X, C & ~best_mask, cand, full, ctx,
+                ctx.phase or _bit_ref_phase)
+
+
+def _bit_plain_phase(
+    S: list[int],
+    C: int,
+    X: int,
+    cand: BitAdjacency,
+    full: BitAdjacency,
+    ctx: EngineContext,
+) -> None:
+    """The ``none`` rule: the original Bron–Kerbosch, no pivot."""
+    ctx.counters.vertex_calls += 1
+    if not C:
+        if not X:
+            ctx.sink(tuple(S))
+        return
+    if ctx.et_threshold and bit_try_early_termination(S, C, X, cand, full, ctx):
+        return
+    _bit_expand(S, C, X, C, cand, full, ctx, ctx.phase or _bit_plain_phase)
+
+
+#: the bitset phase of each pivot rule; :func:`repro.core.phases.make_context`
+#: picks one per run, so no branch re-reads the rule.
+PIVOT_RULE_PHASES = {
+    "tomita": bit_pivot_phase,
+    "ref": _bit_ref_phase,
+    "none": _bit_plain_phase,
+}
 
 
 def _bit_tiny_candidate_set(

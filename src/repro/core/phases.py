@@ -89,7 +89,9 @@ def make_context(
     take :class:`set` candidate/exclusion sets, ``"bitset"`` phases take
     ``int`` masks (see :mod:`repro.core.bit_phases`).  The two families
     share the :class:`EngineContext` but are not interchangeable within a
-    single recursion.
+    single recursion.  The set backend's :func:`pivot_phase` reads
+    ``ctx.pivot`` in every branch; the bitset backend has one phase per
+    pivot rule and picks it here, once per run.
     """
     if backend not in BACKENDS:
         raise InvalidParameterError(
@@ -103,17 +105,18 @@ def make_context(
     if backend == "bitset":
         # Imported here: bit_phases imports EngineContext from this module.
         from repro.core.bit_phases import (
+            PIVOT_RULE_PHASES,
             bit_fac_phase,
-            bit_pivot_phase,
             bit_rcd_phase,
         )
 
-        pivot, rcd, fac = bit_pivot_phase, bit_rcd_phase, bit_fac_phase
+        pivots, rcd, fac = PIVOT_RULE_PHASES, bit_rcd_phase, bit_fac_phase
     else:
-        pivot, rcd, fac = pivot_phase, rcd_phase, fac_phase
-    if vertex_strategy in ("tomita", "ref", "none"):
+        pivots = dict.fromkeys(PIVOT_KINDS, pivot_phase)
+        rcd, fac = rcd_phase, fac_phase
+    if vertex_strategy in PIVOT_KINDS:
         ctx.pivot = vertex_strategy
-        ctx.phase = pivot
+        ctx.phase = pivots[vertex_strategy]
     elif vertex_strategy == "rcd":
         ctx.phase = rcd
     elif vertex_strategy == "fac":

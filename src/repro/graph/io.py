@@ -87,15 +87,25 @@ def _read_text(path: str | Path) -> str:
     return text
 
 
-def _iter_data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """``(line number, stripped line)`` of every non-comment line."""
+def _iter_data_lines(
+    path: str | Path, *, blank_after_first: bool = False
+) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` of every non-comment line.
+
+    Blank lines are skipped, except after the first data line when
+    ``blank_after_first``: a METIS adjacency line is empty for an
+    isolated vertex.
+    """
+    keep_blank = False
     with _open_text(path) as handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
-                if not line or line.startswith(_COMMENT_PREFIXES):
+                if not (line or keep_blank) \
+                        or line.startswith(_COMMENT_PREFIXES):
                     continue
                 _check_utf8(line, path, lineno)
+                keep_blank = blank_after_first
                 yield lineno, line
         except _GZIP_ERRORS as exc:
             raise GraphFormatError(
@@ -195,8 +205,12 @@ def write_dimacs(g: Graph, path: str | Path) -> None:
 
 
 def read_metis(path: str | Path) -> Graph:
-    """Read a METIS adjacency file (1-based vertex ids)."""
-    lines = list(_iter_data_lines(path))
+    """Read a METIS adjacency file (1-based vertex ids).
+
+    After the header every line is vertex ``v``'s adjacency line, a blank
+    one too (an isolated vertex); blank lines past the n-th are ignored.
+    """
+    lines = list(_iter_data_lines(path, blank_after_first=True))
     if not lines:
         raise GraphFormatError(f"{path}: empty METIS file")
     header_line, header_text = lines[0]
@@ -206,13 +220,16 @@ def read_metis(path: str | Path) -> Graph:
             f"{path}:{header_line}: malformed METIS header {header_text!r}")
     n = _parse_count(header[0], path, header_line, "vertex count")
     _parse_count(header[1], path, header_line, "edge count")
-    if len(lines) - 1 != n:
+    body = lines[1:]
+    while len(body) > n and not body[-1][1]:
+        body.pop()
+    if len(body) != n:
         raise GraphFormatError(
-            f"{path}: header declares {n} vertices but file has {len(lines) - 1} "
+            f"{path}: header declares {n} vertices but file has {len(body)} "
             "adjacency lines"
         )
     g = Graph(n)
-    for v, (lineno, line) in enumerate(lines[1:]):
+    for v, (lineno, line) in enumerate(body):
         for token in line.split():
             w = _parse_int(token, path, lineno, "neighbour id") - 1
             if not 0 <= w < n:

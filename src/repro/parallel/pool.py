@@ -265,6 +265,8 @@ def _result(
     counters folded as ``mce_*_total``), and — given the request's trace
     ``context`` — a ``span`` record parented on the parent's enumerate
     span.  Per-task cost is a handful of clock reads and one small dict.
+    The record's ``cpu_per_wall`` is CPU over wall seconds: well below 1,
+    the worker was time-sliced off its core mid-task.
 
     Timestamps use ``time.monotonic()``: it cannot step backwards (an NTP
     adjustment mid-chunk made ``time.time()`` produce negative
@@ -283,10 +285,12 @@ def _result(
     registry.fold_counters(counters)
     record = None
     if context is not None:
+        wall = finished - started
         record = span_record(
             span, context=context, span_id=span_id,
-            start=started, seconds=finished - started,
+            start=started, seconds=wall,
             worker_id=worker, chunk_id=index, cpu_seconds=cpu_seconds,
+            cpu_per_wall=cpu_seconds / wall if wall > 0 else 0.0,
             counters=counters.as_dict(), **attrs,
         )
     return ChunkResult(
@@ -792,13 +796,18 @@ class WorkerPool:
         thread) feed a local queue the submitting thread drains; each
         arrival dispatches the next task in list order.  Tasks sent after
         the initial window are marked, and on return counted as steals of
-        the worker that executed them.
+        the worker that executed them.  A traced task's span gets
+        ``queue_wait_s``, from its dispatch here to its start in the
+        worker, both on ``time.monotonic()``.
         """
         results: queue.SimpleQueue[tuple[str, Any]] = queue.SimpleQueue()
+        sent: dict[int, float] = {}
 
         def _send(i: int, dynamic: bool) -> None:
+            index = tasks[i][4].index
             if dynamic:
-                dynamic_indices.add(tasks[i][4].index)
+                dynamic_indices.add(index)
+            sent[index] = time.monotonic()
             pool.apply_async(
                 _run_task, (tasks[i],),
                 callback=lambda r: results.put(("ok", r)),
@@ -820,6 +829,9 @@ class WorkerPool:
                 _send(next_task, True)
                 next_task += 1
             result = payload
+            if result.span is not None:
+                result.span["attrs"]["queue_wait_s"] = \
+                    result.started - sent[result.chunk_index]
             if result.chunk_index in dynamic_indices:
                 report.steals += 1
                 report.steals_by_worker[result.worker] = \

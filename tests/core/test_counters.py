@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.api import enumerate_to_sink
+from repro.api import enumerate_to_sink, run_with_report
 from repro.core.counters import Counters, RunReport
 from repro.core.result import CliqueCounter
 from repro.graph.generators import erdos_renyi_gnm, erdos_renyi_gnp, plex_caveman
@@ -146,6 +146,14 @@ class TestBackendCounterParity:
 SPARSE_SOCIAL = social_proxy(200, 4, 0.5, 30, 200, seed=5, plexes=4,
                              plex_size=8, plex_missing=2)
 
+
+def _packing(g, name):
+    """A bit order by name; ``shuffled`` is a seeded explicit permutation."""
+    if name == "shuffled":
+        return random.Random(g.n).sample(range(g.n), g.n)
+    return name
+
+
 FULL_PIN_GRAPHS = {
     "gnm-50-650": DENSE_SEED_GRAPHS[0][1],
     "social-200": SPARSE_SOCIAL,
@@ -161,10 +169,11 @@ class TestFullCounterPins:
 
     Every branch counts as one ``vertex_calls``, however the engine
     reaches its answer; a path that skipped or doubled a charge would pass
-    every output check and move only these numbers.  The values were
+    every output check and move only these numbers.  ``PINNED`` was
     recorded before the edge root stopped building a dual view for its
-    |C| <= 2 branches.  ``shuffled`` is the seeded explicit permutation
-    of :class:`TestBackendCounterParity`.
+    |C| <= 2 branches; ``IN_PLACE_PINNED`` and ``RULE_PINNED`` before the
+    tomita phase got its same-view fast path.  ``shuffled`` is the seeded
+    explicit permutation of :class:`TestBackendCounterParity`.
     """
 
     PINNED = {
@@ -218,16 +227,107 @@ class TestFullCounterPins:
             ( 864,    0,  438,  241,  241,  406,  654),
     }
 
+    #: the in-place tier (``n_jobs=1``): each subproblem runs the tomita
+    #: phase on the whole graph's masks, so every branch is same-view.
+    IN_PLACE_PINNED = {
+        ("gnm-50-650", "hbbmc++", "input"):
+            ( 1575,    0,  870,  489,  489,  848, 1150),
+        ("gnm-50-650", "hbbmc++", "degeneracy"):
+            ( 1578,    0,  880,  480,  480,  827, 1150),
+        ("gnm-50-650", "hbbmc++", "shuffled"):
+            ( 1579,    0,  873,  479,  479,  830, 1150),
+        ("gnm-50-650", "vbbmc-dgn", "input"):
+            ( 1575,    0,  870,  489,  489,  848, 1150),
+        ("gnm-50-650", "vbbmc-dgn", "degeneracy"):
+            ( 1578,    0,  880,  480,  480,  827, 1150),
+        ("gnm-50-650", "vbbmc-dgn", "shuffled"):
+            ( 1579,    0,  873,  479,  479,  830, 1150),
+        ("social-200", "hbbmc++", "input"):
+            (  869,    0,  428,  241,  241,  404,  654),
+        ("social-200", "hbbmc++", "degeneracy"):
+            (  879,    0,  439,  234,  234,  397,  654),
+        ("social-200", "hbbmc++", "shuffled"):
+            (  863,    0,  432,  242,  242,  409,  654),
+        ("social-200", "vbbmc-dgn", "input"):
+            (  869,    0,  428,  241,  241,  404,  654),
+        ("social-200", "vbbmc-dgn", "degeneracy"):
+            (  879,    0,  439,  234,  234,  397,  654),
+        ("social-200", "vbbmc-dgn", "shuffled"):
+            (  863,    0,  432,  242,  242,  409,  654),
+    }
+
+    #: the pivot rules other than tomita on the bitset backend: ``bk``
+    #: (none), ``bk-ref`` and ``ref++`` (ref).
+    RULE_PINNED = {
+        ("gnm-50-650", "bk", "input"):
+            (15431,    0,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "bk", "degeneracy"):
+            (15431,    0,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "bk", "shuffled"):
+            (15431,    0,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "bk-ref", "input"):
+            ( 2682,    0,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "bk-ref", "degeneracy"):
+            ( 2681,    0,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "bk-ref", "shuffled"):
+            ( 2680,    0,    0,    0,    0,    0, 1150),
+        ("gnm-50-650", "ref++", "input"):
+            ( 2429,    1, 1787,  506,  506,  882, 1150),
+        ("gnm-50-650", "ref++", "degeneracy"):
+            ( 2429,    1, 1789,  507,  507,  885, 1150),
+        ("gnm-50-650", "ref++", "shuffled"):
+            ( 2400,    1, 1775,  520,  520,  898, 1150),
+        ("social-200", "bk", "input"):
+            ( 3311,    0,    0,    0,    0,    0,  654),
+        ("social-200", "bk", "degeneracy"):
+            ( 3311,    0,    0,    0,    0,    0,  654),
+        ("social-200", "bk", "shuffled"):
+            ( 3311,    0,    0,    0,    0,    0,  654),
+        ("social-200", "bk-ref", "input"):
+            ( 1434,    0,    0,    0,    0,    0,  654),
+        ("social-200", "bk-ref", "degeneracy"):
+            ( 1465,    0,    0,    0,    0,    0,  654),
+        ("social-200", "bk-ref", "shuffled"):
+            ( 1447,    0,    0,    0,    0,    0,  654),
+        ("social-200", "ref++", "input"):
+            ( 1647,    1, 1031,  260,  260,  292,  654),
+        ("social-200", "ref++", "degeneracy"):
+            ( 1663,    1, 1045,  259,  259,  290,  654),
+        ("social-200", "ref++", "shuffled"):
+            ( 1621,    1, 1025,  279,  279,  312,  654),
+    }
+
+    @staticmethod
+    def _assert_pinned(counters, row):
+        want = dict.fromkeys(counters, 0)
+        want.update(zip(FULL_PIN_COLUMNS, row))
+        assert counters == want
+
     @pytest.mark.parametrize("key", sorted(PINNED), ids="|".join)
     def test_bitset_counters(self, key):
         name, algorithm, bit_order = key
         g = FULL_PIN_GRAPHS[name]
-        if bit_order == "shuffled":
-            bit_order = random.Random(g.n).sample(range(g.n), g.n)
-        counters = _run_counters(g, algorithm, "bitset", bit_order=bit_order)
-        want = dict.fromkeys(counters, 0)
-        want.update(zip(FULL_PIN_COLUMNS, self.PINNED[key]))
-        assert counters == want
+        counters = _run_counters(g, algorithm, "bitset",
+                                 bit_order=_packing(g, bit_order))
+        self._assert_pinned(counters, self.PINNED[key])
+
+    @pytest.mark.parametrize("key", sorted(IN_PLACE_PINNED), ids="|".join)
+    def test_in_place_tier_counters(self, key):
+        name, algorithm, bit_order = key
+        g = FULL_PIN_GRAPHS[name]
+        report = run_with_report(g, algorithm=algorithm, n_jobs=1,
+                                 backend="bitset",
+                                 bit_order=_packing(g, bit_order))
+        self._assert_pinned(report.counters.as_dict(),
+                            self.IN_PLACE_PINNED[key])
+
+    @pytest.mark.parametrize("key", sorted(RULE_PINNED), ids="|".join)
+    def test_pivot_rule_counters(self, key):
+        name, algorithm, bit_order = key
+        g = FULL_PIN_GRAPHS[name]
+        counters = _run_counters(g, algorithm, "bitset",
+                                 bit_order=_packing(g, bit_order))
+        self._assert_pinned(counters, self.RULE_PINNED[key])
 
     def test_sparse_graph_is_mostly_tiny_root_branches(self):
         from repro.graph.truss import truss_edge_ordering

@@ -5,6 +5,7 @@ import gzip
 import pytest
 
 from repro.exceptions import GraphFormatError
+from repro.graph.adjacency import Graph
 from repro.graph.builders import complete_graph
 from repro.graph.generators import erdos_renyi_gnm
 from repro.graph.io import (
@@ -86,6 +87,36 @@ class TestMetis:
         path.write_text("3 1\n2\n")
         with pytest.raises(GraphFormatError):
             read_metis(path)
+
+    @pytest.mark.parametrize("isolated", [[2], [4], [2, 4], [0, 4]])
+    def test_round_trip_keeps_isolated_vertices(self, tmp_path, isolated):
+        g = Graph(5)
+        linked = [v for v in range(5) if v not in isolated]
+        for u, v in zip(linked, linked[1:]):
+            g.add_edge(u, v)
+        path = tmp_path / "g.metis"
+        write_metis(g, path)
+        loaded = read_metis(path)
+        assert loaded.n == 5
+        assert sorted(loaded.edges()) == sorted(g.edges())
+
+    @pytest.mark.parametrize("text", [
+        "3 1\n2\n\n",  # two adjacency lines, one of them blank
+        "4 1\n2\n1\n\n",
+        "3 1\n\n\n",
+    ])
+    def test_short_file_with_blank_lines_still_fails(self, tmp_path, text):
+        path = tmp_path / "g.metis"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match="adjacency lines"):
+            read_metis(path)
+
+    def test_blank_lines_past_the_last_vertex_are_ignored(self, tmp_path):
+        path = tmp_path / "g.metis"
+        path.write_text("% comment\n3 1\n2\n1\n\n\n\n")
+        loaded = read_metis(path)
+        assert loaded.n == 3
+        assert sorted(loaded.edges()) == [(0, 1)]
 
 
 class TestJson:

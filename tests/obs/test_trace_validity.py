@@ -7,7 +7,10 @@ monotonic clock, so a trace tree reads as one timeline:
 * every span's interval lies inside its parent's, all the way down;
 * the root's children come out as ``decompose``, ``pack``, ``ship``,
   ``execute``, then the chunk and split spans, then ``merge``, last;
-* every chunk or split interval lies inside the ``execute`` interval.
+* every chunk or split interval lies inside the ``execute`` interval;
+* every chunk or split carries its ``cpu_per_wall`` and its
+  ``queue_wait_s``, both ``>= 0``, and its dispatch (start minus queue
+  wait) lies inside ``execute`` too.
 
 Checked for static and steal schedules, for counts and collects, on the
 direct path and through :class:`repro.service.CliqueService`.  A collect
@@ -82,6 +85,10 @@ def _check(tree, steal):
     for task in tasks:
         assert execute["start"] <= task["start"]
         assert _end(task) <= _end(execute)
+        attrs = task["attrs"]
+        assert attrs["cpu_per_wall"] >= 0.0
+        assert attrs["queue_wait_s"] >= 0.0
+        assert execute["start"] <= task["start"] - attrs["queue_wait_s"]
     assert isinstance(tree["attrs"]["epoch"], float)
 
 
