@@ -11,10 +11,10 @@ Three conventions, each load-bearing for a different caller:
   handler converts expected exceptions into ``{"ok": false, ...}``
   responses instead of letting them unwind the transport.
 * **workers** — functions under the worker-side packages must not write
-  module globals (``global`` statements): pool workers are re-initialised
-  on respawn, so mutated globals silently diverge between parent,
-  original workers and respawned ones.  The pool initializer itself is
-  the audited exception.
+  module globals (``global`` statements): a respawned worker starts from
+  the parent's state, so mutated globals silently diverge between parent,
+  original workers and respawned ones.  Worker-side state lives in the
+  worker loop's own locals instead.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ EXPLAIN = {
     "rationale": (
         "Each boundary has a caller relying on the convention: scripts "
         "parse the exit code, clients parse the error envelope, and "
-        "respawned pool workers re-run the initializer — a mutated "
+        "respawned workers start from the parent's state — a mutated "
         "global silently diverges between parent and workers."
     ),
     "pragma": "# repro-lint: allow[boundaries] — <why this write is safe>",

@@ -12,14 +12,14 @@ Three rules over the pool's worker side:
    covered; function bodies are not (they run post-fork).
 
 2. **Wall clock** — functions reachable from the worker entry points
-   (``_init_worker``, ``_run_chunk``, ...) may not call
+   (``_worker_loop``, the pool's pipe loop) may not call
    ``config.wall_clock_call`` (``time.time``): it steps under NTP, so
    worker-side duration stamps must use ``time.monotonic`` (the PR-8
    negative-``wall_seconds`` bug, generalised into a rule).
 
-3. **Setup path** — inside the pool spawn method
-   (``WorkerPool._ensure_pool``) no fork-unsafe resource may be created
-   on a line before the ``ctx.Pool(...)`` call: whatever exists at that
+3. **Setup path** — inside the worker spawn method
+   (``WorkerPool._spawn``) no fork-unsafe resource may be created on a
+   line before the ``ctx.Process(...)`` call: whatever exists at that
    moment is snapshot into every child.
 """
 
@@ -44,7 +44,7 @@ EXPLAIN = {
         "pools at import time; functions reachable from the worker entry "
         "points may not call time.time() (use time.monotonic() for "
         "stamps); and no fork-unsafe resource may be created inside "
-        "WorkerPool._ensure_pool before the ctx.Pool(...) spawn."
+        "WorkerPool._spawn before the ctx.Process(...) spawn."
     ),
     "rationale": (
         "The pool prefers fork: children inherit a snapshot of the "

@@ -11,13 +11,13 @@ Two rules:
    ``object``/``Any`` or an unresolvable name is a finding — imprecise
    payload typing is exactly how an unpicklable value sneaks aboard.
 
-2. **Shipped positions** — arguments of the pool ship calls
-   (``apply_async`` and friends, plus the ``Pool(initializer=...)``
-   keywords) may not be lambdas, closures, or local classes: they pickle
-   by qualified name, so anything not importable at module scope dies in
-   the worker with a ``PicklingError`` at runtime.  The parent-side
-   result hooks (``callback=``/``error_callback=``) are exempt — they
-   never leave the process.
+2. **Shipped positions** — arguments of the ship calls (the pipe
+   ``send`` that carries every task and graph state, plus the keywords
+   of the ``Process(target=..., args=...)`` spawn) may not be lambdas,
+   closures, or local classes: they pickle by qualified name, so anything
+   not importable at module scope dies with a ``PicklingError`` at
+   runtime.  Keywords listed in ``config.pickle_ship_exempt_kwargs``
+   (parent-side hooks of a pool API) are exempt.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ EXPLAIN = {
         "Types shipped across the process boundary (GraphState, "
         "RunConfig, SplitTask, Chunk, ChunkResult) must be "
         "transitively composed of the allowlisted picklable atoms in "
-        "config.pickle_atoms, and pool ship calls (apply_async, "
-        "map_async, ...) may not carry lambdas, closures or local "
-        "classes."
+        "config.pickle_atoms, and ship calls (the worker pipe's send, "
+        "the Process(...) spawn) may not carry lambdas, closures or "
+        "local classes."
     ),
     "rationale": (
         "multiprocessing pickles every task argument and return value; "
@@ -210,10 +210,9 @@ def _check_ship_calls(
                             kw.value, local_defs, info, where))
                 elif attr == config.pool_spawn_call:
                     for kw in node.keywords:
-                        if kw.arg in ("initializer", "initargs"):
-                            findings.extend(_flag_shipped_expr(
-                                kw.value, local_defs, info,
-                                f"Pool({kw.arg}=...)"))
+                        findings.extend(_flag_shipped_expr(
+                            kw.value, local_defs, info,
+                            f"{attr}({kw.arg}=...)"))
     return findings
 
 

@@ -76,9 +76,12 @@ class LintConfig:
     lock_rosters: tuple[LockRoster, ...] = (
         LockRoster(
             module="repro.service.core", cls="CliqueService",
-            lock_attr="_lock",
-            guarded=("_closed", "_requests", "_warm_requests",
-                     "_requests_by_op"),
+            lock_attr="_lock", guarded=("_closed",),
+        ),
+        LockRoster(
+            module="repro.service.core", cls="CliqueService",
+            lock_attr="_stats_lock",
+            guarded=("_requests", "_warm_requests", "_requests_by_op"),
         ),
         LockRoster(
             module="repro.service.registry", cls="GraphRegistry",
@@ -88,8 +91,8 @@ class LintConfig:
         LockRoster(
             module="repro.parallel.pool", cls="WorkerPool",
             lock_attr="_lock",
-            guarded=("_pool", "_workers", "_states", "_closed",
-                     "start_method", "spinups", "graph_ships"),
+            guarded=("_workers", "_states", "_closed", "start_method",
+                     "spinups", "graph_ships", "respawns"),
         ),
     )
     #: attribute -> class links the call graph cannot infer from one AST:
@@ -124,25 +127,19 @@ class LintConfig:
         "Optional", "Union", "Sequence", "Mapping", "Iterable",
         "Graph", "BitGraph", "Counters",
     )
-    #: pool methods whose arguments are pickled and shipped to workers.
-    pickle_ship_methods: tuple[str, ...] = (
-        "apply_async", "map_async", "map", "imap", "imap_unordered",
-        "starmap",
-    )
-    #: ship-call keywords that stay parent-side (result-handler hooks run
-    #: on the pool's own threads, never in a worker).
-    pickle_ship_exempt_kwargs: tuple[str, ...] = (
-        "callback", "error_callback",
-    )
+    #: methods whose arguments are pickled and shipped to workers: the
+    #: pool writes every task and graph state with its pipe's ``send``.
+    pickle_ship_methods: tuple[str, ...] = ("send",)
+    #: ship-call keywords that stay parent-side (a pool API's result
+    #: hooks, say); the pipe ``send`` takes none.
+    pickle_ship_exempt_kwargs: tuple[str, ...] = ()
 
     # --- fork safety ------------------------------------------------------
-    #: the module whose functions are handed to the pool as tasks.
+    #: the module holding the worker processes' entry point.
     worker_entry_module: str = "repro.parallel.pool"
-    #: the task/initializer functions workers actually execute; anything
-    #: they can reach through the call graph runs worker-side.
-    worker_entry_functions: tuple[str, ...] = (
-        "_init_worker", "_install_graph", "_run_task",
-    )
+    #: the functions worker processes run (the pipe loop); anything they
+    #: can reach through the call graph runs worker-side.
+    worker_entry_functions: tuple[str, ...] = ("_worker_loop",)
     #: factories whose products do not survive ``fork`` (locks held by
     #: other threads, live sockets, nested pools); calling one at import
     #: time in a worker-imported module, or on the pool setup path before
@@ -159,9 +156,9 @@ class LintConfig:
     #: NTP, so duration stamps must use ``time.monotonic`` (the PR-8 fix,
     #: now a rule).
     wall_clock_call: str = "time.time"
-    #: the method that spins the pool up, and the context call that does it.
-    pool_spawn_function: str = "WorkerPool._ensure_pool"
-    pool_spawn_call: str = "Pool"
+    #: the method that starts a worker, and the context call that does it.
+    pool_spawn_function: str = "WorkerPool._spawn"
+    pool_spawn_call: str = "Process"
 
     # --- lifecycle --------------------------------------------------------
     #: packages whose resource acquisitions must be released on every exit
@@ -169,7 +166,7 @@ class LintConfig:
     lifecycle_packages: tuple[str, ...] = ("repro.service", "repro.parallel")
     #: resource factories, matched by the last dotted segment of the call.
     lifecycle_factories: tuple[str, ...] = (
-        "WorkerPool", "CliqueService", "Pool",
+        "WorkerPool", "CliqueService", "Process",
         "ServiceTCPServer", "MetricsHTTPServer", "ServiceClient",
         "serve_metrics_http", "socket", "create_connection", "open",
     )

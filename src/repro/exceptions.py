@@ -41,8 +41,8 @@ class NotAPlexError(ReproError):
 class WorkerPoolError(ReproError):
     """Raised when the parallel worker pool fails structurally.
 
-    The canonical case is a worker process dying between pool spin-up and
-    the graph broadcast: the rendezvous barrier can never complete, so the
-    surviving workers (and the parent) abandon the broadcast with this
-    error instead of blocking forever.
+    A worker that dies mid-task has its task rerun once on a replacement;
+    this error ends the request when the same task is lost a second time,
+    or when a worker dies while a new graph state is being shipped (the
+    state itself may be what killed it).  The pool is closed by then.
     """

@@ -6,8 +6,8 @@ each carrying both its candidate set (later neighbours) and its seeded
 exclusion set (earlier neighbours) so the per-subproblem clique streams
 are pairwise disjoint and no branch is explored twice across workers;
 a cost model packs them into balanced chunks
-(:mod:`repro.parallel.scheduler`); a ``multiprocessing`` pool solves each
-chunk with any registered algorithm/backend
+(:mod:`repro.parallel.scheduler`); owned worker processes, one pipe
+each, solve each chunk with any registered algorithm/backend
 (:mod:`repro.parallel.pool`); and pluggable aggregators merge the streams
 back deterministically (:mod:`repro.parallel.aggregate`).
 

@@ -3,17 +3,17 @@
 Task encoding is deliberately pickling-lean and split by weight:
 
 * :class:`GraphState` — the heavy per-graph payload (adjacency, degeneracy
-  order, cached bitmask views).  It travels to each worker exactly once
-  per graph: inherited through ``fork`` at pool creation, shipped through
-  the pool initializer under ``spawn``, or broadcast once to a live pool
-  (:meth:`WorkerPool.submit` with a new key) and cached worker-side.
+  order, cached bitmask views).  It reaches each worker once per graph:
+  inherited through ``fork`` when the worker starts (pickled with the
+  worker's arguments under ``spawn``), or sent down each live worker's
+  pipe the first time a live pool sees its key, and cached worker-side.
 * :class:`repro.config.RunConfig` — the light per-request knobs,
   validated in the parent.  A few bytes, shipped with each task next to
   the sink mode and the trace context.
 * a task is then just ``(graph key, config, mode, trace context, Chunk)``
   and a result is one :class:`ChunkResult`.
 
-:class:`WorkerPool` owns the pool lifecycle: create once, ``submit()``
+:class:`WorkerPool` owns the worker processes: create once, ``submit()``
 many times (any mix of graphs and configs), explicit ``close()``.  The
 long-running service mode (:mod:`repro.service`) keeps one warm instance
 across requests so repeated queries skip the spin-up entirely;
@@ -23,18 +23,21 @@ decompose → pack → submit → merge pipeline.
 
 ``n_jobs=1`` runs the identical decomposition + chunk pipeline in-process
 (no subprocesses), so the parallel path can be tested and profiled without
-pool nondeterminism; ``n_jobs>=2`` fans the chunks out over a
-``multiprocessing`` pool and streams results back as workers finish, with
-the aggregator re-establishing deterministic order.
+pool nondeterminism; ``n_jobs>=2`` fans the chunks out over worker
+processes, one duplex pipe each, and the calling thread reads the results
+back as workers finish, with the aggregator re-establishing deterministic
+order.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue
+import os
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol, cast
 
@@ -74,23 +77,14 @@ from repro.parallel.scheduler import (
 )
 
 if TYPE_CHECKING:
-    from multiprocessing.context import BaseContext
-    from multiprocessing.pool import Pool as MpPool
-    from multiprocessing.synchronize import Barrier as SyncBarrier
+    from multiprocessing.connection import Connection
+    from multiprocessing.context import ForkContext, SpawnContext
+    from multiprocessing.process import BaseProcess
 
     from repro.graph.bitadj import BitGraph
 
-#: worker-side barrier timeout for the graph broadcast rendezvous.  A
-#: worker that dies between spin-up and the broadcast can never arrive,
-#: so the survivors abandon the barrier after this long instead of
-#: blocking the submit (and the service lock) forever.
-_BROADCAST_TIMEOUT = 60.0
-
-#: extra parent-side slack on top of the worker timeout before the
-#: broadcast itself is declared failed (covers the case where the dead
-#: worker consumed its install task, which is then lost for good and the
-#: surviving workers' errors can never release the map).
-_BROADCAST_GRACE = 15.0
+#: how long ``close`` waits for a stopped worker to exit before killing it.
+_STOP_GRACE = 5.0
 
 #: a subproblem below this many root-level candidates is never re-split —
 #: the per-branch dispatch overhead cannot pay for itself.
@@ -103,15 +97,14 @@ class GraphState:
     Holds the adjacency, the degeneracy order/position from the
     decomposition, and whole-graph :class:`BitGraph` views keyed by their
     packing — everything that is a function of the *graph* rather than of
-    one request, so a warm pool ships it once and reuses it for every
-    subsequent request against the same graph.
+    one request.  A worker gets it once, at its start or down its pipe
+    (:class:`WorkerPool`), and reuses it for every subsequent request
+    against the same graph.
 
-    Views are built in the parent before any worker needs them: the
-    service registry builds the ``"degeneracy"`` view at registration,
-    and :func:`run_parallel` builds its request's view inside its
-    ``decompose`` step.  Forked workers inherit them (spawned ones get
-    them pickled with the state), so a worker never packs a graph; the
-    in-place runners of every chunk and split task share the one view.
+    Views are built in the parent (the service registry's
+    ``"degeneracy"`` view at registration, :func:`run_parallel`'s in its
+    ``decompose`` step) and reach the workers inside the state, so a
+    worker never packs a graph; all its in-place runners share the view.
     """
 
     graph: Graph
@@ -124,18 +117,12 @@ class GraphState:
                   keep: bool = False) -> BitGraph:
         """Whole-graph :class:`BitGraph` for the request's ``bit_order``.
 
-        The X-aware in-place path runs bitset subproblems on global
-        masks; building them per subproblem would be O(m) each, so the
-        view is materialised once per packing and cached.  The degeneracy
-        packing reuses the decomposition's already-computed peel order
-        instead of peeling again.
-
-        Explicit permutations are unbounded in number: a long-running
-        service would otherwise accumulate one O(n^2)-bit view per
-        distinct client-supplied permutation, forever.  So their views are
-        cached only with ``keep=True``, which a one-shot run passes: its
-        state ends with the run.  The named orders, a closed set, are
-        always cached.
+        Built once per packing and cached (per subproblem it would cost
+        O(m) each); the degeneracy packing reuses the decomposition's peel
+        order.  Explicit permutations are unbounded in number, so a
+        long-running service caches none of their O(n^2)-bit views: only
+        ``keep=True``, which a one-shot run passes, caches one.  The named
+        orders, a closed set, are always cached.
         """
         from repro.graph.bitadj import (
             DEFAULT_BIT_ORDER,
@@ -170,11 +157,9 @@ class ParallelStats:
     """Optional observability for one parallel run (used by the bench).
 
     Pass an instance via ``run_parallel(..., stats=...)``; it is filled in
-    place.  ``chunk_cpu_seconds`` is worker-side ``process_time`` per chunk
-    (time-sharing-proof): its maximum plus the decomposition prologue is
-    the critical path (the wall clock of a host with enough free cores),
-    its sum is the total partitioned CPU from which :meth:`work_ratio`
-    derives the duplicated-work overhead versus the serial run.
+    place.  ``chunk_cpu_seconds`` is worker-side ``process_time`` per
+    chunk: its maximum plus the decomposition prologue is the critical
+    path, its sum the total CPU that :meth:`work_ratio` compares.
     """
 
     n_jobs: int = 0
@@ -185,11 +170,9 @@ class ParallelStats:
     start_method: str = ""
     x_aware: bool = True
     steal: bool = False
-    #: tasks a worker pulled off the dynamic queue beyond the initial
-    #: dispatch window (0 in static mode by definition).
+    #: tasks sent past the initial dispatch window.
     steals: int = 0
-    #: subproblems re-split at their own root level, and the split tasks
-    #: they produced.
+    #: subproblems re-split at their own root, and their split tasks.
     resplit_subproblems: int = 0
     resplit_tasks: int = 0
     decompose_seconds: float = 0.0
@@ -197,8 +180,7 @@ class ParallelStats:
     chunk_costs: list[float] = field(default_factory=list)
     chunk_sizes: list[int] = field(default_factory=list)
     chunk_cpu_seconds: dict[int, float] = field(default_factory=dict)
-    #: per-chunk execution records (worker id, wall start/end, CPU,
-    #: branch counters) — see :mod:`repro.obs.timeline`.
+    #: per-chunk execution records (see :mod:`repro.obs.timeline`).
     timeline: list[WorkerTimelineEvent] = field(default_factory=list)
 
     @property
@@ -215,12 +197,10 @@ class ParallelStats:
     def work_ratio(self, serial_seconds: float) -> float:
         """Total partitioned CPU over the monolithic serial wall time.
 
-        1.0 means the partition did exactly the serial run's work; values
-        above 1 measure duplicated branches plus per-subproblem prologues.
-        A non-positive ``serial_seconds`` yields ``nan``: the ratio is
-        *unknown*, and the old 0.0 sentinel read as "perfect" in reports
-        (renderers show ``n/a`` instead).  This is the single source of
-        truth the scaling benchmark records.
+        1.0 means the partition did exactly the serial run's work; above 1
+        measures duplicated branches plus per-subproblem prologues.  A
+        non-positive ``serial_seconds`` gives ``nan`` (unknown; renderers
+        show ``n/a``).  The scaling benchmark records this figure.
         """
         return self.total_cpu_seconds / serial_seconds \
             if serial_seconds > 0 else float("nan")
@@ -259,20 +239,14 @@ def _result(
 ) -> ChunkResult:
     """A task's payload plus its telemetry, for chunks and split parts.
 
-    Beyond the clique payload, every task ships its telemetry: wall
-    start/end plus CPU time (the timeline event), a worker-side metrics
-    registry snapshot (chunk CPU histogram labelled by worker, branch
-    counters folded as ``mce_*_total``), and — given the request's trace
-    ``context`` — a ``span`` record parented on the parent's enumerate
-    span.  Per-task cost is a handful of clock reads and one small dict.
-    The record's ``cpu_per_wall`` is CPU over wall seconds: well below 1,
-    the worker was time-sliced off its core mid-task.
-
-    Timestamps use ``time.monotonic()``: it cannot step backwards (an NTP
-    adjustment mid-chunk made ``time.time()`` produce negative
-    ``wall_seconds``) and on Linux it is system-wide, so stamps taken in
-    different forked workers stay comparable on one timeline — and with
-    the parent's trace spans, which use the same clock.
+    The telemetry: wall start/end plus CPU time (the timeline event), a
+    worker-side metrics snapshot (chunk CPU histogram by worker, branch
+    counters as ``mce_*_total``) and, given the request's trace
+    ``context``, a ``span`` record parented on the caller's span, whose
+    ``cpu_per_wall`` well below 1 means the worker was time-sliced.
+    Stamps use ``time.monotonic()``: it never steps back (``time.time()``
+    gave negative ``wall_seconds`` under NTP) and is system-wide on
+    Linux, so every worker's stamps share the parent's trace clock.
     """
     worker = multiprocessing.current_process().name
     cpu_seconds = time.process_time() - cpu_start
@@ -312,10 +286,9 @@ def _solve_chunk(
 ) -> ChunkResult:
     """Run every subproblem of one chunk; shared by workers and inline mode.
 
-    On the in-place tier one :class:`InPlaceRunner` serves the whole
-    chunk: its sink, counters and engine context are built once, and it
-    reads the whole-graph view the parent built into ``graph_state``.
-    The other tiers solve each subproblem with :func:`solve_subproblem`.
+    On the in-place tier one :class:`InPlaceRunner` (sink, counters and
+    engine context built once, on the parent-built view) serves the whole
+    chunk; the other tiers call :func:`solve_subproblem` per subproblem.
     """
     started = time.monotonic()
     cpu_start = time.process_time()
@@ -344,71 +317,88 @@ def _solve_chunk(
 # Worker-process plumbing
 # ---------------------------------------------------------------------------
 
-#: Per-process graph cache: key -> GraphState.  Survives across tasks, so
-#: a warm pool pays the ship cost once per (worker, graph), not per request.
-_WORKER_GRAPHS: dict[str, GraphState] = {}
 
-_WORKER_BARRIER: SyncBarrier | None = None
+def _worker_loop(conn: Connection, graphs: dict[str, GraphState],
+                 inherited: list[Connection]) -> None:
+    """A worker's life: answer the messages on its pipe until stopped.
 
-
-# The initializer is the one audited global write: it runs exactly once per
-# worker (and again on respawn, by design — see the docstring).
-# repro-lint: allow[boundaries] — audited pool-initializer global
-def _init_worker(barrier: SyncBarrier,
-                 states: dict[str, GraphState]) -> None:
-    """Pool initializer: install the broadcast barrier and known graphs.
-
-    ``states`` is the parent pool's *live* registry of every shipped
-    graph.  Under ``fork`` it arrives through the process snapshot (zero
-    pickling); under ``spawn`` it is pickled once per worker — exactly
-    the cost profile of the previous one-shot design.  Because
-    ``multiprocessing.Pool`` re-runs the initializer with the same
-    arguments whenever it replaces a dead worker, a respawned worker
-    recovers every graph shipped so far (the snapshot/pickle happens at
-    respawn time, when the parent's dict is current) instead of crashing
-    the next chunk routed to it.
+    ``graphs`` is the pool's state cache as the worker started (the fork
+    snapshot, or its pickle under spawn).  ``("graph", (key, state))``
+    adds a state, acked ``(True, None)``; ``("task", task)`` is answered
+    ``(True, result)`` or ``(False, exception)`` (traceback as a note).
+    A forked child closes its copies of the pool's parent ends
+    (``inherited``), so a pipe reads EOF once either side is gone.  Each
+    reply is dropped once sent; ``None`` or EOF ends it with ``os._exit``.
     """
-    global _WORKER_BARRIER
-    _WORKER_BARRIER = barrier
-    _WORKER_GRAPHS.clear()
-    _WORKER_GRAPHS.update(states)
-
-
-def _install_graph(task: tuple[str, GraphState]) -> str:
-    """Broadcast task: cache one graph state, then rendezvous.
-
-    The barrier (sized to the pool) guarantees each worker executes exactly
-    one install per broadcast — a worker that grabbed its copy blocks until
-    every other worker has grabbed one too, so none can steal a second.
-
-    The wait is bounded: a worker that died between spin-up and the
-    broadcast can never arrive, and an unbounded barrier would park the
-    survivors — and through them ``submit()`` and the service lock —
-    forever.  On timeout the barrier breaks, every survivor raises
-    :class:`WorkerPoolError`, and the parent surfaces one clean error.
-    """
-    key, graph_state = task
-    _WORKER_GRAPHS[key] = graph_state
-    if _WORKER_BARRIER is not None:
+    for other in inherited:
+        other.close()
+    while True:
         try:
-            _WORKER_BARRIER.wait(timeout=_BROADCAST_TIMEOUT)
-        except threading.BrokenBarrierError:
-            raise WorkerPoolError(
-                "graph broadcast barrier broke: a worker died before the "
-                f"rendezvous (waited {_BROADCAST_TIMEOUT:.0f}s)"
-            ) from None
-    return key
+            message = conn.recv()
+        except (EOFError, OSError):
+            os._exit(0)
+        if message is None:
+            os._exit(0)
+        kind, body = message
+        try:
+            if kind == "graph":
+                graphs[body[0]] = body[1]
+                reply: tuple[bool, Any] = (True, None)
+            elif isinstance(body[4], SplitTask):
+                reply = (True, _solve_split(graphs[body[0]], body[1],
+                                            body[4], body[2], body[3]))
+            else:
+                reply = (True, _solve_chunk(graphs[body[0]], body[1],
+                                            body[4], body[2], body[3]))
+        except Exception as exc:  # re-raised in the parent, with this note
+            import traceback
+            exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            os._exit(0)
+        except Exception as exc:  # an unpicklable result or exception
+            conn.send((False, WorkerPoolError(
+                f"worker reply could not be pickled: {exc!r}")))
+        del reply
 
 
-def _run_task(task: Task) -> ChunkResult:
-    """Pool task: resolve the cached graph state, solve the chunk or part."""
-    key, config, mode, context, work = task
-    graph_state = _WORKER_GRAPHS.get(key)
-    if graph_state is None:  # pragma: no cover - defensive
-        raise RuntimeError(f"worker never received graph state {key!r}")
-    if isinstance(work, SplitTask):
-        return _solve_split(graph_state, config, work, mode, context)
-    return _solve_chunk(graph_state, config, work, mode, context)
+@dataclass(eq=False)
+class _Worker:
+    """One owned worker process and the parent's end of its pipe."""
+
+    process: BaseProcess
+    conn: Connection
+
+
+def _ready(workers: list[_Worker]) -> list[_Worker]:
+    """Block until some ``workers`` reply or die (pipe or sentinel)."""
+    from multiprocessing.connection import wait  # not needed before a pool
+    handles: list[Connection | int] = []
+    owner: dict[object, _Worker] = {}
+    for w in workers:
+        handles += (w.conn, w.process.sentinel)
+        owner[w.conn] = owner[w.process.sentinel] = w
+    return list(dict.fromkeys(owner[h] for h in wait(handles)))
+
+
+def _receive(worker: _Worker) -> tuple[bool, Any] | None:
+    """A ready worker's reply, or ``None`` if it died instead."""
+    with suppress(EOFError, OSError):
+        if worker.conn.poll():
+            return cast("tuple[bool, Any]", worker.conn.recv())
+    return None
+
+
+def _reap(worker: _Worker) -> None:
+    """Close the parent's pipe end and wait for the process to end."""
+    worker.conn.close()
+    worker.process.join(_STOP_GRACE)
+    if worker.process.exitcode is None:
+        worker.process.kill()
+        worker.process.join()
+    worker.process.close()
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +412,9 @@ class SplitTask:
 
     A cost-model outlier is split at its own root level: for root ``v``
     with candidates ``w_0 < w_1 < ...`` (degeneracy-position order), the
-    branch of ``w_i`` is the X-aware subproblem one level down —
-    ``S = {v, w_i}``, candidates the later co-neighbours, exclusion the
-    earlier ones (recursive application of the PR-3 decomposition, so the
-    branches are disjoint and together exactly cover the subproblem).
+    branch of ``w_i`` is the X-aware subproblem one level down (``S = {v,
+    w_i}``, the later co-neighbours as candidates, the earlier ones as
+    exclusion), so the branches are disjoint and cover the subproblem.
     ``branches`` lists the candidate indices this part owns; ``part`` /
     ``parts`` let the parent-side merger recognise the last arrival.
     ``index`` shares the chunk index namespace (unique across both).
@@ -442,12 +431,9 @@ class SplitTask:
 def mark_resplit(g: Graph, decomposition: Decomposition) -> list[int]:
     """Subproblem positions steal mode re-splits at their own root.
 
-    Marking is pure cost-model arithmetic — deterministic across
-    ``n_jobs`` and repeats by construction.  Subproblems with fewer than
-    ``_MIN_RESPLIT_CANDIDATES`` root candidates are left alone.  The
-    caller decides *eligibility* (re-splitting needs the in-place X-aware
-    tier, :meth:`InPlaceRunner.split`); this function only applies the
-    cost rule.
+    Pure cost-model arithmetic, deterministic across ``n_jobs`` and
+    repeats; fewer than ``_MIN_RESPLIT_CANDIDATES`` root candidates are
+    never split.  Eligibility (the in-place X-aware tier) is the caller's.
     """
     threshold = resplit_threshold([s.cost for s in decomposition.subproblems])
     marked: list[int] = []
@@ -467,12 +453,10 @@ def _plan_splits(
 ) -> list[SplitTask]:
     """Cut each marked subproblem's root branches into balanced parts.
 
-    Per-branch cost is ``|C_w| + 1`` (the branch's own candidate count):
-    the same linear proxy as the ``candidates`` cost model, cheap enough
-    to compute for every branch of every outlier.  Branches pack LPT into
-    up to ``n_jobs * STEAL_CHUNK_FACTOR`` parts per subproblem, and the
-    resulting tasks are ordered largest-first — they go to the *front* of
-    the dispatch queue, ahead of the ordinary chunks.
+    Per-branch cost is ``|C_w| + 1`` (the ``candidates`` cost model's
+    linear proxy).  Branches pack LPT into up to ``n_jobs *
+    STEAL_CHUNK_FACTOR`` parts per subproblem, ordered largest-first for
+    the *front* of the dispatch queue, ahead of the ordinary chunks.
     """
     position, order, adj = decomposition.position, decomposition.order, g.adj
     splits: list[SplitTask] = []
@@ -509,13 +493,12 @@ def plan_steal_schedule(
 ) -> tuple[list[Chunk], list[SplitTask], int]:
     """The full steal-mode schedule for one decomposition.
 
-    Marks cost outliers (when ``resplit_ok`` — the request must be routed
-    to the in-place X-aware tier), packs the rest into small chunks in
-    dispatch order, and cuts the marked subproblems into split tasks.
-    Returns ``(chunks, splits, requested)`` where ``requested`` is the
-    chunk count the packing aimed for (the :func:`balance_ratio`
-    denominator).  Pure function of its inputs, so the service registry
-    caches the result per (graph, knobs) pair.
+    Marks cost outliers (when ``resplit_ok``: the in-place X-aware tier),
+    packs the rest into small chunks in dispatch order, and cuts the
+    marked subproblems into split tasks.  Returns ``(chunks, splits,
+    requested)``, ``requested`` being the chunk count the packing aimed
+    for (the :func:`balance_ratio` denominator).  A pure function, so the
+    service registry caches it per (graph, knobs) pair.
     """
     resplit = mark_resplit(g, decomposition) if resplit_ok else []
     plan = plan_steal(
@@ -538,13 +521,10 @@ def _solve_split(
     """Run one part of a re-split subproblem; telemetry mirrors a chunk.
 
     One :class:`InPlaceRunner` solves every branch of the part
-    (:meth:`InPlaceRunner.split`): stem ``[v, w]``, candidates the later
-    co-neighbours of ``w`` within ``later(v)``, the exclusion set
-    everything adjacent to both that an earlier branch or an earlier
-    subproblem owns.  No pivot is applied *at* the re-split level —
-    every candidate gets a branch, so parts are independently computable
-    — which trades a little duplicated fan-out (bounded: only outliers
-    are split) for per-branch parallelism.
+    (:meth:`InPlaceRunner.split`).  No pivot is applied *at* the re-split
+    level — every candidate gets a branch, so parts are independently
+    computable — which trades a little duplicated fan-out (bounded: only
+    outliers are split) for per-branch parallelism.
     """
     started = time.monotonic()
     cpu_start = time.process_time()
@@ -561,12 +541,10 @@ def _solve_split(
 class _SplitMerger:
     """Parent-side accumulator folding split parts back into one item.
 
-    The aggregators key strictly on subproblem position —
-    ``CollectAggregator`` *replaces* per position and ``received`` counts
-    one per item — so partial payloads must never reach them as items.
-    Earlier parts ship their telemetry with ``items=[]``; the merged
-    payload rides the final part's :class:`ChunkResult`.  Aggregator
-    semantics (and the completeness audit) are untouched by construction.
+    The aggregators key on subproblem position (``CollectAggregator``
+    *replaces* per position, ``received`` counts one per item), so
+    earlier parts pass their telemetry on with ``items=[]`` and the
+    merged payload rides the final part's :class:`ChunkResult`.
     """
 
     def __init__(self, splits: list[SplitTask], mode: str) -> None:
@@ -595,83 +573,106 @@ class _SplitMerger:
 class SubmitReport:
     """What one :meth:`WorkerPool.submit` did beyond the results.
 
-    ``steals`` counts tasks dispatched dynamically — pulled by a worker
-    that finished its share while other tasks were still queued (always 0
-    when the task count fits the initial window).  ``steals_by_worker``
-    attributes them to the worker that returned each stolen task.
+    ``steals`` counts tasks sent past the initial window (0 when the task
+    count fits it); ``steals_by_worker`` attributes each to the worker
+    that returned it.
     """
 
     steals: int = 0
     steals_by_worker: dict[str, int] = field(default_factory=dict)
 
 
-def _pool_context() -> tuple[BaseContext, str]:
+def _pool_context() -> tuple[ForkContext | SpawnContext, str]:
     """Prefer ``fork`` (zero-copy state inheritance), fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(method), method
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork"), "fork"
+    return multiprocessing.get_context("spawn"), "spawn"
 
 
 class WorkerPool:
-    """A reusable worker pool: create once, ``submit()`` many, ``close()``.
+    """Owned worker processes: create once, ``submit()`` many, ``close()``.
 
-    The pool is lazy — worker processes spin up on the first submit that
-    needs them — and sticky: once live, every later submit reuses the same
-    processes, and graph states already shipped (tracked per key) are
-    never re-sent.  ``warm=True`` sizes the pool at ``n_jobs`` regardless
-    of the first request's chunk count and routes even single-chunk
-    requests through the live pool (the service profile); ``warm=False``
-    keeps the one-shot economics — pool sized to the work, single-chunk
-    runs solved inline, and the first graph inherited through the spawn
-    instead of broadcast (the :func:`run_parallel` profile).
+    The pool is lazy (workers start on the first submit that needs them)
+    and sticky: later submits reuse the processes, and a state already
+    shipped is never re-sent.  ``warm=True`` sizes the pool at ``n_jobs``
+    and routes even single-chunk requests through it (the service
+    profile); ``warm=False`` sizes it to the work, solves single-chunk
+    runs inline, and lets the first graph ride the fork instead of a ship
+    (the :func:`run_parallel` profile).
 
-    Observability for the service layer: :attr:`spinups` counts
-    ``multiprocessing`` pool creations (0 or 1 over a pool's life) and
-    :attr:`graph_ships` counts graph-state broadcasts to a live pool —
-    both flat across warm repeat requests.
+    Each worker is a ``multiprocessing`` process (``fork`` where
+    available, else ``spawn``) running :func:`_worker_loop` on its own
+    duplex pipe; the submitting thread sends the tasks and reads the
+    results itself.  A worker that dies mid-task is replaced and its task
+    rerun once; a second loss of that task, or a death while a state
+    ships, closes the pool with :class:`WorkerPoolError`.  There is no
+    deadline yet: a hung worker holds its submit.
+
+    Observability: :attr:`spinups` counts pool starts (0 or 1 over a
+    pool's life), :attr:`graph_ships` states sent to a live pool — both
+    flat across warm repeats — and :attr:`respawns` replaced workers.
     """
 
     def __init__(self, n_jobs: int, *, warm: bool = False) -> None:
         self.n_jobs = n_jobs
         self.warm = warm
-        # The pool is shared by the service's connection threads; every
-        # mutation of the state below happens under this lock (an RLock
-        # so a locked path may call close()).
+        # Shared by the service's connection threads: every mutation of
+        # the state below is under this lock (an RLock: close() nests).
         self._lock = threading.RLock()
-        self._pool: MpPool | None = None
-        self._workers = 0
-        # Every graph state the workers are expected to hold, by key.
-        # This exact dict object is the pool initializer's argument, so
-        # respawned workers re-read it (fork snapshot / fresh pickle) and
-        # recover all states shipped up to that moment.
+        self._workers: list[_Worker] = []
+        # Every graph state the workers hold, by key: a respawned worker
+        # starts with all of them.
         self._states: dict[str, GraphState] = {}
         self._closed = False
         self.start_method = "inline"
         self.spinups = 0
         self.graph_ships = 0
+        self.respawns = 0
 
     @property
     def is_live(self) -> bool:
         """Whether worker processes currently exist."""
-        return self._pool is not None
+        return bool(self._workers)
 
-    def _ensure_pool(self, n_chunks: int) -> MpPool:
+    def _spawn(self) -> _Worker:
+        """Start one worker on a new pipe (lock held).  A forked child
+        must close its copies of every parent end, its own included, or
+        it holds its own pipe open past the parent's close."""
+        ctx, method = _pool_context()
+        parent, child = ctx.Pipe()
+        inherited = [w.conn for w in self._workers] + [parent] \
+            if method == "fork" else []
+        worker = _Worker(ctx.Process(
+            target=_worker_loop, args=(child, self._states, inherited),
+            daemon=True), parent)
+        try:
+            worker.process.start()
+        finally:
+            child.close()
+        return worker
+
+    def _ensure_pool(self, n_chunks: int) -> list[_Worker]:
+        """Start the workers on first use; replace any that died idle."""
         with self._lock:
-            if self._pool is not None:
-                return self._pool
-            ctx, method = _pool_context()
-            workers = self.n_jobs if self.warm \
-                else min(self.n_jobs, n_chunks)
-            barrier = ctx.Barrier(workers)
-            self._pool = ctx.Pool(
-                processes=workers,
-                initializer=_init_worker,
-                initargs=(barrier, self._states),
-            )
-            self._workers = workers
-            self.start_method = method
-            self.spinups += 1
-            return self._pool
+            if not self._workers:
+                self.start_method = _pool_context()[1]
+                n = self.n_jobs if self.warm else min(self.n_jobs, n_chunks)
+                for _ in range(n):
+                    self._workers.append(self._spawn())
+                self.spinups += 1
+            for w in self._workers:
+                if w.process.exitcode is not None:
+                    self._respawn(w)
+            return self._workers
+
+    def _respawn(self, worker: _Worker) -> _Worker:
+        """Replace a dead worker by a fresh one holding every state."""
+        with self._lock:
+            _reap(worker)
+            fresh = self._spawn()
+            self._workers[self._workers.index(worker)] = fresh
+            self.respawns += 1
+            return fresh
 
     def submit(
         self,
@@ -687,28 +688,26 @@ class WorkerPool:
     ) -> SubmitReport:
         """Solve ``chunks`` (and ``splits``) against ``graph_state``.
 
-        ``accept`` is called with each :class:`ChunkResult` in arrival
-        order (an :class:`repro.parallel.aggregate.Aggregator` re-orders);
-        ``mode`` is that aggregator's payload mode.
-        ``key`` identifies the graph state for the worker-side cache: the
-        state is shipped only the first time a key is seen, so repeat
-        submits with the same key are pure compute.
+        ``accept`` is called on the calling thread with each
+        :class:`ChunkResult` in arrival order (an
+        :class:`repro.parallel.aggregate.Aggregator` re-orders); ``mode``
+        is that aggregator's payload mode.  ``key`` names the state in the
+        worker-side cache: a live pool is sent each key's state once, so
+        repeat submits with the same key are pure compute.
 
-        Execution is a dynamic shared queue, not a one-shot fan-out: at
-        most one task per worker is in flight, and each completion
-        dispatches the next task off the front of the list.  Task order
-        is therefore the schedule — steal mode passes chunks pre-sorted
-        largest-first with ``splits`` (parts of re-split outliers) ahead
-        of them, so the expensive work starts immediately and the small
-        chunks level the tail.  Every task dispatched beyond the initial
-        window counts as a *steal*, attributed to the worker that
-        returns it; the counts come back in the :class:`SubmitReport`.
+        Execution is a dynamic shared queue: at most one task per worker
+        is in flight, and each completion dispatches the next task off
+        the front of the list.  Task order is therefore the schedule —
+        steal mode passes chunks pre-sorted largest-first with ``splits``
+        (parts of re-split outliers) ahead of them.  Every task sent
+        beyond the initial window counts as a *steal* of the worker that
+        returns it (:class:`SubmitReport`).  A task that raises is
+        re-raised here with its type, and the pool stays usable.
 
         With a ``tracer`` the submit contributes a ``ship`` span (always
         present so traces have one shape; ``shipped`` records whether a
-        broadcast actually happened) and an ``execute`` span wrapping the
-        fan-out — worker chunk spans are parented on the *caller's*
-        current span, not on these.
+        state was sent) and an ``execute`` span wrapping the fan-out —
+        worker chunk spans are parented on the *caller's* current span.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
@@ -720,7 +719,7 @@ class WorkerPool:
         merger = _SplitMerger(splits, mode)
         n_tasks = len(chunks) + len(splits)
         if self.n_jobs == 1 \
-                or (self._pool is None and not self.warm and n_tasks == 1):
+                or (not self._workers and not self.warm and n_tasks == 1):
             # In-process path: no subprocesses, no shipping, same pipeline.
             with maybe_span(tracer, "ship", transport="inline",
                             shipped=False):
@@ -735,119 +734,129 @@ class WorkerPool:
                     accept(_solve_chunk(graph_state, config, chunk, mode,
                                         context))
             return report
-        if self._pool is None and not self.warm:
-            # One-shot profile: the first graph rides the spawn (the fork
-            # snapshot, or the initializer pickle) rather than a broadcast.
+        if not self._workers and not self.warm:
+            # One-shot profile: the first graph rides the fork, not a ship.
             with self._lock:
                 self._states.setdefault(key, graph_state)
-        pool = self._ensure_pool(n_tasks)
+        workers = self._ensure_pool(n_tasks)
         ship_needed = key not in self._states
         with maybe_span(tracer, "ship", transport=self.start_method,
-                        shipped=ship_needed, workers=self._workers):
+                        shipped=ship_needed, workers=len(workers)):
             if ship_needed:
-                # Barrier broadcast to the live workers: exactly one
-                # install per worker.  Recording the state afterwards
-                # keeps any later-respawned worker consistent (see
-                # _init_worker).  The bounded get() pairs with the
-                # worker-side barrier timeout: a worker that died *after*
-                # consuming its install task took it to the grave — the
-                # map can then never complete, survivors' barrier errors
-                # notwithstanding — so the parent gives up shortly after
-                # the workers would have and surfaces one clean error
-                # instead of hanging the service lock forever.
-                broadcast = pool.map_async(
-                    _install_graph,
-                    [(key, graph_state)] * self._workers, chunksize=1,
-                )
-                try:
-                    broadcast.get(
-                        timeout=_BROADCAST_TIMEOUT + _BROADCAST_GRACE)
-                except multiprocessing.TimeoutError:
-                    self.close()
-                    raise WorkerPoolError(
-                        "graph broadcast did not complete within "
-                        f"{_BROADCAST_TIMEOUT + _BROADCAST_GRACE:.0f}s; a "
-                        "worker likely died before the rendezvous"
-                    ) from None
-                except WorkerPoolError:
-                    self.close()
-                    raise
-                with self._lock:
-                    self._states[key] = graph_state
-                    self.graph_ships += 1
+                self._ship(key, graph_state)
         work: list[Chunk | SplitTask] = [*splits, *chunks]
         tasks: list[Task] = [(key, config, mode, context, w) for w in work]
         with maybe_span(tracer, "execute", transport=self.start_method,
                         n_chunks=len(chunks), n_splits=len(splits),
                         steal=config.steal) as execute_span:
-            self._dispatch(pool, tasks, merger, accept, report)
+            self._dispatch(tasks, merger, accept, report)
             if tracer is not None:
                 execute_span.attrs.update(steals=report.steals)
         return report
 
-    def _dispatch(self, pool: MpPool, tasks: list[Task],
-                  merger: _SplitMerger,
+    def _ship(self, key: str, graph_state: GraphState) -> None:
+        """Send a new graph state down every worker's pipe; await the acks.
+        A death here may be the state's doing, so the pool closes with
+        :class:`WorkerPoolError` instead of retrying."""
+        waiting = list(self._workers)
+        try:
+            for w in waiting:
+                w.conn.send(("graph", (key, graph_state)))
+            while waiting:
+                for w in _ready(waiting):
+                    waiting.remove(w)
+                    if _receive(w) is None:
+                        raise OSError(f"{w.process.name} died")
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, OSError):
+                raise WorkerPoolError(f"a worker died while graph state "
+                                      f"{key!r} shipped") from exc
+            raise
+        with self._lock:
+            self._states[key] = graph_state
+            self.graph_ships += 1
+
+    def _dispatch(self, tasks: list[Task], merger: _SplitMerger,
                   accept: Callable[[ChunkResult], None],
                   report: SubmitReport) -> None:
-        """Shared dynamic queue: one task per worker in flight, pull on
-        completion.
+        """One task per busy worker; each reply, unpickled here on the
+        calling thread, frees its worker for the next task.
 
-        ``apply_async`` callbacks (which run on the pool's result-handler
-        thread) feed a local queue the submitting thread drains; each
-        arrival dispatches the next task in list order.  Tasks sent after
-        the initial window are marked, and on return counted as steals of
-        the worker that executed them.  A traced task's span gets
-        ``queue_wait_s``, from its dispatch here to its start in the
-        worker, both on ``time.monotonic()``.
+        ``queue_wait_s`` on a traced task's span runs from its send here
+        to its start in the worker (both ``time.monotonic()``).  A dead
+        worker's task is rerun once on a fresh worker: tasks are
+        deterministic and results keyed by position, so nothing doubles.
+        A task that raised is re-raised once the tasks in flight are
+        back, leaving no stale reply in a pipe; any other failure kills
+        the busy workers and closes the pool.
         """
-        results: queue.SimpleQueue[tuple[str, Any]] = queue.SimpleQueue()
+        queue = deque(range(len(tasks)))
+        window = min(len(self._workers), len(tasks))
+        busy: dict[_Worker, int] = {}
         sent: dict[int, float] = {}
+        lost: set[int] = set()
+        failure: BaseException | None = None
 
-        def _send(i: int, dynamic: bool) -> None:
-            index = tasks[i][4].index
-            if dynamic:
-                dynamic_indices.add(index)
-            sent[index] = time.monotonic()
-            pool.apply_async(
-                _run_task, (tasks[i],),
-                callback=lambda r: results.put(("ok", r)),
-                error_callback=lambda e: results.put(("err", e)),
-            )
+        def send(worker: _Worker) -> None:
+            i = busy[worker] = queue.popleft()
+            sent[i] = time.monotonic()
+            with suppress(OSError):  # died idle: its EOF reports the loss
+                worker.conn.send(("task", tasks[i]))
 
-        dynamic_indices: set[int] = set()
-        window = min(self._workers, len(tasks))
-        for i in range(window):
-            _send(i, False)
-        next_task = window
-        completed = 0
-        while completed < len(tasks):
-            status, payload = results.get()
-            if status == "err":
-                raise payload
-            completed += 1
-            if next_task < len(tasks):
-                _send(next_task, True)
-                next_task += 1
-            result = payload
-            if result.span is not None:
-                result.span["attrs"]["queue_wait_s"] = \
-                    result.started - sent[result.chunk_index]
-            if result.chunk_index in dynamic_indices:
-                report.steals += 1
-                report.steals_by_worker[result.worker] = \
-                    report.steals_by_worker.get(result.worker, 0) + 1
-            if merger.owns(result.chunk_index):
-                result = merger.fold(result)
-            accept(result)
+        try:
+            for w in self._workers[:window]:
+                send(w)
+            while busy:
+                for w in _ready(list(busy)):
+                    i = busy.pop(w)
+                    reply = _receive(w)
+                    if reply is None:
+                        if i in lost:
+                            raise WorkerPoolError(
+                                f"task {tasks[i][4].index} was lost to "
+                                "two worker deaths")
+                        lost.add(i)
+                        w = self._respawn(w)
+                        if failure is None:
+                            queue.appendleft(i)
+                    if queue and failure is None:
+                        send(w)
+                    if reply is None or failure is not None:
+                        continue
+                    ok, result = reply
+                    if not ok:
+                        failure = result
+                        queue.clear()
+                        continue
+                    if result.span is not None:
+                        result.span["attrs"]["queue_wait_s"] = \
+                            result.started - sent[i]
+                    if i >= window:
+                        report.steals += 1
+                        report.steals_by_worker[result.worker] = \
+                            report.steals_by_worker.get(result.worker, 0) + 1
+                    if merger.owns(result.chunk_index):
+                        result = merger.fold(result)
+                    accept(result)
+        except BaseException:
+            for w in busy:
+                w.process.kill()
+            self.close()
+            raise
+        if failure is not None:
+            raise failure
 
     def close(self) -> None:
-        """Shut the workers down; idempotent, pool unusable afterwards."""
+        """Stop the workers; idempotent, pool unusable afterwards."""
         with self._lock:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+            workers, self._workers = self._workers, []
             self._closed = True
+            for w in workers:
+                with suppress(OSError):
+                    w.conn.send(None)
+            for w in workers:
+                _reap(w)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -929,12 +938,10 @@ def execute(
     The one pipeline behind :func:`run_parallel` (a transient pool, a
     fresh decomposition) and :class:`repro.service.CliqueService` (its
     warm pool and registry caches).  Results stream into ``aggregator``;
-    its merge (``finish()``) stays with the caller.
-
-    With a ``trace`` the run contributes ``decompose``/``pack``/``ship``/
-    ``execute`` spans plus one grafted ``chunk`` span per chunk (and a
-    ``split`` span per re-split part), and the folded paper counters land
-    on the trace root as the ``counters`` attribute.
+    its merge (``finish()``) stays with the caller.  With a ``trace`` the
+    run adds ``decompose``/``pack``/``ship``/``execute`` spans, a grafted
+    ``chunk`` (or ``split``) span per task, and the folded counters as
+    the trace root's ``counters`` attribute.
     """
     strategy, cost_model = config.chunk_strategy, config.cost_model
     per_worker, steal = config.chunks_per_worker, config.steal is True
@@ -1023,27 +1030,20 @@ def run_parallel(
     (``emitted`` equals the true clique count).
 
     The knobs form one :class:`repro.config.RunConfig`, validated before
-    any worker starts, and :func:`execute` runs it on a pool of its own,
-    torn down before returning.  Long-running callers that issue many
-    requests should hold a warm :class:`WorkerPool` (or use
-    :class:`repro.service.CliqueService`, which also caches the per-graph
-    decomposition artifacts) instead of paying the spin-up every time.
+    any worker starts; :func:`execute` runs it on a pool of its own, torn
+    down before returning.  Callers with many requests should hold a warm
+    :class:`WorkerPool` or a :class:`repro.service.CliqueService`.
 
     ``x_aware=True`` (the default) seeds each subproblem's exclusion set
     from the degeneracy order so duplicated branches are pruned inside the
     engines; ``x_aware=False`` restores the enumerate-then-filter
-    decomposition (duplicates counted under ``suppressed_candidates``),
-    kept as an escape hatch and as the baseline the work-ratio regression
-    tests compare against.
+    decomposition (duplicates counted under ``suppressed_candidates``).
 
-    ``steal=True`` switches the scheduler to work-stealing mode: many
-    small chunks are packed (``STEAL_CHUNK_FACTOR`` times the static
-    count) and dispatched dynamically largest-first, and cost-model
-    outliers are re-split at their own root level so a single hub
-    subproblem no longer sets the critical path.  The enumerated cliques
-    and their fingerprint are identical to the static schedule by
-    construction (the re-split is the same X-aware decomposition one
-    level down — disjoint, complete, deterministic).
+    ``steal=True`` switches to work stealing: ``STEAL_CHUNK_FACTOR`` times
+    as many chunks, dispatched dynamically largest-first, and cost-model
+    outliers re-split at their own root level so no hub subproblem sets
+    the critical path.  The cliques and their fingerprint are those of
+    the static schedule by construction.
 
     ``stats`` (a :class:`ParallelStats`) is filled in place; ``trace=``
     takes a :class:`repro.obs.trace.Tracer` (see :func:`execute`).

@@ -11,7 +11,9 @@ bit order — is pure enumeration compute.
 
 Thread safety: one internal lock serialises requests, so a service
 instance can sit behind a threaded TCP server
-(:mod:`repro.service.server`) without interleaving pool traffic.
+(:mod:`repro.service.server`) without interleaving pool traffic.  The
+request counters and the metrics registry sit behind a second, short
+lock, so ``stats`` and ``metrics`` never wait for a running request.
 """
 
 from __future__ import annotations
@@ -90,7 +92,11 @@ class CliqueService:
         self.n_jobs = self.config.n_jobs
         self.registry = GraphRegistry()
         self._pool = WorkerPool(self.n_jobs, warm=True)
+        # _lock: one request (or registration, or close) at a time.
+        # _stats_lock: the counters below and self.metrics (not
+        # thread-safe), held only to read or fold them.
         self._lock = threading.RLock()
+        self._stats_lock = threading.Lock()
         self._closed = False
         # Monotonic clock: uptime must never jump with NTP slews or
         # operator clock changes (the old time.time() baseline could even
@@ -269,22 +275,23 @@ class CliqueService:
             seconds = time.perf_counter() - start
             result["seconds"] = seconds
 
-            self._requests += 1
-            if warm:
-                self._warm_requests += 1
-            self._requests_by_op[op] = self._requests_by_op.get(op, 0) + 1
-
             # Registry-side accounting.  The aggregator's registry already
             # carries each worker's fold (chunk CPU histograms, mce_*
             # branch counters, steal counts), so the merge — not a
             # re-fold — keeps the totals single-counted.
-            self.metrics.counter("service_requests_total",
-                                 labels={"op": op}).inc()
-            if warm:
-                self.metrics.counter("service_warm_requests_total").inc()
-            self.metrics.histogram("service_request_seconds",
-                                   labels={"op": op}).observe(seconds)
-            self.metrics.merge(aggregator.metrics)
+            with self._stats_lock:
+                self._requests += 1
+                if warm:
+                    self._warm_requests += 1
+                self._requests_by_op[op] = \
+                    self._requests_by_op.get(op, 0) + 1
+                self.metrics.counter("service_requests_total",
+                                     labels={"op": op}).inc()
+                if warm:
+                    self.metrics.counter("service_warm_requests_total").inc()
+                self.metrics.histogram("service_request_seconds",
+                                       labels={"op": op}).observe(seconds)
+                self.metrics.merge(aggregator.metrics)
 
             if tracer is not None:
                 result["timeline"] = [e.as_dict() for e in stats.timeline]
@@ -312,8 +319,10 @@ class CliqueService:
         A fully warm steady state shows ``requests`` growing while
         ``decompose_calls``, ``pool_spinups`` and ``graph_ships`` stay
         flat — exactly the assertion the service tests make.
+        ``pool_respawns`` counts workers replaced after a death; a request
+        whose task was rerun on one takes about twice as long.
         """
-        with self._lock:
+        with self._stats_lock:
             reg = self.registry.stats
             return {
                 "uptime_seconds": time.monotonic() - self._started_at,
@@ -331,6 +340,7 @@ class CliqueService:
                 "steal_plan_cache_hits": reg.steal_plan_cache_hits,
                 "pool_spinups": self._pool.spinups,
                 "graph_ships": self._pool.graph_ships,
+                "pool_respawns": self._pool.respawns,
                 "pool_live": self._pool.is_live,
                 "start_method": self._pool.start_method,
                 "n_jobs": self.n_jobs,
@@ -340,13 +350,13 @@ class CliqueService:
 
     def metrics_snapshot(self) -> dict:
         """JSON snapshot of the service registry (gauges refreshed first)."""
-        with self._lock:
+        with self._stats_lock:
             self._refresh_gauges()
             return self.metrics.as_dict()
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the service registry."""
-        with self._lock:
+        with self._stats_lock:
             self._refresh_gauges()
             return render_text(self.metrics)
 
@@ -364,6 +374,7 @@ class CliqueService:
         m.gauge("service_pool_live").set(1.0 if self._pool.is_live else 0.0)
         m.gauge("service_pool_spinups").set(self._pool.spinups)
         m.gauge("service_graph_ships").set(self._pool.graph_ships)
+        m.gauge("service_pool_respawns").set(self._pool.respawns)
         m.gauge("service_decompose_calls").set(reg.decompose_calls)
         m.gauge("service_decompose_cache_hits").set(reg.decompose_cache_hits)
         m.gauge("service_chunk_builds").set(reg.chunk_builds)

@@ -4,9 +4,14 @@ from repro.analysis.checkers import picklesafety
 from repro.analysis.config import LintConfig
 from repro.analysis.index import ModuleIndex
 
+# The fixture trees drive a pool API (``apply_async``/``map_async`` with
+# parent-side ``callback=`` hooks), so they name its ship calls; the
+# default configuration names the pipe ``send`` the live pool uses.
 CONFIG = LintConfig(
     worker_packages=("workers",),
     pickle_roster=("workers.tasks:Task",),
+    pickle_ship_methods=("apply_async", "map_async"),
+    pickle_ship_exempt_kwargs=("callback", "error_callback"),
 )
 
 
@@ -47,3 +52,41 @@ class TestPickleGood:
     def test_callback_lambda_exempt(self, fixtures):
         # pickle_good ships a lambda in callback= — parent-side, exempt.
         assert _findings(fixtures, "pickle_good") == []
+
+
+class TestDefaultConfig:
+    """The live configuration: tasks and states travel by pipe ``send``."""
+
+    def _tree(self, tmp_path, source):
+        pkg = tmp_path / "repro" / "parallel"
+        pkg.mkdir(parents=True)
+        (tmp_path / "repro" / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "pool.py").write_text(source)
+        return picklesafety.check(ModuleIndex.build(tmp_path), LintConfig())
+
+    def test_lambda_sent_down_a_pipe_flagged(self, tmp_path):
+        findings = self._tree(tmp_path, (
+            "def ship(conn, items):\n"
+            "    conn.send((\"task\", lambda: items))\n"
+        ))
+        assert len(findings) == 1
+        assert "send()" in findings[0].message
+
+    def test_local_function_as_process_target_flagged(self, tmp_path):
+        findings = self._tree(tmp_path, (
+            "def spawn(ctx, conn):\n"
+            "    def loop(c):\n"
+            "        return c\n"
+            "    return ctx.Process(target=loop, args=(conn,))\n"
+        ))
+        assert len(findings) == 1
+        assert "Process(target=...)" in findings[0].message
+
+    def test_module_level_target_and_plain_send_clean(self, tmp_path):
+        assert self._tree(tmp_path, (
+            "def loop(conn):\n"
+            "    conn.send((True, None))\n"
+            "def spawn(ctx, conn):\n"
+            "    return ctx.Process(target=loop, args=(conn,), daemon=True)\n"
+        )) == []

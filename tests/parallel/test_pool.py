@@ -10,7 +10,7 @@ from repro.config import RunConfig
 from repro.core import phases
 from repro.core.counters import Counters
 from repro.core.result import CliqueCollector
-from repro.exceptions import InvalidParameterError, WorkerPoolError
+from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import BitGraph
 from repro.graph.generators import ba_heavy_hub, erdos_renyi_gnm
@@ -26,7 +26,6 @@ from repro.parallel import (
     run_parallel,
     validate_n_jobs,
 )
-from repro.parallel import pool as pool_module
 from repro.parallel.aggregate import merge_payloads
 from repro.parallel.decompose import (
     decompose,
@@ -245,9 +244,9 @@ class TestWorkerPool:
             assert pool.spinups == 0
 
     def test_shipped_states_recorded_for_respawned_workers(self, graph):
-        # The initializer argument is the pool's live state dict: a worker
-        # respawned after a crash re-reads it and recovers every graph
-        # shipped so far, so the dict must track each broadcast.
+        # A worker respawned after a crash starts from the pool's state
+        # dict (the fork snapshot, or its pickle) and so holds every graph
+        # shipped so far: the dict must track each ship.
         state, decomposition = _graph_state(graph)
         chunks = make_chunks(decomposition.subproblems, 4)
         other = erdos_renyi_gnm(20, 60, seed=3)
@@ -444,60 +443,6 @@ class TestMonotonicStamps:
                      n_jobs=2, stats=stats)
         assert stats.timeline
         assert all(e.wall_seconds >= 0.0 for e in stats.timeline)
-
-
-def _poison_unpickle(flag_path):
-    """Unpickle hook: the first worker to load the state dies instantly.
-
-    The flag file makes the kill exactly-once (``"x"`` mode is the atomic
-    claim), so respawned or sibling workers proceed — the scenario is one
-    dead worker, not a dying herd.  ``os._exit`` skips all cleanup, the
-    closest stand-in for a SIGKILLed worker.
-    """
-    try:
-        open(flag_path, "x").close()
-    except FileExistsError:
-        return object()
-    os._exit(1)
-
-
-class _PoisonState:
-    """Pickles like a graph state; killing happens on worker-side load."""
-
-    def __init__(self, flag_path):
-        self.flag_path = flag_path
-
-    def __reduce__(self):
-        return (_poison_unpickle, (self.flag_path,))
-
-
-class TestBroadcastHang:
-    def test_worker_death_before_rendezvous_raises_not_hangs(
-            self, graph, tmp_path, monkeypatch):
-        # A worker that dies mid-broadcast takes its install task to the
-        # grave: the barrier can never fill and the map can never
-        # complete.  Both sides are bounded now — the survivors' barrier
-        # wait and the parent's map get — so the submit must surface
-        # WorkerPoolError instead of parking the service lock forever.
-        monkeypatch.setattr(pool_module, "_BROADCAST_TIMEOUT", 2.0)
-        monkeypatch.setattr(pool_module, "_BROADCAST_GRACE", 1.0)
-        state, decomposition = _graph_state(graph)
-        chunks = make_chunks(decomposition.subproblems, 4)
-        config = RunConfig(algorithm="hbbmc++", options={})
-        poison = _PoisonState(str(tmp_path / "killed"))
-        pool = WorkerPool(2, warm=True)
-        try:
-            start = time.monotonic()
-            with pytest.raises(WorkerPoolError):
-                pool.submit("g", poison, config, chunks, lambda r: None,
-                            mode="count")
-            assert time.monotonic() - start < 30.0
-            # The pool closed itself: reuse fails loudly, not silently.
-            with pytest.raises(RuntimeError):
-                pool.submit("g", state, config, chunks, lambda r: None,
-                            mode="count")
-        finally:
-            pool.close()
 
 
 class TestStealMode:

@@ -12,6 +12,7 @@ The two properties that make the service trustworthy:
 
 import json
 import pathlib
+import threading
 
 import pytest
 
@@ -296,3 +297,41 @@ class TestShutdown:
             service.count("g")
         with pytest.raises(InvalidParameterError):
             service.register(complete_graph(3))
+
+
+class TestObservationDuringRequest:
+    """``stats`` and ``metrics`` take a short lock of their own, so they
+    answer while a long request holds the request lock."""
+
+    def test_stats_and_metrics_answer_while_a_request_runs(self, graph):
+        service = CliqueService()
+        service.register(graph, name="g")
+        entered, release = threading.Event(), threading.Event()
+        submit = service._pool.submit
+
+        def parked(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return submit(*args, **kwargs)
+
+        service._pool.submit = parked
+        request = threading.Thread(target=service.count, args=("g",),
+                                   daemon=True)
+        request.start()
+        try:
+            assert entered.wait(30)
+            for observe in (service.stats, service.metrics_snapshot,
+                            service.metrics_text):
+                box = []
+                probe = threading.Thread(
+                    target=lambda: box.append(observe()), daemon=True)
+                probe.start()
+                probe.join(1.0)
+                assert box, f"{observe.__name__} waited behind the request"
+            assert service.stats()["requests"] == 0
+        finally:
+            release.set()
+            request.join(30)
+            service.close()
+        assert not request.is_alive()
+        assert service.stats()["requests"] == 1
