@@ -8,7 +8,7 @@ readings per cell:
   *critical-path* basis: per-chunk worker CPU time (``time.process_time``,
   immune to host time-sharing) plus the decomposition prologue.  This is
   the wall clock a machine with >= k free cores would see, and it is what
-  the cost model + chunking strategy actually control — a cost-blind
+  the cost estimate and the LPT packing actually control — a cost-blind
   schedule collapses it on skewed graphs.
 * ``speedup_vs_serial`` — the same critical path divided into the
   *monolithic* single-process wall time, i.e. the end-to-end win over not
@@ -19,8 +19,8 @@ readings per cell:
 ``work_ratio`` (total partitioned CPU over the monolithic serial wall, via
 ``ParallelStats.work_ratio`` — the single implementation, unit-tested in
 ``tests/parallel``) makes duplicated-branch and prologue overhead explicit:
-with X-set-aware subproblems (the default) it sits near or below 1.0, where
-the legacy enumerate-then-filter decomposition measured 1.5-3x.
+with X-set-aware subproblems it sits near or below 1.0, where an
+enumerate-then-filter decomposition measured 1.5-3x.
 
 ``wall_seconds``/``wall_speedup`` (host wall clock) are also recorded; on
 hosts with fewer free cores than workers they show pure overhead by
@@ -92,8 +92,7 @@ def workloads(quick: bool):
     ]
 
 
-def _parallel_cell(g, n_jobs: int, chunk_strategy: str, repeats: int,
-                   x_aware: bool, steal: bool = False):
+def _parallel_cell(g, n_jobs: int, repeats: int, steal: bool = False):
     """Best-of-``repeats`` partitioned run at ``n_jobs`` workers."""
     best = None
     for _ in range(max(1, repeats)):
@@ -101,7 +100,6 @@ def _parallel_cell(g, n_jobs: int, chunk_strategy: str, repeats: int,
         stats = ParallelStats()
         start = time.perf_counter()
         run_parallel(g, aggregator, algorithm=ALGORITHM, n_jobs=n_jobs,
-                     chunk_strategy=chunk_strategy, x_aware=x_aware,
                      steal=steal, stats=stats)
         wall = time.perf_counter() - start
         cell = {
@@ -145,8 +143,7 @@ def skew_scenario(quick: bool, repeats: int) -> dict:
     for name, g in graphs:
         cells = {}
         for mode, steal in (("static", False), ("steal", True)):
-            cells[mode] = _parallel_cell(g, n_jobs, "greedy", repeats,
-                                         x_aware=True, steal=steal)
+            cells[mode] = _parallel_cell(g, n_jobs, repeats, steal=steal)
         if cells["static"]["cliques"] != cells["steal"]["cliques"]:
             raise AssertionError(
                 f"{name}: static ({cells['static']['cliques']}) and steal "
@@ -180,7 +177,6 @@ def skew_scenario(quick: bool, repeats: int) -> dict:
         rows.append(row)
     return {
         "workers": n_jobs,
-        "chunk_strategy": "greedy",
         "skew_basis": (
             "cpu_skew = max-over-mean per-worker CPU from the chunk "
             "timeline (1.0 = perfectly even); critical path as in the "
@@ -190,8 +186,7 @@ def skew_scenario(quick: bool, repeats: int) -> dict:
     }
 
 
-def run(quick: bool, repeats: int, chunk_strategy: str,
-        x_aware: bool = True) -> dict:
+def run(quick: bool, repeats: int) -> dict:
     worker_counts = (1, 2) if quick else (1, 2, 4, 8)
     families = []
     for name, g in workloads(quick):
@@ -199,7 +194,7 @@ def run(quick: bool, repeats: int, chunk_strategy: str,
         rows = []
         base = None
         for k in worker_counts:
-            cell = _parallel_cell(g, k, chunk_strategy, repeats, x_aware)
+            cell = _parallel_cell(g, k, repeats)
             if cell["cliques"] != serial.cliques:
                 raise AssertionError(
                     f"{name}: parallel ({cell['cliques']}) and serial "
@@ -263,8 +258,6 @@ def run(quick: bool, repeats: int, chunk_strategy: str,
     return {
         "experiment": "parallel-scaling",
         "algorithm": ALGORITHM,
-        "chunk_strategy": chunk_strategy,
-        "x_aware": x_aware,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "host_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -290,11 +283,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="tiny graphs, workers 1/2 (CI smoke mode)")
     parser.add_argument("--repeats", type=int, default=None,
                         help="repeats per cell, fastest kept")
-    parser.add_argument("--chunk-strategy", default="greedy",
-                        choices=["greedy", "contiguous", "round-robin"])
-    parser.add_argument("--no-x-aware", action="store_true",
-                        help="measure the legacy enumerate-then-filter "
-                             "decomposition instead of X-aware subproblems")
     parser.add_argument("--steal", action="store_true",
                         help="include the static-vs-steal skew scenario in "
                              "--quick mode (the full run always includes it)")
@@ -304,8 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    results = run(args.quick, repeats, args.chunk_strategy,
-                  x_aware=not args.no_x_aware)
+    results = run(args.quick, repeats)
     if not args.quick or args.steal:
         results["skew_scenario"] = skew_scenario(args.quick, repeats)
 

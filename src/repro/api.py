@@ -34,22 +34,22 @@ masks.
 and ``run_with_report`` also accept ``n_jobs=N`` to fan the enumeration
 out over the
 degeneracy-partitioned worker pool (:mod:`repro.parallel`): the root level
-splits into per-vertex subproblems packed into cost-balanced chunks
-(``chunk_strategy=``, ``cost_model=``), each solved by the selected
-algorithm/backend in a worker process.  Subproblems are X-set-aware by
-default — each worker seeds its engine's exclusion set from the degeneracy
-order so no branch is explored twice across workers (``x_aware=False``
-restores the enumerate-then-filter decomposition).  Results merge
-deterministically, so every ``n_jobs`` value yields the identical clique
-stream; ``n_jobs=1`` runs the same partitioned pipeline in-process and
-``n_jobs=None`` (the default) is the classic single-process path.
+splits into per-vertex subproblems packed into one cost-balanced chunk
+per worker (``steal=True``: many small chunks handed out dynamically),
+each solved by the selected algorithm/backend in a worker process.
+Subproblems are X-set-aware — each worker seeds its engine's exclusion
+set from the degeneracy order so no branch is explored twice across
+workers.  Results merge deterministically, so every ``n_jobs`` value
+yields the identical clique stream; ``n_jobs=1`` runs the same
+partitioned pipeline in-process and ``n_jobs=None`` (the default) is the
+classic single-process path.
 
 Each entry point turns its keywords into one :class:`repro.config.RunConfig`
 for the same serial/parallel branch, and :meth:`RunConfig.validate` checks
 it before any work: :class:`UnknownAlgorithmError` for an unregistered
 algorithm, :class:`InvalidParameterError` for any other bad knob — an
 option the runner does not take (``et_threshold`` on ``reverse-search``),
-a wrong type or range, a scheduling knob without ``n_jobs``.
+a wrong type or range, ``steal`` without ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -227,10 +227,6 @@ def enumerate_to_sink(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
-    x_aware: bool | None = None,
     steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
@@ -243,16 +239,13 @@ def enumerate_to_sink(
     across N worker processes (see :mod:`repro.parallel`); the stream
     order is deterministic — degeneracy-position order of the subproblem,
     canonical within each subproblem — independent of worker scheduling.
-    Parallel subproblems are X-set-aware by default; ``x_aware=False``
-    restores the enumerate-then-filter decomposition.
 
     ``trace=`` takes a :class:`repro.obs.Tracer`: the run contributes its
     spans (serial — one ``enumerate`` span; parallel — the full
     decompose/pack/ship/chunk/merge pipeline) and the paper counters land
     on the trace root.
     """
-    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
-                       cost_model, chunks_per_worker, x_aware, steal)
+    config = RunConfig(algorithm, options, n_jobs, steal)
     return _run(g, config, trace, sink, "callback")[0]
 
 
@@ -301,10 +294,6 @@ def maximal_cliques(
     algorithm: str = DEFAULT_ALGORITHM,
     sort: bool = True,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
-    x_aware: bool | None = None,
     steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
@@ -322,8 +311,7 @@ def maximal_cliques(
     concatenates the per-subproblem runs and, with ``sort=True``, merges
     them with one sort of the list.
     """
-    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
-                       cost_model, chunks_per_worker, x_aware, steal)
+    config = RunConfig(algorithm, options, n_jobs, steal)
     collector = CliqueCollector()
     _, merged = _run(g, config, trace, collector, "collect", canonical=sort)
     if merged is None:
@@ -339,10 +327,6 @@ def count_maximal_cliques(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
-    x_aware: bool | None = None,
     steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
@@ -357,12 +341,10 @@ def count_maximal_cliques(
     per subproblem.  Two tiers still build each subproblem's clique list
     worker-side before compressing it: the pure edge-oriented family
     (``ebbmc``, ``ebbmc++``), solved on a compact relabelled graph, and
-    the enumerate-then-filter path (``x_aware=False``, and
-    ``reverse-search``, which cannot seed an exclusion set).  Only the
-    triples cross the process boundary either way.
+    ``reverse-search``, which cannot seed an exclusion set and filters
+    instead.  Only the triples cross the process boundary either way.
     """
-    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
-                       cost_model, chunks_per_worker, x_aware, steal)
+    config = RunConfig(algorithm, options, n_jobs, steal)
     return _count(g, config, trace)[1]
 
 
@@ -378,10 +360,6 @@ def run_with_report(
     *,
     algorithm: str = DEFAULT_ALGORITHM,
     n_jobs: int | None = None,
-    chunk_strategy: str | None = None,
-    cost_model: str | None = None,
-    chunks_per_worker: int | None = None,
-    x_aware: bool | None = None,
     steal: bool | None = None,
     trace: Tracer | None = None,
     **options,
@@ -393,8 +371,7 @@ def run_with_report(
     never the cliques themselves.
     """
     start = time.perf_counter()
-    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
-                       cost_model, chunks_per_worker, x_aware, steal)
+    config = RunConfig(algorithm, options, n_jobs, steal)
     counters, count = _count(g, config, trace)
     return RunReport(
         algorithm=algorithm,

@@ -29,13 +29,7 @@ from repro.exceptions import (
     UnknownAlgorithmError,
 )
 from repro.graph.bitadj import BIT_ORDERS
-from repro.parallel import (
-    CHUNK_STRATEGIES,
-    COST_MODELS,
-    DEFAULT_CHUNK_STRATEGY,
-    DEFAULT_COST_MODEL,
-    parse_jobs,
-)
+from repro.parallel import parse_jobs
 from repro.graph.adjacency import Graph
 from repro.graph.generators import DATASET_NAMES, load_dataset, paper_stats
 from repro.graph.io import load_graph
@@ -80,38 +74,16 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help="bitmask packing for --backend bitset: "
                              "'degeneracy' (default; dense core in the low "
                              "mask words) or 'input' (vertex id = bit id)")
-    _add_pool_arguments(
-        parser, "worker processes for the degeneracy-partitioned parallel "
-                "pool (positive integer; default: classic single-process "
-                "run; 1 = partitioned pipeline without subprocesses); the "
-                "other pool flags require it")
-    parser.add_argument("--no-x-aware", action="store_true",
-                        help="disable X-set-aware subproblems: enumerate "
-                             "each subproblem fully, then filter duplicated "
-                             "cliques (requires --jobs; default: X-aware)")
+    parser.add_argument("--jobs", metavar="N", default=None,
+                        help="worker processes for the degeneracy-"
+                             "partitioned parallel pool (positive integer; "
+                             "default: classic single-process run; 1 = "
+                             "partitioned pipeline without subprocesses)")
     parser.add_argument("--steal", action="store_true",
                         help="work-stealing schedule: many small chunks "
                              "dispatched dynamically, cost outliers re-split "
                              "at their root (requires --jobs; default: "
                              "static chunking)")
-
-
-def _add_pool_arguments(parser: argparse.ArgumentParser,
-                        jobs_help: str) -> None:
-    """The worker-pool flags the graph commands and ``serve`` share."""
-    parser.add_argument("--jobs", metavar="N", default=None, help=jobs_help)
-    parser.add_argument("--chunk-strategy", metavar="NAME", default=None,
-                        help="how subproblems are packed into worker chunks: "
-                             f"{', '.join(CHUNK_STRATEGIES)} (default: "
-                             f"{DEFAULT_CHUNK_STRATEGY})")
-    parser.add_argument("--cost-model", metavar="NAME", default=None,
-                        help="subproblem cost estimate driving the chunk "
-                             f"packing: {', '.join(COST_MODELS)} (default: "
-                             f"{DEFAULT_COST_MODEL})")
-    parser.add_argument("--chunks-per-worker", type=int, default=None,
-                        metavar="K",
-                        help="cut K cost-balanced chunks per worker instead "
-                             "of 1 (finer-grained stealing)")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -123,9 +95,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         args.algorithm, options,
         n_jobs=None if args.jobs is None else parse_jobs(args.jobs),
-        chunk_strategy=args.chunk_strategy, cost_model=args.cost_model,
-        chunks_per_worker=args.chunks_per_worker,
-        x_aware=False if args.no_x_aware else None,
         steal=True if args.steal else None,
     )
 
@@ -133,11 +102,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
 #: The library's knob names as the flags that set them: an error reads in
 #: the spelling the user typed.  Only a knob the message is about is
 #: renamed — its subject, or what it requires — never a word of a path.
-_FLAGS = {"n_jobs": "--jobs", "chunk_strategy": "--chunk-strategy",
-          "cost_model": "--cost-model",
-          "chunks_per_worker": "--chunks-per-worker",
-          "x_aware": "--no-x-aware", "steal": "--steal",
-          "bit_order": "--bit-order"}
+_FLAGS = {"n_jobs": "--jobs", "steal": "--steal", "bit_order": "--bit-order"}
 _FLAG_NAMES = re.compile(
     r"(?:^|(?<=requires ))(" + "|".join(_FLAGS) + r")\b")
 
@@ -283,13 +248,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             "--format applies to --graph files; none were given"
         )
-    service = CliqueService(
-        n_jobs=n_jobs,
-        chunk_strategy=args.chunk_strategy or DEFAULT_CHUNK_STRATEGY,
-        cost_model=args.cost_model or DEFAULT_COST_MODEL,
-        chunks_per_worker=args.chunks_per_worker
-        if args.chunks_per_worker is not None else 1,
-    )
+    service = CliqueService(n_jobs=n_jobs)
     metrics_server = None
     try:
         for code in args.dataset or []:
@@ -391,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", type=int, default=None, metavar="PORT",
                    help="also serve Prometheus text metrics over HTTP on "
                         "this port (0 = ephemeral, announced on stderr)")
-    _add_pool_arguments(p, "worker processes for the warm pool (positive "
-                           "integer; default: 1 = in-process)")
+    p.add_argument("--jobs", metavar="N", default=None,
+                   help="worker processes for the warm pool (positive "
+                        "integer; default: 1 = in-process)")
     p.add_argument("--dataset", action="append", metavar="CODE",
                    help="pre-register a bundled dataset (repeatable)")
     p.add_argument("--graph", action="append", metavar="FILE",

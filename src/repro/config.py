@@ -17,33 +17,14 @@ from repro.graph.adjacency import Graph
 #: the picklesafety checker can verify what crosses the process boundary.
 OptionValue = str | int | float | bool | None | list[int] | tuple[int, ...]
 
-#: the fields that only mean something on the parallel path.
-_SCHEDULING = ("chunk_strategy", "cost_model", "chunks_per_worker",
-               "x_aware", "steal")
-
-
-def _positive_int(name: str, value: object) -> int:
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
-        return value
-    raise InvalidParameterError(
-        f"{name} must be a positive integer, got {value!r}"
-    )
-
-
-def _choice(what: str, value: str | None, choices: tuple[str, ...],
-            default: str) -> str:
-    if value is None:
-        return default
-    if value not in choices:
-        raise InvalidParameterError(
-            f"unknown {what} {value!r}; expected one of {choices}"
-        )
-    return value
-
-
 def validate_n_jobs(n_jobs: object) -> int:
     """``n_jobs`` must be a positive ``int`` (bools are rejected too)."""
-    return _positive_int("n_jobs", n_jobs)
+    if isinstance(n_jobs, int) and not isinstance(n_jobs, bool) \
+            and n_jobs >= 1:
+        return n_jobs
+    raise InvalidParameterError(
+        f"n_jobs must be a positive integer, got {n_jobs!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -54,19 +35,16 @@ class RunConfig:
     ``et_threshold``, ``graph_reduction`` and the rest of its keyword
     parameters.  ``n_jobs=None`` is the classic single-process run.  With
     ``n_jobs`` the run is partitioned over the worker pool
-    (:mod:`repro.parallel`), and ``chunk_strategy``, ``cost_model``,
-    ``chunks_per_worker``, ``x_aware`` and ``steal`` shape its schedule.
-    A scheduling field left ``None`` was not given: without ``n_jobs`` it
-    must stay so, and with ``n_jobs`` the pool's default fills it in.
+    (:mod:`repro.parallel`) on one schedule: X-aware subproblems packed
+    by their edge cost into one chunk per worker, or with ``steal=True``
+    the work-stealing plan.  ``steal`` left ``None`` was not given:
+    without ``n_jobs`` it must stay so, and with ``n_jobs`` it means
+    ``False``.
     """
 
     algorithm: str
     options: dict[str, OptionValue] = field(default_factory=dict)
     n_jobs: int | None = None
-    chunk_strategy: str | None = None
-    cost_model: str | None = None
-    chunks_per_worker: int | None = None
-    x_aware: bool | None = None
     steal: bool | None = None
 
     def validate(self, g: Graph) -> RunConfig:
@@ -90,38 +68,19 @@ class RunConfig:
                 f"{', '.join(unknown)}; it takes "
                 f"{', '.join(sorted(spec.option_names))}"
             )
-        for name in ("x_aware", "steal"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, bool):
-                raise InvalidParameterError(
-                    f"{name} must be a bool, got {value!r}"
-                )
+        if self.steal is not None and not isinstance(self.steal, bool):
+            raise InvalidParameterError(
+                f"steal must be a bool, got {self.steal!r}"
+            )
         if self.n_jobs is None:
-            given = [name for name in _SCHEDULING
-                     if getattr(self, name) is not None]
-            if given:
+            if self.steal is not None:
                 raise InvalidParameterError(
-                    f"{given[0]} requires n_jobs (the parallel path)"
+                    "steal requires n_jobs (the parallel path)"
                 )
             return self
 
-        from repro.parallel.decompose import COST_MODELS, DEFAULT_COST_MODEL
-        from repro.parallel.scheduler import (
-            CHUNK_STRATEGIES,
-            DEFAULT_CHUNK_STRATEGY,
-        )
-
-        resolved = replace(
-            self, n_jobs=validate_n_jobs(self.n_jobs),
-            chunk_strategy=_choice("chunk strategy", self.chunk_strategy,
-                                   CHUNK_STRATEGIES, DEFAULT_CHUNK_STRATEGY),
-            cost_model=_choice("cost model", self.cost_model, COST_MODELS,
-                               DEFAULT_COST_MODEL),
-            chunks_per_worker=1 if self.chunks_per_worker is None
-            else _positive_int("chunks_per_worker", self.chunks_per_worker),
-            x_aware=self.x_aware is not False,
-            steal=self.steal is True,
-        )
+        resolved = replace(self, n_jobs=validate_n_jobs(self.n_jobs),
+                           steal=self.steal is True)
         if "initial_x" in self.options:
             raise InvalidParameterError(
                 "initial_x cannot be combined with n_jobs; the "

@@ -44,5 +44,6 @@ class WorkerPoolError(ReproError):
     A worker that dies mid-task has its task rerun once on a replacement;
     this error ends the request when the same task is lost a second time,
     or when a worker dies while a new graph state is being shipped (the
-    state itself may be what killed it).  The pool is closed by then.
+    state itself may be what killed it).  The pool's workers are stopped
+    by then; its next request starts fresh ones.
     """

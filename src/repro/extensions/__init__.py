@@ -3,9 +3,6 @@
 * :mod:`repro.extensions.filtered` — the Section V-A remark: directed or
   weighted inputs are handled by enumerating on the underlying simple graph
   and filtering cliques by user-defined conditions.
-* :mod:`repro.extensions.partition` — the edge-level branch partition that
-  makes HBBMC embarrassingly parallel (Section VI's parallel-MCE family):
-  top-level branches can be enumerated independently and disjointly.
 * :mod:`repro.extensions.maximum` — maximum clique / clique number on top
   of the enumeration engines.
 """
@@ -15,16 +12,10 @@ from repro.extensions.filtered import (
     weighted_maximal_cliques,
 )
 from repro.extensions.maximum import clique_number, maximum_clique
-from repro.extensions.partition import (
-    enumerate_chunk,
-    partition_work,
-)
 
 __all__ = [
     "clique_number",
     "directed_maximal_cliques",
-    "enumerate_chunk",
     "maximum_clique",
-    "partition_work",
     "weighted_maximal_cliques",
 ]

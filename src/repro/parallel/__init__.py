@@ -5,7 +5,7 @@ subproblems along a degeneracy ordering (:mod:`repro.parallel.decompose`),
 each carrying both its candidate set (later neighbours) and its seeded
 exclusion set (earlier neighbours) so the per-subproblem clique streams
 are pairwise disjoint and no branch is explored twice across workers;
-a cost model packs them into balanced chunks
+LPT packing by their edge cost cuts one balanced chunk per worker
 (:mod:`repro.parallel.scheduler`); owned worker processes, one pipe
 each, solve each chunk with any registered algorithm/backend
 (:mod:`repro.parallel.pool`); and pluggable aggregators merge the streams
@@ -30,8 +30,6 @@ from repro.parallel.aggregate import (
     CountAggregator,
 )
 from repro.parallel.decompose import (
-    COST_MODELS,
-    DEFAULT_COST_MODEL,
     Decomposition,
     Subproblem,
     decompose,
@@ -49,8 +47,6 @@ from repro.parallel.pool import (
     run_parallel,
 )
 from repro.parallel.scheduler import (
-    CHUNK_STRATEGIES,
-    DEFAULT_CHUNK_STRATEGY,
     Chunk,
     StealPlan,
     balance_ratio,
@@ -67,8 +63,6 @@ __all__ = [
     "ChunkResult",
     "CollectAggregator",
     "CountAggregator",
-    "COST_MODELS",
-    "DEFAULT_COST_MODEL",
     "Decomposition",
     "Subproblem",
     "decompose",
@@ -83,8 +77,6 @@ __all__ = [
     "plan_steal_schedule",
     "run_parallel",
     "validate_n_jobs",
-    "CHUNK_STRATEGIES",
-    "DEFAULT_CHUNK_STRATEGY",
     "Chunk",
     "StealPlan",
     "balance_ratio",

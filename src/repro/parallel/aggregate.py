@@ -11,7 +11,7 @@ Three sinks cover the API surface:
 * :class:`CountAggregator` — O(1) memory; workers ship per-subproblem
   ``(count, max_size, total_vertices)`` triples only.  On the in-place
   tier (every hybrid and vertex algorithm) the workers never build the
-  cliques either; the compact edge-family graph and the ``x_aware=False``
+  cliques either; the compact edge-family graph and ``reverse-search``'s
   filter build each subproblem's list worker-side and compress it with
   :func:`count_payload`.
 * :class:`CollectAggregator` — keeps one list per position and returns
@@ -219,7 +219,7 @@ def count_payload(cliques: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:
     """Compress a subproblem's cliques into the count-mode triple.
 
     Only the tiers that must build a subproblem's cliques anyway use this:
-    the compact edge-family graph and the ``x_aware=False`` filter.
+    the compact edge-family graph and ``reverse-search``'s filter.
     """
     count = 0
     max_size = 0

@@ -17,17 +17,20 @@ solve on a compact induced subgraph — which is what makes the
 decomposition the natural unit of parallel work (Das et al., ParMCE).
 
 This module extracts the subproblems, attaches a per-subproblem *cost
-estimate* used by :mod:`repro.parallel.scheduler` to pack balanced chunks,
-and solves them: :class:`InPlaceRunner` runs the in-place tier, one
+estimate* (the edges of ``G[later(v)]`` plus ``|later(v)| + 1``) used by
+:mod:`repro.parallel.scheduler` to pack balanced chunks, and solves
+them: :class:`InPlaceRunner` runs the in-place tier, one
 engine context per chunk, and :func:`solve_subproblem` solves any one
 subproblem on any tier.  The in-process fallback and the worker
 processes execute the same code.
 
-Subproblems are *X-set-aware* by default: the earlier neighbours of ``v``
-are seeded into the engine's exclusion set (``initial_x``), so branches
-owned by earlier subproblems die inside the recursion instead of being
+Subproblems are *X-set-aware*: the earlier neighbours of ``v`` are
+seeded into the engine's exclusion set (``initial_x``), so branches owned
+by earlier subproblems die inside the recursion instead of being
 enumerated and filtered afterwards — the duplicated-branch work that made
-the naive decomposition's total CPU 1.5–3× the serial run.
+the naive decomposition's total CPU 1.5–3× the serial run.  Only an
+algorithm that cannot seed an exclusion set (``reverse-search``) still
+enumerates and filters.
 """
 
 from __future__ import annotations
@@ -43,11 +46,6 @@ from repro.graph.adjacency import Graph
 from repro.graph.bitadj import DEFAULT_BIT_ORDER, BitGraph, iter_bits
 from repro.graph.coreness import core_decomposition
 from repro.parallel.aggregate import Payload, count_payload
-
-COST_MODELS = ("uniform", "candidates", "edges", "triangles")
-
-DEFAULT_COST_MODEL = "edges"
-
 
 @dataclass(frozen=True)
 class Subproblem:
@@ -95,60 +93,25 @@ def subproblem_sets(
     return later, earlier
 
 
-def _estimate_cost(g: Graph, later: set[int], model: str) -> float:
-    """Estimated enumeration cost of one subproblem.
-
-    * ``uniform`` — every subproblem weighs 1 (no balancing signal).
-    * ``candidates`` — ``|later|``: linear proxy, free to compute.
-    * ``edges`` — edges of ``G[later]`` plus ``|later| + 1``: quadratic
-      proxy tracking candidate-graph density (the default).
-    * ``triangles`` — triangles of ``G[later]`` plus the edge cost: cubic
-      proxy, closest to branch-tree size but the most expensive estimate.
-    """
-    if model == "uniform":
-        return 1.0
-    size = len(later)
-    if model == "candidates":
-        return float(size + 1)
+def _estimate_cost(g: Graph, later: set[int]) -> float:
+    """Estimated enumeration cost of one subproblem: the edges of
+    ``G[later]`` plus ``|later| + 1``, a quadratic proxy tracking
+    candidate-graph density."""
     adj = g.adj
-    inner = [adj[w] & later for w in later]
-    edges = sum(len(s) for s in inner) // 2
-    if model == "edges":
-        return float(edges + size + 1)
-    # triangles: every triangle of G[later] is counted once per corner.
-    by_vertex = dict(zip(later, inner))
-    triangles = 0
-    for w, nbrs in by_vertex.items():
-        for x in nbrs:
-            triangles += len(nbrs & by_vertex[x])
-    return float(triangles // 6 + edges + size + 1)
+    edges = sum(len(adj[w] & later) for w in later) // 2
+    return float(edges + len(later) + 1)
 
 
-def _estimate_mask_cost(masks: list[int], later: int, model: str) -> float:
-    """:func:`_estimate_cost` with ``later`` a bit mask over ``masks``.
-
-    Every model counts the same quantities by popcount, so each value
-    equals the set computation exactly.
-    """
-    if model == "uniform":
-        return 1.0
-    size = later.bit_count()
-    if model == "candidates":
-        return float(size + 1)
-    if model == "edges":
-        # The default model's loop, kept free of per-row storage.
-        degrees = 0
-        rest = later
-        while rest:
-            low = rest & -rest
-            degrees += (masks[low.bit_length() - 1] & later).bit_count()
-            rest ^= low
-        return float(degrees // 2 + size + 1)
-    rows = {b: masks[b] & later for b in iter_bits(later)}
-    edges = sum(row.bit_count() for row in rows.values()) // 2
-    triangles = sum((row & rows[x]).bit_count()
-                    for row in rows.values() for x in iter_bits(row))
-    return float(triangles // 6 + edges + size + 1)
+def _estimate_mask_cost(masks: list[int], later: int) -> float:
+    """:func:`_estimate_cost` with ``later`` a bit mask over ``masks``,
+    counted by popcount: the same value as the set computation."""
+    degrees = 0
+    rest = later
+    while rest:
+        low = rest & -rest
+        degrees += (masks[low.bit_length() - 1] & later).bit_count()
+        rest ^= low
+    return float(degrees // 2 + later.bit_count() + 1)
 
 
 def packs_by_position(bg: BitGraph, position: list[int]) -> bool:
@@ -161,8 +124,8 @@ def packs_by_position(bg: BitGraph, position: list[int]) -> bool:
         and set(map(operator.add, bg.bit_of, position)) <= {bg.n - 1}
 
 
-def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
-              core=None, bit_graph: BitGraph | None = None) -> Decomposition:
+def decompose(g: Graph, *, core=None,
+              bit_graph: BitGraph | None = None) -> Decomposition:
     """Partition the root level of the search into per-vertex subproblems.
 
     ``core`` optionally supplies an already-computed
@@ -175,16 +138,12 @@ def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
     for that order (see :func:`packs_by_position`).  ``run_parallel``
     builds it in the parent for the requests whose workers read it, and
     the service registry builds it at registration.  With the view, the
-    cost models read ``later(v)`` as ``masks[b] & ((1 << b) - 1)`` for
-    ``b = n - 1 - position[v]`` and count by popcount.  Without one they
-    use vertex sets and build no masks: a view costs about ``n**2 / 8``
+    cost estimate reads ``later(v)`` as ``masks[b] & ((1 << b) - 1)`` for
+    ``b = n - 1 - position[v]`` and counts by popcount.  Without one it
+    uses vertex sets and builds no masks: a view costs about ``n**2 / 8``
     bytes, too much to build for a cost estimate on a large sparse graph.
     Both give the same costs, so the chunk packing does not depend on it.
     """
-    if cost_model not in COST_MODELS:
-        raise InvalidParameterError(
-            f"unknown cost model {cost_model!r}; expected one of {COST_MODELS}"
-        )
     if core is None:
         core = core_decomposition(g)
     order, position = core.order, core.position
@@ -199,12 +158,11 @@ def decompose(g: Graph, *, cost_model: str = DEFAULT_COST_MODEL,
     for p, v in enumerate(order):
         if bit_graph is None:
             later, _ = subproblem_sets(g, position, v)
-            cost = _estimate_cost(g, later, cost_model)
+            cost = _estimate_cost(g, later)
         else:
             b = last - p
-            cost = _estimate_mask_cost(
-                bit_graph.masks, bit_graph.masks[b] & ((1 << b) - 1),
-                cost_model)
+            cost = _estimate_mask_cost(bit_graph.masks,
+                                       bit_graph.masks[b] & ((1 << b) - 1))
         subproblems.append(Subproblem(position=p, vertex=v, cost=cost))
         total += cost
     return Decomposition(
@@ -495,16 +453,15 @@ def solve_subproblem(
     *,
     algorithm: str,
     options: dict,
-    x_aware: bool = True,
     bit_graph: BitGraph | None = None,
     mode: str = "collect",
-) -> tuple[Payload, Counters, int]:
+) -> tuple[Payload, Counters]:
     """Enumerate the maximal cliques of ``G`` whose earliest member is ``v``.
 
-    With ``x_aware=True`` (the default) the subproblem's exclusion set is
-    seeded from ``earlier(v)``, so branches that an earlier subproblem
-    owns are pruned *inside* the recursion — no duplicated-branch work,
-    nothing to filter afterwards.  Two X-aware execution tiers exist:
+    The subproblem's exclusion set is seeded from ``earlier(v)``, so
+    branches that an earlier subproblem owns are pruned *inside* the
+    recursion — no duplicated-branch work, nothing to filter afterwards.
+    Two such execution tiers exist:
 
     * algorithms declaring :attr:`AlgorithmSpec.subproblem_phase` (the
       whole hybrid/vertex family) run their vertex phase in place on the
@@ -517,40 +474,36 @@ def solve_subproblem(
     * the pure edge-oriented family runs the registered framework on a
       compact branch graph over ``N(v)`` with ``initial_x`` seeded.
 
-    Algorithms that cannot seed an exclusion set (per
-    ``AlgorithmSpec.supports_initial_x``) fall back to the filtering path.
+    An algorithm that cannot seed an exclusion set (per
+    ``AlgorithmSpec.supports_initial_x``: ``reverse-search``) enumerates
+    all of ``G[later(v)]`` instead, and every candidate extendable by an
+    earlier neighbour of ``v`` is dropped afterwards (those cliques belong
+    to — and are found from — an earlier subproblem); the drops count
+    under ``counters.suppressed_candidates``.
 
-    With ``x_aware=False`` the algorithm enumerates all of ``G[later(v)]``
-    and every candidate extendable by an earlier neighbour of ``v`` is
-    dropped afterwards (those cliques belong to — and are found from — an
-    earlier subproblem).
-
-    Returns ``(payload, counters, dropped)``.  In ``"collect"`` mode the
-    payload is the clique list, emitted canonically (each tuple ascending,
-    list sorted) so the stream is deterministic regardless of backend scan
+    Returns ``(payload, counters)``.  In ``"collect"`` mode the payload is
+    the clique list, emitted canonically (each tuple ascending, list
+    sorted) so the stream is deterministic regardless of backend scan
     order.  In ``"count"`` mode it is the ``(count, max_size,
     total_vertices)`` triple: the in-place tier counts without building a
-    single clique, while the compact-graph tier and the ``x_aware=False``
-    filter still build the subproblem's clique list (their cliques must be
-    relabelled or filtered) and compress it with :func:`count_payload`.
-    ``dropped`` counts the candidates rejected by the earlier-neighbour
-    maximality filter (always 0 on the X-aware paths).
+    single clique, while the compact-graph tier and the filter still build
+    the subproblem's clique list (their cliques must be relabelled or
+    filtered) and compress it with :func:`count_payload`.
     """
     from repro.api import enumerate_to_sink, get_algorithm  # deferred: api imports us lazily
 
     later, earlier = subproblem_sets(g, position, v)
     if not later:
         cliques = _lone_root(v, earlier)
-        return _payload(cliques, mode), Counters(emitted=len(cliques)), 0
+        return _payload(cliques, mode), Counters(emitted=len(cliques))
 
-    spec = get_algorithm(algorithm)
-    if x_aware and uses_in_place_phase(algorithm, options):
+    if uses_in_place_phase(algorithm, options):
         runner = InPlaceRunner(g, position, algorithm=algorithm,
                                options=options, bit_graph=bit_graph,
                                mode=mode)
-        return runner.subproblem(v), runner.counters, 0
+        return runner.subproblem(v), runner.counters
 
-    if x_aware and spec.supports_initial_x:
+    if get_algorithm(algorithm).supports_initial_x:
         sub, old_ids, x_local = _subproblem_graph(g, later, earlier)
         collector = CliqueCollector()
         counters = enumerate_to_sink(sub, collector, algorithm=algorithm,
@@ -561,16 +514,15 @@ def solve_subproblem(
             for local in collector.cliques
         )
         counters.emitted = len(cliques)
-        return _payload(cliques, mode), counters, 0
+        return _payload(cliques, mode), counters
 
     sub, old_ids = g.induced_subgraph(later)
     collector = CliqueCollector()
     counters = enumerate_to_sink(sub, collector, algorithm=algorithm,
-                                 **_subgraph_options(options, old_ids))
+                                 **options)
 
     adj = g.adj
     cliques: list[tuple[int, ...]] = []
-    dropped = 0
     for local in collector.cliques:
         members = [old_ids[u] for u in local]
         # {v} | members extends iff some earlier neighbour of v is adjacent
@@ -581,7 +533,7 @@ def solve_subproblem(
             if not witnesses:
                 break
         if witnesses:
-            dropped += 1
+            counters.suppressed_candidates += 1
             continue
         cliques.append(tuple(sorted([v, *members])))
     cliques.sort()
@@ -591,5 +543,4 @@ def solve_subproblem(
     # global answer; filtered candidates are accounted as suppressed, the
     # same bookkeeping graph reduction uses for its shadowed cliques.
     counters.emitted = len(cliques)
-    counters.suppressed_candidates += dropped
-    return _payload(cliques, mode), counters, dropped
+    return _payload(cliques, mode), counters

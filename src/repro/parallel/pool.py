@@ -55,7 +55,6 @@ from repro.parallel.aggregate import (
     merge_payloads,
 )
 from repro.parallel.decompose import (
-    DEFAULT_COST_MODEL,
     Decomposition,
     InPlaceRunner,
     Subproblem,
@@ -65,7 +64,6 @@ from repro.parallel.decompose import (
     uses_in_place_phase,
 )
 from repro.parallel.scheduler import (
-    DEFAULT_CHUNK_STRATEGY,
     STEAL_CHUNK_FACTOR,
     Chunk,
     balance_ratio,
@@ -165,10 +163,7 @@ class ParallelStats:
     n_jobs: int = 0
     n_subproblems: int = 0
     n_chunks: int = 0
-    chunk_strategy: str = ""
-    cost_model: str = ""
     start_method: str = ""
-    x_aware: bool = True
     steal: bool = False
     #: tasks sent past the initial dispatch window.
     steals: int = 0
@@ -218,8 +213,7 @@ def parse_jobs(text: str) -> int:
 
 def _in_place(config: RunConfig) -> bool:
     """Whether a request's subproblems run on the in-place tier."""
-    return config.x_aware is not False \
-        and uses_in_place_phase(config.algorithm, config.options)
+    return uses_in_place_phase(config.algorithm, config.options)
 
 
 def _runner(graph_state: GraphState, config: RunConfig,
@@ -301,10 +295,10 @@ def _solve_chunk(
         items = []
         counters = Counters()
         for p in chunk.positions:
-            payload, sub_counters, _ = solve_subproblem(
+            payload, sub_counters = solve_subproblem(
                 graph_state.graph, graph_state.position, order[p],
                 algorithm=config.algorithm, options=config.options,
-                x_aware=config.x_aware is not False, mode=mode,
+                mode=mode,
             )
             counters.merge(sub_counters)
             items.append((p, payload))
@@ -410,7 +404,7 @@ def _reap(worker: _Worker) -> None:
 class SplitTask:
     """One part of a re-split subproblem.
 
-    A cost-model outlier is split at its own root level: for root ``v``
+    A cost outlier is split at its own root level: for root ``v``
     with candidates ``w_0 < w_1 < ...`` (degeneracy-position order), the
     branch of ``w_i`` is the X-aware subproblem one level down (``S = {v,
     w_i}``, the later co-neighbours as candidates, the earlier ones as
@@ -431,9 +425,9 @@ class SplitTask:
 def mark_resplit(g: Graph, decomposition: Decomposition) -> list[int]:
     """Subproblem positions steal mode re-splits at their own root.
 
-    Pure cost-model arithmetic, deterministic across ``n_jobs`` and
-    repeats; fewer than ``_MIN_RESPLIT_CANDIDATES`` root candidates are
-    never split.  Eligibility (the in-place X-aware tier) is the caller's.
+    Pure cost arithmetic, deterministic across ``n_jobs`` and repeats;
+    fewer than ``_MIN_RESPLIT_CANDIDATES`` root candidates are never
+    split.  Eligibility (the in-place tier) is the caller's.
     """
     threshold = resplit_threshold([s.cost for s in decomposition.subproblems])
     marked: list[int] = []
@@ -453,10 +447,10 @@ def _plan_splits(
 ) -> list[SplitTask]:
     """Cut each marked subproblem's root branches into balanced parts.
 
-    Per-branch cost is ``|C_w| + 1`` (the ``candidates`` cost model's
-    linear proxy).  Branches pack LPT into up to ``n_jobs *
-    STEAL_CHUNK_FACTOR`` parts per subproblem, ordered largest-first for
-    the *front* of the dispatch queue, ahead of the ordinary chunks.
+    Per-branch cost is ``|C_w| + 1``, a linear proxy.  Branches pack LPT
+    into up to ``n_jobs * STEAL_CHUNK_FACTOR`` parts per subproblem,
+    ordered largest-first for the *front* of the dispatch queue, ahead of
+    the ordinary chunks.
     """
     position, order, adj = decomposition.position, decomposition.order, g.adj
     splits: list[SplitTask] = []
@@ -474,7 +468,7 @@ def _plan_splits(
             for i, w in enumerate(cands)
         ]
         parts = min(len(cands), max(2, n_jobs * STEAL_CHUNK_FACTOR))
-        packed = sorted(make_chunks(branch_subs, parts, strategy="greedy"),
+        packed = sorted(make_chunks(branch_subs, parts),
                         key=lambda c: (-c.cost, c.index))
         for part, chunk in enumerate(packed):
             splits.append(SplitTask(
@@ -487,30 +481,24 @@ def _plan_splits(
 
 
 def plan_steal_schedule(
-    g: Graph, decomposition: Decomposition, n_jobs: int,
-    chunks_per_worker: int, *, strategy: str = DEFAULT_CHUNK_STRATEGY,
+    g: Graph, decomposition: Decomposition, n_jobs: int, *,
     resplit_ok: bool = True,
 ) -> tuple[list[Chunk], list[SplitTask], int]:
     """The full steal-mode schedule for one decomposition.
 
-    Marks cost outliers (when ``resplit_ok``: the in-place X-aware tier),
-    packs the rest into small chunks in dispatch order, and cuts the
-    marked subproblems into split tasks.  Returns ``(chunks, splits,
+    Marks cost outliers (when ``resplit_ok``: the in-place tier), packs
+    the rest into small chunks in dispatch order, and cuts the marked
+    subproblems into split tasks.  Returns ``(chunks, splits,
     requested)``, ``requested`` being the chunk count the packing aimed
     for (the :func:`balance_ratio` denominator).  A pure function, so the
-    service registry caches it per (graph, knobs) pair.
+    service registry caches it per (graph, pool size, tier).
     """
     resplit = mark_resplit(g, decomposition) if resplit_ok else []
-    plan = plan_steal(
-        decomposition.subproblems, n_jobs, chunks_per_worker,
-        strategy=strategy, resplit=resplit,
-    )
+    plan = plan_steal(decomposition.subproblems, n_jobs, resplit=resplit)
     splits = _plan_splits(g, decomposition, plan.resplit, n_jobs,
                           len(plan.chunks))
     requested = steal_chunk_count(
-        len(decomposition.subproblems) - len(plan.resplit),
-        n_jobs, chunks_per_worker,
-    )
+        len(decomposition.subproblems) - len(plan.resplit), n_jobs)
     return plan.chunks, splits, requested
 
 
@@ -605,12 +593,15 @@ class WorkerPool:
     duplex pipe; the submitting thread sends the tasks and reads the
     results itself.  A worker that dies mid-task is replaced and its task
     rerun once; a second loss of that task, or a death while a state
-    ships, closes the pool with :class:`WorkerPoolError`.  There is no
-    deadline yet: a hung worker holds its submit.
+    ships, ends the submit with :class:`WorkerPoolError` and stops every
+    worker.  The pool stays usable: the next submit starts fresh workers
+    holding every state shipped so far.  Only :meth:`close` is terminal.
+    There is no deadline yet: a hung worker holds its submit.
 
-    Observability: :attr:`spinups` counts pool starts (0 or 1 over a
-    pool's life), :attr:`graph_ships` states sent to a live pool — both
-    flat across warm repeats — and :attr:`respawns` replaced workers.
+    Observability: :attr:`spinups` counts pool starts (one, plus one per
+    submit after a :class:`WorkerPoolError`), :attr:`graph_ships` states
+    sent to a live pool — both flat across warm repeats — and
+    :attr:`respawns` replaced workers.
     """
 
     def __init__(self, n_jobs: int, *, warm: bool = False) -> None:
@@ -756,7 +747,7 @@ class WorkerPool:
 
     def _ship(self, key: str, graph_state: GraphState) -> None:
         """Send a new graph state down every worker's pipe; await the acks.
-        A death here may be the state's doing, so the pool closes with
+        A death here may be the state's doing, so the workers stop with
         :class:`WorkerPoolError` instead of retrying."""
         waiting = list(self._workers)
         try:
@@ -768,7 +759,7 @@ class WorkerPool:
                     if _receive(w) is None:
                         raise OSError(f"{w.process.name} died")
         except BaseException as exc:
-            self.close()
+            self._stop()
             if isinstance(exc, OSError):
                 raise WorkerPoolError(f"a worker died while graph state "
                                       f"{key!r} shipped") from exc
@@ -789,7 +780,7 @@ class WorkerPool:
         deterministic and results keyed by position, so nothing doubles.
         A task that raised is re-raised once the tasks in flight are
         back, leaving no stale reply in a pipe; any other failure kills
-        the busy workers and closes the pool.
+        the busy workers and stops the rest.
         """
         queue = deque(range(len(tasks)))
         window = min(len(self._workers), len(tasks))
@@ -842,21 +833,26 @@ class WorkerPool:
         except BaseException:
             for w in busy:
                 w.process.kill()
-            self.close()
+            self._stop()
             raise
         if failure is not None:
             raise failure
 
-    def close(self) -> None:
-        """Stop the workers; idempotent, pool unusable afterwards."""
+    def _stop(self) -> None:
+        """Stop and reap every worker; a later submit starts new ones."""
         with self._lock:
             workers, self._workers = self._workers, []
-            self._closed = True
             for w in workers:
                 with suppress(OSError):
                     w.conn.send(None)
             for w in workers:
                 _reap(w)
+
+    def close(self) -> None:
+        """Stop the workers; idempotent, pool unusable afterwards."""
+        with self._lock:
+            self._closed = True
+            self._stop()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -871,15 +867,13 @@ class Plans(Protocol):
 
     key: str
 
-    def decomposition(self, cost_model: str
-                      ) -> tuple[GraphState, Decomposition]: ...
+    def decomposition(self) -> tuple[GraphState, Decomposition]: ...
 
-    def chunks(self, decomposition: Decomposition, cost_model: str,
-               strategy: str, n_chunks: int) -> list[Chunk]: ...
+    def chunks(self, decomposition: Decomposition,
+               n_chunks: int) -> list[Chunk]: ...
 
     def steal_plan(
-        self, decomposition: Decomposition, cost_model: str, strategy: str,
-        n_jobs: int, chunks_per_worker: int, resplit_ok: bool,
+        self, decomposition: Decomposition, n_jobs: int, resplit_ok: bool,
     ) -> tuple[list[Chunk], list[SplitTask], int]: ...
 
 
@@ -892,8 +886,7 @@ class _OneShot:
         self.g = g
         self.config = config
 
-    def decomposition(self, cost_model: str
-                      ) -> tuple[GraphState, Decomposition]:
+    def decomposition(self) -> tuple[GraphState, Decomposition]:
         # Looked up at call time, so a profiler wrapping
         # coreness.core_decomposition sees this peel as it sees others.
         from repro.graph.coreness import core_decomposition
@@ -907,22 +900,18 @@ class _OneShot:
             # inherits the view instead of rebuilding it.
             graph_state.bit_graph(self.config.options, keep=True)
         return graph_state, decompose(
-            self.g, cost_model=cost_model, core=core,
+            self.g, core=core,
             bit_graph=graph_state.bit_graphs.get("degeneracy"))
 
-    def chunks(self, decomposition: Decomposition, cost_model: str,
-               strategy: str, n_chunks: int) -> list[Chunk]:
-        return make_chunks(decomposition.subproblems, n_chunks,
-                           strategy=strategy)
+    def chunks(self, decomposition: Decomposition,
+               n_chunks: int) -> list[Chunk]:
+        return make_chunks(decomposition.subproblems, n_chunks)
 
     def steal_plan(
-        self, decomposition: Decomposition, cost_model: str, strategy: str,
-        n_jobs: int, chunks_per_worker: int, resplit_ok: bool,
+        self, decomposition: Decomposition, n_jobs: int, resplit_ok: bool,
     ) -> tuple[list[Chunk], list[SplitTask], int]:
-        return plan_steal_schedule(
-            self.g, decomposition, n_jobs, chunks_per_worker,
-            strategy=strategy, resplit_ok=resplit_ok,
-        )
+        return plan_steal_schedule(self.g, decomposition, n_jobs,
+                                   resplit_ok=resplit_ok)
 
 
 def execute(
@@ -943,27 +932,20 @@ def execute(
     ``chunk`` (or ``split``) span per task, and the folded counters as
     the trace root's ``counters`` attribute.
     """
-    strategy, cost_model = config.chunk_strategy, config.cost_model
-    per_worker, steal = config.chunks_per_worker, config.steal is True
-    assert strategy and cost_model and per_worker, "validate() the config"
+    steal = config.steal is True
     n_jobs = pool.n_jobs
-    with maybe_span(trace, "decompose", cost_model=cost_model):
+    with maybe_span(trace, "decompose"):
         start = time.perf_counter()
-        graph_state, decomposition = plans.decomposition(cost_model)
+        graph_state, decomposition = plans.decomposition()
         decompose_seconds = time.perf_counter() - start
-    with maybe_span(trace, "pack", strategy=strategy,
-                    steal=steal) as pack_span:
+    with maybe_span(trace, "pack", steal=steal) as pack_span:
         splits: list[SplitTask] = []
         if steal:
             chunks, splits, requested = plans.steal_plan(
-                decomposition, cost_model, strategy, n_jobs, per_worker,
-                _in_place(config),
-            )
+                decomposition, n_jobs, _in_place(config))
         else:
-            chunks = plans.chunks(decomposition, cost_model, strategy,
-                                  n_jobs * per_worker)
-            requested = min(n_jobs * per_worker,
-                            len(decomposition.subproblems))
+            chunks = plans.chunks(decomposition, n_jobs)
+            requested = min(n_jobs, len(decomposition.subproblems))
         resplit = len({t.position for t in splits})
         if trace is not None:
             pack_span.attrs.update(chunk_summary(chunks, requested))
@@ -988,10 +970,7 @@ def execute(
         n_jobs=n_jobs,
         n_subproblems=len(decomposition.subproblems),
         n_chunks=len(chunks),
-        chunk_strategy=strategy,
-        cost_model=cost_model,
         start_method=pool.start_method,
-        x_aware=config.x_aware is not False,
         steal=steal,
         steals=report.steals,
         resplit_subproblems=resplit,
@@ -1011,10 +990,6 @@ def run_parallel(
     *,
     algorithm: str,
     n_jobs: int,
-    chunk_strategy: str = DEFAULT_CHUNK_STRATEGY,
-    cost_model: str = DEFAULT_COST_MODEL,
-    chunks_per_worker: int = 1,
-    x_aware: bool = True,
     steal: bool = False,
     stats: ParallelStats | None = None,
     trace: Tracer | None = None,
@@ -1022,10 +997,10 @@ def run_parallel(
 ) -> Counters:
     """Enumerate ``g``'s maximal cliques across a one-shot worker pool.
 
-    The root level is partitioned per-vertex in degeneracy order, packed
-    into ``n_jobs * chunks_per_worker`` cost-balanced chunks, and solved by
-    ``algorithm`` (any registered name, any backend) on induced
-    subproblems.  Results stream into ``aggregator`` with a deterministic
+    The root level is partitioned per-vertex in degeneracy order into
+    X-aware subproblems, packed LPT by their edge cost into one chunk per
+    worker, and solved by ``algorithm`` (any registered name, any
+    backend).  Results stream into ``aggregator`` with a deterministic
     merge; the returned :class:`Counters` sum the per-worker counters
     (``emitted`` equals the true clique count).
 
@@ -1034,13 +1009,8 @@ def run_parallel(
     down before returning.  Callers with many requests should hold a warm
     :class:`WorkerPool` or a :class:`repro.service.CliqueService`.
 
-    ``x_aware=True`` (the default) seeds each subproblem's exclusion set
-    from the degeneracy order so duplicated branches are pruned inside the
-    engines; ``x_aware=False`` restores the enumerate-then-filter
-    decomposition (duplicates counted under ``suppressed_candidates``).
-
     ``steal=True`` switches to work stealing: ``STEAL_CHUNK_FACTOR`` times
-    as many chunks, dispatched dynamically largest-first, and cost-model
+    as many chunks, dispatched dynamically largest-first, and cost
     outliers re-split at their own root level so no hub subproblem sets
     the critical path.  The cliques and their fingerprint are those of
     the static schedule by construction.
@@ -1048,9 +1018,7 @@ def run_parallel(
     ``stats`` (a :class:`ParallelStats`) is filled in place; ``trace=``
     takes a :class:`repro.obs.trace.Tracer` (see :func:`execute`).
     """
-    config = RunConfig(algorithm, options, n_jobs, chunk_strategy,
-                       cost_model, chunks_per_worker, x_aware,
-                       steal).validate(g)
+    config = RunConfig(algorithm, options, n_jobs, steal).validate(g)
     with WorkerPool(n_jobs) as pool:
         run_stats = execute(config, aggregator, _OneShot(g, config), pool,
                             trace=trace)

@@ -1,30 +1,21 @@
-"""Chunking strategies: pack subproblems into cost-balanced chunks.
+"""Chunk packing: cost-balanced chunks of subproblems.
 
 A *chunk* is the unit of work shipped to a worker process.  Chunks should
 be (a) few enough that per-task IPC overhead stays negligible, (b) balanced
 enough that no worker becomes the straggler — the scaling ceiling of the
 whole subsystem is ``total_cost / max(chunk_cost)``.
 
-Three strategies, selectable via ``chunk_strategy=`` / ``--chunk-strategy``:
+Packing is LPT list scheduling: subproblems sorted by estimated cost
+(descending) are assigned to the currently lightest chunk.  It is
+deterministic: ties break on subproblem position and chunk index, never
+on hash order.
 
-* ``greedy`` (default) — LPT list scheduling: subproblems sorted by
-  estimated cost (descending) are assigned to the currently lightest
-  chunk.  Best balance under a skewed cost distribution.
-* ``contiguous`` — split the degeneracy order into runs of near-equal
-  cumulative cost.  Preserves locality of the ordering (neighbouring
-  subproblems share structure) at some balance cost.
-* ``round-robin`` — subproblem ``i`` goes to chunk ``i % k``.  Cost-blind;
-  the baseline the cost-aware strategies are judged against.
-
-All strategies are deterministic: ties break on subproblem position and
-chunk index, never on hash order.
-
-Steal mode (:func:`plan_steal`) reuses the same strategies but changes the
-economics: instead of one chunk per worker slot it cuts
+Steal mode (:func:`plan_steal`) packs the same way but changes the
+economics: instead of one chunk per worker it cuts
 ``STEAL_CHUNK_FACTOR`` times as many *small* chunks and orders them by
 cost (largest first), so the pool can hand them out dynamically — a
 worker that finishes early pulls the next chunk off the shared queue
-instead of idling behind a straggler.  Cost-model outliers
+instead of idling behind a straggler.  Cost outliers
 (:func:`resplit_threshold`) are additionally marked for root-level
 re-splitting by the pool, which is the only cure when a *single*
 subproblem exceeds a worker's fair share.
@@ -33,14 +24,10 @@ subproblem exceeds a worker's fair share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import Collection, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.parallel.decompose import Subproblem
-
-CHUNK_STRATEGIES = ("greedy", "contiguous", "round-robin")
-
-DEFAULT_CHUNK_STRATEGY = "greedy"
 
 #: steal mode cuts this many times more chunks than worker slots, so the
 #: dynamic queue has enough granularity to level uneven finish times.
@@ -64,67 +51,25 @@ class Chunk:
     cost: float
 
 
-def _greedy_chunks(subproblems: list[Subproblem], k: int) -> list[list[int]]:
+def make_chunks(subproblems: list[Subproblem], n_chunks: int) -> list[Chunk]:
+    """Pack ``subproblems`` into at most ``n_chunks`` non-empty chunks.
+
+    LPT: in order of cost (descending, then position), each subproblem
+    joins the currently lightest chunk (the lowest index on a tie).
+    """
+    if n_chunks < 1:
+        raise InvalidParameterError(f"n_chunks must be >= 1, got {n_chunks}")
+    k = min(n_chunks, len(subproblems))
     loads = [0.0] * k
     members: list[list[int]] = [[] for _ in range(k)]
-    # Sort by (cost desc, position asc): deterministic LPT.
     for sub in sorted(subproblems, key=lambda s: (-s.cost, s.position)):
         target = min(range(k), key=lambda i: (loads[i], i))
         loads[target] += sub.cost
         members[target].append(sub.position)
-    return members
-
-
-def _contiguous_chunks(subproblems: list[Subproblem], k: int) -> list[list[int]]:
-    total = sum(s.cost for s in subproblems)
-    target = total / k if k else 0.0
-    members: list[list[int]] = [[] for _ in range(k)]
-    chunk, acc = 0, 0.0
-    for sub in subproblems:
-        # Advance once the current chunk met its share, but always leave
-        # at least one chunk for the remaining subproblems.
-        if members[chunk] and acc >= target * (chunk + 1) and chunk < k - 1:
-            chunk += 1
-        members[chunk].append(sub.position)
-        acc += sub.cost
-    return members
-
-
-def _round_robin_chunks(subproblems: list[Subproblem], k: int) -> list[list[int]]:
-    members: list[list[int]] = [[] for _ in range(k)]
-    for i, sub in enumerate(subproblems):
-        members[i % k].append(sub.position)
-    return members
-
-
-_STRATEGIES: dict[str, Callable[[list[Subproblem], int], list[list[int]]]] = {
-    "greedy": _greedy_chunks,
-    "contiguous": _contiguous_chunks,
-    "round-robin": _round_robin_chunks,
-}
-
-
-def make_chunks(
-    subproblems: list[Subproblem],
-    n_chunks: int,
-    *,
-    strategy: str = DEFAULT_CHUNK_STRATEGY,
-) -> list[Chunk]:
-    """Pack ``subproblems`` into at most ``n_chunks`` non-empty chunks."""
-    if strategy not in _STRATEGIES:
-        raise InvalidParameterError(
-            f"unknown chunk strategy {strategy!r}; "
-            f"expected one of {CHUNK_STRATEGIES}"
-        )
-    if n_chunks < 1:
-        raise InvalidParameterError(f"n_chunks must be >= 1, got {n_chunks}")
-    if not subproblems:
-        return []
-    k = min(n_chunks, len(subproblems))
     cost_of = {s.position: s.cost for s in subproblems}
     chunks: list[Chunk] = []
-    for raw in _STRATEGIES[strategy](subproblems, k):
-        if not raw:
+    for raw in members:
+        if not raw:  # zero costs raise no load, so a chunk can stay empty
             continue
         positions = tuple(sorted(raw))
         chunks.append(Chunk(
@@ -142,7 +87,7 @@ def balance_ratio(chunks: list[Chunk], requested: int | None = None) -> float:
     bounds the achievable parallel speedup with ``k`` workers.
 
     ``k`` is the *requested* chunk count when given, not the number of
-    non-empty chunks produced: a strategy that answers a four-way split
+    non-empty chunks produced: a packing that answers a four-way split
     with one loaded chunk and three empties delivered makespan
     ``max``, not ``total / 1`` — dividing by the non-empty count scored
     that schedule a perfect 1.0.  ``requested`` below the delivered count
@@ -221,29 +166,25 @@ def resplit_threshold(costs: Sequence[float]) -> float:
     return RESPLIT_COST_MULTIPLE * median
 
 
-def steal_chunk_count(n_subproblems: int, n_jobs: int,
-                      chunks_per_worker: int) -> int:
-    """How many chunks steal mode cuts for a given pool shape."""
-    return min(n_subproblems,
-               max(1, n_jobs * chunks_per_worker * STEAL_CHUNK_FACTOR))
+def steal_chunk_count(n_subproblems: int, n_jobs: int) -> int:
+    """How many chunks steal mode cuts for a given pool size."""
+    return min(n_subproblems, max(1, n_jobs * STEAL_CHUNK_FACTOR))
 
 
 def plan_steal(
     subproblems: list[Subproblem],
     n_jobs: int,
-    chunks_per_worker: int = 1,
     *,
-    strategy: str = DEFAULT_CHUNK_STRATEGY,
     resplit: Collection[int] = (),
 ) -> StealPlan:
     """Pack a steal-mode schedule: many small chunks, biggest first.
 
     ``resplit`` lists the positions the pool re-splits at their own root
-    (cost-model outliers it confirmed eligible); they are excluded from
-    the chunk packing entirely — their work arrives as separate split
-    tasks.  Everything else is packed with ``strategy`` into
-    :func:`steal_chunk_count` chunks and re-ordered by descending cost,
-    which is the dispatch order (LPT on the dynamic queue).
+    (cost outliers it confirmed eligible); they are excluded from the
+    chunk packing entirely — their work arrives as separate split tasks.
+    Everything else is packed into :func:`steal_chunk_count` chunks and
+    re-ordered by descending cost, which is the dispatch order (LPT on
+    the dynamic queue).
     """
     marked = frozenset(resplit)
     rest = [s for s in subproblems if s.position not in marked]
@@ -251,8 +192,8 @@ def plan_steal(
     if not rest:
         return StealPlan(chunks=[], resplit=tuple(sorted(marked)),
                          threshold=threshold)
-    n_chunks = steal_chunk_count(len(rest), n_jobs, chunks_per_worker)
-    packed = make_chunks(rest, n_chunks, strategy=strategy)
+    n_chunks = steal_chunk_count(len(rest), n_jobs)
+    packed = make_chunks(rest, n_chunks)
     ordered = sorted(packed, key=lambda c: (-c.cost, c.index))
     chunks = [Chunk(index=i, positions=c.positions, cost=c.cost)
               for i, c in enumerate(ordered)]

@@ -3,8 +3,8 @@
 :class:`CliqueService` is the long-running counterpart of the one-shot
 API: it owns a :class:`repro.parallel.pool.WorkerPool` that outlives any
 single request and a :class:`repro.service.registry.GraphRegistry` that
-caches every per-graph prologue artifact (degeneracy decomposition, cost
-model, chunk packing, degeneracy-packed bitmask view).  The first request
+caches every per-graph prologue artifact (degeneracy decomposition and
+its costs, chunk packing, degeneracy-packed bitmask view).  The first request
 against a graph pays the prologue and ships the graph state to the
 workers once; every later request — any registered algorithm, backend or
 bit order — is pure enumeration compute.
@@ -30,9 +30,7 @@ from repro.graph.generators import load_dataset
 from repro.graph.io import load_graph
 from repro.obs import MetricsRegistry, Tracer, maybe_span, render_text
 from repro.parallel.aggregate import CollectAggregator, CountAggregator
-from repro.parallel.decompose import DEFAULT_COST_MODEL
 from repro.parallel.pool import WorkerPool, execute
-from repro.parallel.scheduler import DEFAULT_CHUNK_STRATEGY
 from repro.service.registry import GraphEntry, GraphRegistry
 from repro.verify import canonical_fingerprint
 
@@ -47,15 +45,15 @@ class _Cached:
         self.entry = entry
         self.key = entry.fingerprint
 
-    def decomposition(self, cost_model):
+    def decomposition(self):
         return self.entry.graph_state, \
-            self.registry.decomposition(self.entry, cost_model)
+            self.registry.decomposition(self.entry)
 
-    def chunks(self, decomposition, *knobs):
-        return self.registry.chunks(self.entry, *knobs)
+    def chunks(self, decomposition, n_chunks):
+        return self.registry.chunks(self.entry, n_chunks)
 
-    def steal_plan(self, decomposition, *knobs):
-        return self.registry.steal_plan(self.entry, *knobs)
+    def steal_plan(self, decomposition, n_jobs, resplit_ok):
+        return self.registry.steal_plan(self.entry, n_jobs, resplit_ok)
 
 
 class CliqueService:
@@ -71,24 +69,15 @@ class CliqueService:
 
     Every request accepts any registered algorithm plus the
     branch-and-bound knobs (``backend=``, ``bit_order=``,
-    ``et_threshold=``, ...) and ``x_aware``/``steal`` — the cached
-    artifacts are knob-independent, so switching algorithms between
-    requests stays warm.  The schedule is fixed at construction; each
-    request's :class:`repro.config.RunConfig` inherits it.
+    ``et_threshold=``, ...) and ``steal`` — the cached artifacts are
+    knob-independent, so switching algorithms between requests stays
+    warm.  ``n_jobs`` is fixed at construction; each request's
+    :class:`repro.config.RunConfig` inherits it.
     """
 
-    def __init__(
-        self,
-        *,
-        n_jobs: int = 1,
-        chunk_strategy: str = DEFAULT_CHUNK_STRATEGY,
-        cost_model: str = DEFAULT_COST_MODEL,
-        chunks_per_worker: int = 1,
-    ) -> None:
-        self.config = RunConfig(
-            DEFAULT_ALGORITHM, n_jobs=n_jobs, chunk_strategy=chunk_strategy,
-            cost_model=cost_model, chunks_per_worker=chunks_per_worker,
-        ).validate(Graph(0))
+    def __init__(self, *, n_jobs: int = 1) -> None:
+        self.config = RunConfig(DEFAULT_ALGORITHM,
+                                n_jobs=n_jobs).validate(Graph(0))
         self.n_jobs = self.config.n_jobs
         self.registry = GraphRegistry()
         self._pool = WorkerPool(self.n_jobs, warm=True)
@@ -144,8 +133,7 @@ class CliqueService:
     # Requests
     # ------------------------------------------------------------------
     def count(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-              x_aware: bool = True, steal: bool = False, trace: bool = False,
-              **options) -> dict:
+              steal: bool = False, trace: bool = False, **options) -> dict:
         """Count the maximal cliques of a registered graph.
 
         ``trace=True`` adds a ``"trace"`` span tree (decompose → pack →
@@ -159,13 +147,12 @@ class CliqueService:
                 result["count"] = aggregator.finish()
             result["max_clique_size"] = aggregator.max_size
 
-        return self._execute("count", graph, aggregator, algorithm, x_aware,
-                             steal, trace, options, finalize)
+        return self._execute("count", graph, aggregator, algorithm, steal,
+                             trace, options, finalize)
 
     def enumerate(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-                  limit: int | None = None, x_aware: bool = True,
-                  steal: bool = False, trace: bool = False,
-                  **options) -> dict:
+                  limit: int | None = None, steal: bool = False,
+                  trace: bool = False, **options) -> dict:
         """Enumerate the maximal cliques of a registered graph.
 
         ``cliques`` comes in subproblem-position order (the degeneracy
@@ -197,11 +184,11 @@ class CliqueService:
             result["truncated"] = len(shown) < len(cliques)
 
         return self._execute("enumerate", graph, aggregator, algorithm,
-                             x_aware, steal, trace, options, finalize)
+                             steal, trace, options, finalize)
 
     def fingerprint(self, graph: str, *, algorithm: str = DEFAULT_ALGORITHM,
-                    x_aware: bool = True, steal: bool = False,
-                    trace: bool = False, **options) -> dict:
+                    steal: bool = False, trace: bool = False,
+                    **options) -> dict:
         """SHA256 fingerprint of the canonical clique list.
 
         Byte-identical to ``clique_fingerprint(maximal_cliques(g, ...))``
@@ -219,10 +206,10 @@ class CliqueService:
             result["sha256"] = sha256
 
         return self._execute("fingerprint", graph, aggregator, algorithm,
-                             x_aware, steal, trace, options, finalize)
+                             steal, trace, options, finalize)
 
     def _execute(self, op: str, graph: str, aggregator, algorithm: str,
-                 x_aware, steal, trace, options: dict, finalize) -> dict:
+                 steal, trace, options: dict, finalize) -> dict:
         """Run one request end to end under the service lock.
 
         ``finalize`` is the operation's merge step (``aggregator.finish``
@@ -241,8 +228,8 @@ class CliqueService:
                 )
             entry = self.registry.resolve(graph)
             config = replace(self.config, algorithm=algorithm,
-                             options=options, x_aware=x_aware,
-                             steal=steal).validate(entry.graph)
+                             options=options, steal=steal)
+            config = config.validate(entry.graph)
 
             tracer = Tracer(
                 op, graph=entry.fingerprint, graph_name=entry.name,
@@ -344,8 +331,6 @@ class CliqueService:
                 "pool_live": self._pool.is_live,
                 "start_method": self._pool.start_method,
                 "n_jobs": self.n_jobs,
-                "chunk_strategy": self.config.chunk_strategy,
-                "cost_model": self.config.cost_model,
             }
 
     def metrics_snapshot(self) -> dict:

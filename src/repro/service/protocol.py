@@ -19,9 +19,9 @@ in the response, for client-side correlation):
 * ``{"op": "graphs"}`` — list registered graphs.
 * ``{"op": "count", "graph": NAME_OR_FINGERPRINT, ...}`` — optional
   ``algorithm``, ``backend``, ``bit_order``, ``et_threshold``,
-  ``graph_reduction``, ``x_aware``, ``steal`` (``true`` selects the
-  work-stealing schedule), ``trace`` (``true`` adds the span tree and
-  per-chunk worker timeline to the response).
+  ``graph_reduction``, ``steal`` (``true`` selects the work-stealing
+  schedule), ``trace`` (``true`` adds the span tree and per-chunk worker
+  timeline to the response).  Any other field is refused.
 * ``{"op": "enumerate", "graph": ..., "limit": N, ...}`` — same knobs.
   ``cliques`` comes in subproblem-position order (the degeneracy order
   of each clique's earliest member), each clique ascending and each
@@ -75,8 +75,7 @@ def _exact_int(value: object, what: str) -> int:
 def _request_kwargs(request: dict[str, Any], *extra: str) -> dict[str, Any]:
     """A request's keyword arguments for the service; unknown fields are
     rejected, values go on for the service's ``RunConfig`` to check."""
-    fields = ("algorithm", "x_aware", "steal", "trace", *OPTION_FIELDS,
-              *extra)
+    fields = ("algorithm", "steal", "trace", *OPTION_FIELDS, *extra)
     allowed = _COMMON_FIELDS | {"graph", *fields}
     unknown = sorted(set(request) - allowed)
     if unknown:

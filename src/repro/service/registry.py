@@ -1,12 +1,12 @@
 """Per-graph artifact cache: fingerprint-keyed registry of prepared graphs.
 
 Every enumeration request pays a prologue before the first branch runs:
-the degeneracy decomposition (peel order + per-subproblem cost model),
-chunk packing, and — on the bitset backend — the whole-graph
-degeneracy-packed :class:`BitGraph`.  For a long-running service those
-artifacts are a pure function of the graph (and a couple of scheduling
-knobs), so the registry computes each of them once per registered graph
-and replays them for every later request.
+the degeneracy decomposition (peel order + per-subproblem cost), chunk
+packing, and — on the bitset backend — the whole-graph degeneracy-packed
+:class:`BitGraph`.  For a long-running service those artifacts are a
+pure function of the graph (and the pool size), so the registry computes
+each of them once per registered graph and replays them for every later
+request.
 
 Graphs are keyed by a *content fingerprint* — the SHA256 of the canonical
 edge list, the same construction :func:`repro.verify.clique_fingerprint`
@@ -64,10 +64,10 @@ class GraphEntry:
     ``graph_state`` is the worker-shippable payload (adjacency + peel
     order + bitmask views); the degeneracy-packed :class:`BitGraph` is
     prebuilt at registration so even the first bitset request skips the
-    packing step, and every decomposition costs its subproblems by
-    popcount over it.  Decompositions are cached per cost model and chunk
-    lists per (cost model, strategy, chunk count) — both tiny keys over
-    expensive values.
+    packing step, and the decomposition costs its subproblems by popcount
+    over it.  The decomposition is built on the first request that needs
+    it; chunk lists are cached per chunk count and steal plans per (pool
+    size, tier) — tiny keys over expensive values.
     """
 
     name: str
@@ -79,9 +79,10 @@ class GraphEntry:
     #: chunk positions and worker-side ``graph_state.order`` cannot drift.
     core: object = None
     registered_at: float = field(default_factory=time.time)
-    _decompositions: dict[str, Decomposition] = field(default_factory=dict)
-    _chunks: dict[tuple, list[Chunk]] = field(default_factory=dict)
-    _steal_plans: dict[tuple, tuple[list[Chunk], list[SplitTask], int]] = \
+    _decomposition: Decomposition | None = None
+    _chunks: dict[int, list[Chunk]] = field(default_factory=dict)
+    _steal_plans: dict[tuple[int, bool],
+                       tuple[list[Chunk], list[SplitTask], int]] = \
         field(default_factory=dict)
 
     def info(self) -> dict:
@@ -91,7 +92,6 @@ class GraphEntry:
             "graph": self.fingerprint,
             "n": self.graph.n,
             "m": self.graph.m,
-            "cached_cost_models": sorted(self._decompositions),
             "cached_bit_orders": sorted(
                 str(k) for k in self.graph_state.bit_graphs
             ),
@@ -178,70 +178,53 @@ class GraphRegistry:
             return sorted(self._by_fingerprint.values(),
                           key=lambda e: e.registered_at)
 
-    def decomposition(self, entry: GraphEntry, cost_model: str) -> Decomposition:
-        """The entry's decomposition under ``cost_model``, cached."""
+    def decomposition(self, entry: GraphEntry) -> Decomposition:
+        """The entry's decomposition, built on first use and cached."""
         with self._lock:
-            cached = entry._decompositions.get(cost_model)
+            cached = entry._decomposition
             if cached is not None:
                 self.stats.decompose_cache_hits += 1
                 return cached
             decomposition = decompose(
-                entry.graph, cost_model=cost_model, core=entry.core,
+                entry.graph, core=entry.core,
                 bit_graph=entry.graph_state.bit_graphs.get("degeneracy"))
             self.stats.decompose_calls += 1
-            entry._decompositions[cost_model] = decomposition
+            entry._decomposition = decomposition
             return decomposition
 
-    def chunks(
-        self,
-        entry: GraphEntry,
-        cost_model: str,
-        strategy: str,
-        n_chunks: int,
-    ) -> list[Chunk]:
-        """The entry's chunk packing for the given knobs, cached."""
-        key = (cost_model, strategy, n_chunks)
+    def chunks(self, entry: GraphEntry, n_chunks: int) -> list[Chunk]:
+        """The entry's packing into ``n_chunks`` chunks, cached."""
         with self._lock:
-            cached = entry._chunks.get(key)
+            cached = entry._chunks.get(n_chunks)
             if cached is not None:
                 self.stats.chunk_cache_hits += 1
                 return cached
-            decomposition = self.decomposition(entry, cost_model)
-            chunks = make_chunks(decomposition.subproblems, n_chunks,
-                                 strategy=strategy)
+            decomposition = self.decomposition(entry)
+            chunks = make_chunks(decomposition.subproblems, n_chunks)
             self.stats.chunk_builds += 1
-            entry._chunks[key] = chunks
+            entry._chunks[n_chunks] = chunks
             return chunks
 
     def steal_plan(
-        self,
-        entry: GraphEntry,
-        cost_model: str,
-        strategy: str,
-        n_jobs: int,
-        chunks_per_worker: int,
-        resplit_ok: bool,
+        self, entry: GraphEntry, n_jobs: int, resplit_ok: bool,
     ) -> tuple[list[Chunk], list[SplitTask], int]:
-        """The entry's steal-mode schedule for the given knobs, cached.
+        """The entry's steal-mode schedule for ``n_jobs`` workers, cached.
 
-        Two variants exist per knob set: with re-splitting (requests
-        routed to the in-place X-aware tier) and without (algorithms or
-        option mixes the branch primitive cannot serve) — ``resplit_ok``
-        picks the variant, so algorithm-dependent eligibility never
-        poisons the cache.
+        Two variants exist per pool size: with re-splitting (requests
+        routed to the in-place tier) and without (algorithms or option
+        mixes the branch primitive cannot serve) — ``resplit_ok`` picks
+        the variant, so algorithm-dependent eligibility never poisons the
+        cache.
         """
-        key = (cost_model, strategy, n_jobs, chunks_per_worker,
-               bool(resplit_ok))
+        key = (n_jobs, bool(resplit_ok))
         with self._lock:
             cached = entry._steal_plans.get(key)
             if cached is not None:
                 self.stats.steal_plan_cache_hits += 1
                 return cached
-            decomposition = self.decomposition(entry, cost_model)
-            plan = plan_steal_schedule(
-                entry.graph, decomposition, n_jobs, chunks_per_worker,
-                strategy=strategy, resplit_ok=resplit_ok,
-            )
+            decomposition = self.decomposition(entry)
+            plan = plan_steal_schedule(entry.graph, decomposition, n_jobs,
+                                       resplit_ok=resplit_ok)
             self.stats.steal_plan_builds += 1
             entry._steal_plans[key] = plan
             return plan

@@ -76,13 +76,6 @@ def test_parallel_reproduces_golden(name, algorithm, n_jobs):
                                      **options))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_filtering_decomposition_reproduces_golden(name):
-    """The x_aware=False escape hatch hits the same fingerprints."""
-    g = _graph(name)
-    _check(name, maximal_cliques(g, n_jobs=2, x_aware=False))
-
-
 @pytest.mark.parametrize("n_jobs", [1, 2, 4])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("name", sorted(GOLDEN))

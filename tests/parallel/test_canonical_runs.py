@@ -9,8 +9,8 @@ sorted.  This suite pins that precondition on every tier:
 * the in-place tier, on ``set`` and on ``bitset`` under the degeneracy,
   input and an explicit packing;
 * the compact edge-family tier (``ebbmc++``);
-* the enumerate-then-filter tier (``x_aware=False``);
-* ``reverse-search``, which cannot seed an exclusion set;
+* the enumerate-then-filter tier of ``reverse-search``, which cannot seed
+  an exclusion set;
 * lone roots (no later neighbour);
 * steal split parts, and their payload after ``merge_payloads``.
 
@@ -52,17 +52,16 @@ random.Random(5).shuffle(PERMUTATION)
 #: a graph whose hub subproblems the steal schedule re-splits.
 HUB = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
 
-#: test id -> (algorithm, options, x_aware)
+#: test id -> (algorithm, options)
 TIERS = {
-    "in-place-set": ("hbbmc++", {"backend": "set"}, True),
-    "in-place-bitset": ("hbbmc++", {"backend": "bitset"}, True),
+    "in-place-set": ("hbbmc++", {"backend": "set"}),
+    "in-place-bitset": ("hbbmc++", {"backend": "bitset"}),
     "in-place-bitset-input": (
-        "hbbmc++", {"backend": "bitset", "bit_order": "input"}, True),
+        "hbbmc++", {"backend": "bitset", "bit_order": "input"}),
     "in-place-bitset-explicit": (
-        "hbbmc++", {"backend": "bitset", "bit_order": PERMUTATION}, True),
-    "edge-family": ("ebbmc++", {"backend": "bitset"}, True),
-    "filter": ("hbbmc++", {"backend": "bitset"}, False),
-    "reverse-search": ("reverse-search", {}, True),
+        "hbbmc++", {"backend": "bitset", "bit_order": PERMUTATION}),
+    "edge-family": ("ebbmc++", {"backend": "bitset"}),
+    "reverse-search": ("reverse-search", {}),
 }
 
 
@@ -71,12 +70,12 @@ def _is_canonical(cliques):
         and cliques == sorted(cliques)
 
 
-def _payloads(graph, algorithm, options, x_aware):
+def _payloads(graph, algorithm, options):
     """Each position's collect payload, from chunks as the pool runs them."""
     decomposition = decompose(graph)
     state = GraphState(graph=graph, order=decomposition.order,
                        position=decomposition.position)
-    config = RunConfig(algorithm=algorithm, options=options, x_aware=x_aware)
+    config = RunConfig(algorithm=algorithm, options=options)
     payloads = {}
     for chunk in make_chunks(decomposition.subproblems, 3):
         payloads.update(_solve_chunk(state, config, chunk, "collect").items)
@@ -90,10 +89,9 @@ def serial():
 
 @pytest.fixture(scope="module", params=list(TIERS))
 def tier(request):
-    """``(algorithm, options, x_aware, payloads, decomposition)``."""
-    algorithm, options, x_aware = TIERS[request.param]
-    return (algorithm, options, x_aware,
-            *_payloads(GRAPH, algorithm, options, x_aware))
+    """``(algorithm, options, payloads, decomposition)``."""
+    algorithm, options = TIERS[request.param]
+    return (algorithm, options, *_payloads(GRAPH, algorithm, options))
 
 
 def test_every_payload_is_canonical(tier):
@@ -112,9 +110,8 @@ def test_every_payload_is_canonical(tier):
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_merge_takes_the_runs_as_they_come(tier, n_jobs, serial):
-    algorithm, options, x_aware, payloads, _ = tier
-    kwargs = dict(algorithm=algorithm, n_jobs=n_jobs, x_aware=x_aware,
-                  **options)
+    algorithm, options, payloads, _ = tier
+    kwargs = dict(algorithm=algorithm, n_jobs=n_jobs, **options)
     assert maximal_cliques(GRAPH, **kwargs) == serial
     assert maximal_cliques(GRAPH, sort=False, **kwargs) == \
         [clique for payload in payloads for clique in payload]
@@ -125,7 +122,7 @@ def test_steal_split_parts_are_canonical(backend):
     decomposition = decompose(HUB)
     state = GraphState(graph=HUB, order=decomposition.order,
                        position=decomposition.position)
-    _, splits, _ = plan_steal_schedule(HUB, decomposition, 2, 1)
+    _, splits, _ = plan_steal_schedule(HUB, decomposition, 2)
     assert splits
     options = {"backend": backend}
     config = RunConfig(algorithm="hbbmc++", options=options)
@@ -142,7 +139,7 @@ def test_steal_split_parts_are_canonical(backend):
         whole = merge_payloads(payloads, "collect")
         assert _is_canonical(whole)
         assert merged[position] == whole
-        alone, _, _ = solve_subproblem(
+        alone, _ = solve_subproblem(
             HUB, decomposition.position, decomposition.order[position],
             algorithm="hbbmc++", options=options)
         assert whole == alone
@@ -150,7 +147,7 @@ def test_steal_split_parts_are_canonical(backend):
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_steal_merge_takes_the_runs_as_they_come(n_jobs):
-    payloads, _ = _payloads(HUB, "hbbmc++", {"backend": "bitset"}, True)
+    payloads, _ = _payloads(HUB, "hbbmc++", {"backend": "bitset"})
     kwargs = dict(n_jobs=n_jobs, steal=True, backend="bitset")
     assert maximal_cliques(HUB, **kwargs) == maximal_cliques(HUB)
     assert maximal_cliques(HUB, sort=False, **kwargs) == \

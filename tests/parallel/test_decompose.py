@@ -16,13 +16,12 @@ from repro.graph.generators import (
     ring_of_cliques,
 )
 from repro.parallel.decompose import (
-    COST_MODELS,
     decompose,
     solve_subproblem,
     subproblem_sets,
 )
 from repro.parallel.pool import GraphState, plan_steal_schedule
-from repro.parallel.scheduler import CHUNK_STRATEGIES, make_chunks
+from repro.parallel.scheduler import make_chunks
 
 
 class TestDecompose:
@@ -40,28 +39,31 @@ class TestDecompose:
         assert d.subproblems == []
         assert d.total_cost == 0.0
 
-    def test_unknown_cost_model(self):
-        with pytest.raises(InvalidParameterError):
-            decompose(Graph(3), cost_model="psychic")
-
-    @pytest.mark.parametrize("model", COST_MODELS)
-    def test_cost_models_positive_and_total(self, model):
+    def test_costs_positive_and_total(self):
         g = erdos_renyi_gnm(25, 90, seed=1)
-        d = decompose(g, cost_model=model)
+        d = decompose(g)
         assert all(s.cost >= 1.0 for s in d.subproblems)
         assert d.total_cost == pytest.approx(sum(s.cost for s in d.subproblems))
 
-    def test_cost_models_track_density(self):
+    def test_cost_is_candidate_edges_plus_size(self):
+        g = erdos_renyi_gnm(25, 90, seed=1)
+        d = decompose(g)
+        for s in d.subproblems:
+            later, _ = subproblem_sets(g, d.position, s.vertex)
+            edges = sum(1 for u in later for w in later
+                        if u < w and g.has_edge(u, w))
+            assert s.cost == edges + len(later) + 1
+
+    def test_costs_track_density(self):
         # The root of a planted clique must out-weigh an isolated vertex.
         g = complete_graph(6)
         g.add_vertices(1)
-        for model in ("candidates", "edges", "triangles"):
-            d = decompose(g, cost_model=model)
-            by_vertex = {s.vertex: s.cost for s in d.subproblems}
-            # The isolated vertex peels first; order[1] is the clique root
-            # whose candidate set holds the other five clique members.
-            assert d.order[0] == 6
-            assert by_vertex[d.order[1]] > by_vertex[6]
+        d = decompose(g)
+        by_vertex = {s.vertex: s.cost for s in d.subproblems}
+        # The isolated vertex peels first; order[1] is the clique root
+        # whose candidate set holds the other five clique members.
+        assert d.order[0] == 6
+        assert by_vertex[d.order[1]] > by_vertex[6]
 
 
 def _with_isolated_vertices():
@@ -86,28 +88,25 @@ class TestViewCosts:
     """Costing by popcount over the degeneracy view changes no cost."""
 
     @staticmethod
-    def _both(g, model):
+    def _both(g):
         core = core_decomposition(g)
         state = GraphState(graph=g, order=core.order, position=core.position)
         view = state.bit_graph({"backend": "bitset"})
-        return (decompose(g, cost_model=model, core=core),
-                decompose(g, cost_model=model, core=core, bit_graph=view))
+        return (decompose(g, core=core),
+                decompose(g, core=core, bit_graph=view))
 
-    @pytest.mark.parametrize("model", COST_MODELS)
     @pytest.mark.parametrize("name", sorted(COST_GRAPHS))
-    def test_view_costs_equal_set_costs(self, name, model):
+    def test_view_costs_equal_set_costs(self, name):
         g = COST_GRAPHS[name]()
-        by_sets, by_view = self._both(g, model)
+        by_sets, by_view = self._both(g)
         assert by_view.subproblems == by_sets.subproblems
         assert by_view.total_cost == by_sets.total_cost
-        for strategy in CHUNK_STRATEGIES:
-            for k in (1, 2, 5):
-                assert make_chunks(by_view.subproblems, k,
-                                   strategy=strategy) == \
-                    make_chunks(by_sets.subproblems, k, strategy=strategy)
+        for k in (1, 2, 5):
+            assert make_chunks(by_view.subproblems, k) == \
+                make_chunks(by_sets.subproblems, k)
         for n_jobs in (1, 2):
-            assert plan_steal_schedule(g, by_view, n_jobs, 1) == \
-                plan_steal_schedule(g, by_sets, n_jobs, 1)
+            assert plan_steal_schedule(g, by_view, n_jobs) == \
+                plan_steal_schedule(g, by_sets, n_jobs)
 
     def test_other_packings_are_rejected(self):
         g = COST_GRAPHS["er"]()
@@ -121,8 +120,7 @@ class TestViewCosts:
             raise AssertionError("decompose built a bit view")
 
         monkeypatch.setattr(BitGraph, "from_graph", classmethod(refuse))
-        for model in COST_MODELS:
-            decompose(COST_GRAPHS["er"](), cost_model=model)
+        decompose(COST_GRAPHS["er"]())
 
 
 class TestSubproblemSets:
@@ -144,10 +142,10 @@ class TestSolveSubproblem:
         reference = maximal_cliques(g)
         found = []
         for v in d.order:
-            cliques, counters, dropped = solve_subproblem(
+            cliques, counters = solve_subproblem(
                 g, d.position, v, algorithm="hbbmc++", options={})
             assert counters.emitted == len(cliques)
-            assert counters.suppressed_candidates >= dropped
+            assert counters.suppressed_candidates == 0
             found.extend(cliques)
         # Each maximal clique appears exactly once, from its earliest root.
         assert sorted(found) == reference
@@ -157,7 +155,7 @@ class TestSolveSubproblem:
         g = ring_of_cliques(5, 4)
         d = decompose(g)
         for v in d.order:
-            cliques, _, _ = solve_subproblem(
+            cliques, _ = solve_subproblem(
                 g, d.position, v, algorithm="bk-pivot", options={})
             for clique in cliques:
                 assert v in clique
@@ -169,7 +167,7 @@ class TestSolveSubproblem:
         d = decompose(g)
         singletons = []
         for v in d.order:
-            cliques, _, _ = solve_subproblem(
+            cliques, _ = solve_subproblem(
                 g, d.position, v, algorithm="hbbmc++", options={})
             singletons.extend(c for c in cliques if len(c) == 1)
         assert singletons == [(2,)]
@@ -178,25 +176,36 @@ class TestSolveSubproblem:
         g = erdos_renyi_gnm(25, 120, seed=2)
         d = decompose(g)
         v = d.order[0]
-        a, _, _ = solve_subproblem(g, d.position, v,
-                                   algorithm="hbbmc++", options={})
-        b, _, _ = solve_subproblem(g, d.position, v, algorithm="hbbmc++",
-                                   options={"backend": "bitset"})
+        a, _ = solve_subproblem(g, d.position, v,
+                                algorithm="hbbmc++", options={})
+        b, _ = solve_subproblem(g, d.position, v, algorithm="hbbmc++",
+                                options={"backend": "bitset"})
         assert a == b
 
-    @pytest.mark.parametrize("algorithm, x_aware", [
-        ("ebbmc++", True),    # compact subgraph with a seeded initial_x
-        ("ebbmc++", False),   # induced subgraph, filtered afterwards
-        ("hbbmc++", False),
-    ])
-    def test_explicit_packing_reaches_subgraph_runs(self, algorithm, x_aware):
+    def test_explicit_packing_reaches_subgraph_runs(self):
+        # ebbmc++ runs on a compact subgraph with a seeded initial_x.
         g = erdos_renyi_gnm(25, 120, seed=2)
         d = decompose(g)
         order = list(reversed(range(g.n)))
         for v in d.order:
-            a, _, _ = solve_subproblem(g, d.position, v, algorithm=algorithm,
-                                       options={}, x_aware=x_aware)
-            b, _, _ = solve_subproblem(
-                g, d.position, v, algorithm=algorithm, x_aware=x_aware,
+            a, _ = solve_subproblem(g, d.position, v, algorithm="ebbmc++",
+                                    options={})
+            b, _ = solve_subproblem(
+                g, d.position, v, algorithm="ebbmc++",
                 options={"backend": "bitset", "bit_order": order})
             assert a == b
+
+    def test_filtering_tier_counts_its_drops(self):
+        # reverse-search cannot seed an exclusion set: it enumerates
+        # G[later(v)] and drops what an earlier neighbour extends.
+        g = erdos_renyi_gnm(25, 120, seed=2)
+        d = decompose(g)
+        found, suppressed = [], 0
+        for v in d.order:
+            cliques, counters = solve_subproblem(
+                g, d.position, v, algorithm="reverse-search", options={})
+            assert counters.emitted == len(cliques)
+            suppressed += counters.suppressed_candidates
+            found.extend(cliques)
+        assert sorted(found) == maximal_cliques(g)
+        assert suppressed > 0

@@ -39,7 +39,7 @@ from repro.parallel.pool import (
     _SplitMerger,
     plan_steal_schedule,
 )
-from repro.parallel.scheduler import make_chunks
+from repro.parallel.scheduler import STEAL_CHUNK_FACTOR, make_chunks
 
 
 @pytest.fixture(scope="module")
@@ -85,16 +85,11 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             maximal_cliques(graph, n_jobs=2, et_threshold=9)
 
-    def test_scheduler_knobs_require_n_jobs(self, graph):
-        with pytest.raises(InvalidParameterError):
-            maximal_cliques(graph, chunk_strategy="greedy")
-        with pytest.raises(InvalidParameterError):
-            count_maximal_cliques(graph, cost_model="edges")
-
-    def test_bad_chunks_per_worker(self, graph):
-        with pytest.raises(InvalidParameterError):
-            run_parallel(graph, CountAggregator(), algorithm="hbbmc++",
-                         n_jobs=2, chunks_per_worker=0)
+    def test_steal_requires_n_jobs(self, graph):
+        with pytest.raises(InvalidParameterError, match="requires n_jobs"):
+            maximal_cliques(graph, steal=True)
+        with pytest.raises(InvalidParameterError, match="requires n_jobs"):
+            count_maximal_cliques(graph, steal=False)
 
     def test_explicit_bit_order_permutation_accepted(self, graph, reference):
         # Regression: the option dry run used to bind the permutation to
@@ -145,27 +140,14 @@ class TestRunParallel:
             run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=n_jobs)
             assert sorted(agg.finish()) == reference
 
-    @pytest.mark.parametrize("strategy", ["greedy", "contiguous", "round-robin"])
-    def test_all_strategies_agree(self, graph, reference, strategy):
-        agg = CollectAggregator()
-        run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=2,
-                     chunk_strategy=strategy)
-        assert sorted(agg.finish()) == reference
-
-    @pytest.mark.parametrize("model", ["uniform", "candidates", "edges", "triangles"])
-    def test_all_cost_models_agree(self, graph, reference, model):
-        agg = CollectAggregator()
-        run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=2,
-                     cost_model=model)
-        assert sorted(agg.finish()) == reference
-
-    def test_chunks_per_worker_oversubscription(self, graph, reference):
+    def test_steal_oversubscription(self, graph, reference):
         agg = CollectAggregator()
         stats = ParallelStats()
         run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=2,
-                     chunks_per_worker=3, stats=stats)
+                     steal=True, stats=stats)
         assert sorted(agg.finish()) == reference
-        assert stats.n_chunks == 6
+        assert stats.resplit_tasks == 0
+        assert stats.n_chunks == 2 * STEAL_CHUNK_FACTOR
 
     def test_stats_filled(self, graph):
         stats = ParallelStats()
@@ -328,8 +310,7 @@ class TestSetupCounts:
         monkeypatch.setattr(phases, "make_context", counting)
         stats = ParallelStats()
         run_parallel(hub, CountAggregator(), algorithm="hbbmc++", n_jobs=1,
-                     steal=steal, chunks_per_worker=2, stats=stats,
-                     backend=backend)
+                     steal=steal, stats=stats, backend=backend)
         assert stats.n_subproblems > stats.n_chunks + stats.resplit_tasks
         assert (stats.resplit_tasks > 0) == steal
         assert len(calls) == stats.n_chunks + stats.resplit_tasks
@@ -377,7 +358,7 @@ class TestRunnerCounters:
             result = _solve_chunk(state, config, chunk, mode)
             total = Counters()
             for p, payload in result.items:
-                alone, counters, _ = solve_subproblem(
+                alone, counters = solve_subproblem(
                     graph, state.position, state.order[p],
                     algorithm="hbbmc++", options=options, mode=mode)
                 assert payload == alone
@@ -394,7 +375,7 @@ class TestRunnerCounters:
         # v's subproblem or an earlier branch owns excluded.
         options = {"backend": backend}
         state, decomposition = _graph_state(hub)
-        _, splits, _ = plan_steal_schedule(hub, decomposition, 2, 1)
+        _, splits, _ = plan_steal_schedule(hub, decomposition, 2)
         assert splits
         config = RunConfig(algorithm="hbbmc++", options=options)
         position, adj = state.position, hub.adj

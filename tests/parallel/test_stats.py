@@ -3,9 +3,9 @@
 ``work_ratio`` lives on :class:`ParallelStats` (one tested implementation;
 ``benchmarks/bench_parallel_scaling.py`` reuses it instead of recomputing
 from cell dicts) — these tests pin its arithmetic, the per-chunk CPU
-bookkeeping it is derived from, and the structural regression the X-aware
-decomposition exists for: on the dense fixed-seed workload it must not
-expand more branches than the enumerate-then-filter decomposition.
+bookkeeping it is derived from, and where duplicates go: the X-aware
+subproblems prune them inside the recursion, while ``reverse-search``,
+which cannot seed an exclusion set, filters them afterwards.
 """
 
 import math
@@ -16,40 +16,31 @@ from repro.graph.generators import erdos_renyi_gnm
 from repro.parallel import CountAggregator, ParallelStats, run_parallel
 
 
-def _run(g, *, x_aware, n_jobs=1, algorithm="hbbmc++", **options):
+def _run(g, *, n_jobs=1, algorithm="hbbmc++", **options):
     aggregator = CountAggregator()
     stats = ParallelStats()
     counters = run_parallel(g, aggregator, algorithm=algorithm,
-                            n_jobs=n_jobs, x_aware=x_aware, stats=stats,
-                            **options)
+                            n_jobs=n_jobs, stats=stats, **options)
     return aggregator.finish(), counters, stats
 
 
 class TestPerChunkCpuAccounting:
     def test_every_chunk_records_cpu(self):
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=1,
-                                        chunks_per_worker=4)
+        _count, _counters, stats = _run(g, n_jobs=1, steal=True)
         assert stats.n_chunks >= 2
         assert sorted(stats.chunk_cpu_seconds) == list(range(stats.n_chunks))
         assert all(cpu >= 0.0 for cpu in stats.chunk_cpu_seconds.values())
 
     def test_totals_derive_from_chunks(self):
         g = erdos_renyi_gnm(40, 300, seed=3)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=1,
-                                        chunks_per_worker=4)
+        _count, _counters, stats = _run(g, n_jobs=1, steal=True)
         chunk_cpu = stats.chunk_cpu_seconds.values()
         assert stats.total_cpu_seconds == pytest.approx(
             stats.decompose_seconds + sum(chunk_cpu))
         assert stats.critical_path_seconds == pytest.approx(
             stats.decompose_seconds + max(chunk_cpu))
         assert stats.critical_path_seconds <= stats.total_cpu_seconds
-
-    def test_x_aware_flag_recorded(self):
-        g = erdos_renyi_gnm(20, 60, seed=1)
-        for flag in (True, False):
-            _count, _counters, stats = _run(g, x_aware=flag)
-            assert stats.x_aware is flag
 
 
 class TestWorkRatio:
@@ -78,7 +69,7 @@ class TestWorkRatio:
 class TestTimeline:
     def test_run_records_one_event_per_chunk(self):
         g = erdos_renyi_gnm(30, 200, seed=5)
-        _count, _counters, stats = _run(g, x_aware=True, n_jobs=2)
+        _count, _counters, stats = _run(g, n_jobs=2)
         assert len(stats.timeline) == stats.n_chunks
         assert {e.chunk_id for e in stats.timeline} == \
             set(range(stats.n_chunks))
@@ -90,33 +81,20 @@ class TestTimeline:
             assert event.counters["emitted"] >= 0
 
 
-class TestXAwareBranchRegression:
-    """X-aware must not expand more branches than enumerate-then-filter.
+class TestDuplicateAccounting:
+    """Where the decomposition's duplicated candidates are accounted.
 
     Pinned on the dense fixed-seed workload the decomposition targets
-    (duplication there is what motivated the X threading).  On very
-    sparse graphs the filtering path can win the raw call count — its
-    per-subgraph graph reduction collapses subproblems the in-place
-    phase still visits — which is why the guarantee is stated, and
-    tested, on the dense family.
+    (duplication there is what motivated the X threading).
     """
 
     GRAPH = erdos_renyi_gnm(60, 900, seed=7)
 
-    @pytest.mark.parametrize("backend", ["set", "bitset"])
-    @pytest.mark.parametrize("algorithm", ["hbbmc++", "bk-pivot"])
-    def test_x_aware_expands_no_more_branches(self, algorithm, backend):
-        count_x, counters_x, _ = _run(
-            self.GRAPH, x_aware=True, algorithm=algorithm, backend=backend)
-        count_f, counters_f, _ = _run(
-            self.GRAPH, x_aware=False, algorithm=algorithm, backend=backend)
-        assert count_x == count_f
-        assert counters_x.total_calls <= counters_f.total_calls
-
     def test_x_aware_never_suppresses_candidates(self):
-        _count, counters, _ = _run(self.GRAPH, x_aware=True)
+        _count, counters, _ = _run(self.GRAPH)
         assert counters.suppressed_candidates == 0
 
     def test_filtering_path_suppresses_duplicates(self):
-        _count, counters, _ = _run(self.GRAPH, x_aware=False)
+        count, counters, _ = _run(self.GRAPH, algorithm="reverse-search")
         assert counters.suppressed_candidates > 0
+        assert count == _run(self.GRAPH)[0]

@@ -4,15 +4,18 @@ Each case, and each cleanup, runs on a helper thread joined with a
 timeout (no test-timeout plugin is assumed), so a regression to a
 hanging pool fails the case instead of stalling the suite.  A case must end in the reference result
 or in :class:`WorkerPoolError`, and leave no child process behind once
-the pool is closed.
+the pool is closed.  A :class:`WorkerPoolError` ends its request only:
+the next one runs on fresh workers.
 
-Faults are injected deterministically: a patched ``_solve_chunk`` (the
-workers fork from this process, so they inherit the patch) or a poisoned
-graph state acts in a worker process only, and only while it can claim a
-flag file (``"x"`` mode is the atomic claim), so the number of faults is
-exact however the tasks land on the workers.
+Faults are injected deterministically: a patched ``_solve_chunk`` or
+``_solve_split`` (the workers fork from this process, so they inherit
+the patch) or a poisoned graph state acts in a worker process only, and
+only while it can claim a flag file (``"x"`` mode is the atomic claim),
+so the number of faults is exact however the tasks land on the workers.
 """
 
+import io
+import json
 import multiprocessing
 import os
 import signal
@@ -24,11 +27,11 @@ import pytest
 from repro.api import count_maximal_cliques, maximal_cliques
 from repro.config import RunConfig
 from repro.exceptions import WorkerPoolError
-from repro.graph.generators import erdos_renyi_gnm
-from repro.parallel import GraphState, WorkerPool, decompose
+from repro.graph.generators import ba_heavy_hub, erdos_renyi_gnm
+from repro.parallel import CountAggregator, GraphState, WorkerPool, decompose
 from repro.parallel import pool as pool_module
 from repro.parallel.scheduler import make_chunks
-from repro.service import CliqueService
+from repro.service import CliqueService, serve_stdio
 
 #: every case must end within this many seconds.
 BOUND = 30.0
@@ -85,24 +88,27 @@ def inject(monkeypatch, tmp_path):
 
     ``inject(kills=k)`` SIGKILLs the worker starting chunk 0, the first
     ``k`` times; ``inject(raises=True)`` raises ``ValueError`` there
-    once.  The parent's own (inline) calls are never touched.  Returns a
-    function telling how many faults fired.
+    once.  ``inject(kills=k, split=True)`` patches ``_solve_split``
+    instead and kills the worker starting any split part.  The parent's
+    own (inline) calls are never touched.  Returns a function telling how
+    many faults fired.
     """
     parent = os.getpid()
-    real = pool_module._solve_chunk
 
-    def install(kills=0, raises=False):
+    def install(kills=0, raises=False, split=False):
         flags = [tmp_path / f"kill{i}" for i in range(kills)]
+        target = "_solve_split" if split else "_solve_chunk"
+        real = getattr(pool_module, target)
 
-        def solve(graph_state, config, chunk, mode, context=None):
-            if os.getpid() != parent and chunk.index == 0:
+        def solve(graph_state, config, task, mode, context=None):
+            if os.getpid() != parent and (split or task.index == 0):
                 if any(claim(flag) for flag in flags):
                     os.kill(os.getpid(), signal.SIGKILL)
                 if raises and claim(tmp_path / "raised"):
                     raise ValueError("injected worker failure")
-            return real(graph_state, config, chunk, mode, context)
+            return real(graph_state, config, task, mode, context)
 
-        monkeypatch.setattr(pool_module, "_solve_chunk", solve)
+        monkeypatch.setattr(pool_module, target, solve)
         return lambda: sum(f.exists() for f in tmp_path.iterdir())
 
     return install
@@ -149,6 +155,7 @@ class TestWorkerKilledMidChunk:
         assert_no_children()
 
     def test_warm_service_after_double_loss_refuses_cleanly(self, graph,
+                                                            reference,
                                                             inject):
         inject(kills=2)
         service = CliqueService(n_jobs=2)
@@ -157,6 +164,53 @@ class TestWorkerKilledMidChunk:
             with pytest.raises(WorkerPoolError):
                 bounded(lambda: service.count("g"))
             assert not service.stats()["pool_live"]
+            # The error ended the request, not the service: the next one
+            # starts fresh workers.
+            result = bounded(lambda: service.count("g"))
+            assert result["count"] == len(reference)
+            stats = service.stats()
+            assert stats["pool_spinups"] == 2 and stats["pool_live"]
+        finally:
+            bounded(service.close)
+        assert_no_children()
+
+    def test_stdio_server_answers_every_line_after_the_loss(self, graph,
+                                                            reference,
+                                                            inject):
+        inject(kills=2)
+        register = {"op": "register", "name": "g", "n": graph.n,
+                    "edges": [list(e) for e in graph.edges()]}
+        count = {"op": "count", "graph": "g"}
+        lines = [register, count, count, {"op": "ping"}]
+        stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in lines))
+        stdout = io.StringIO()
+        service = CliqueService(n_jobs=2)
+        try:
+            assert bounded(lambda: serve_stdio(service, stdin=stdin,
+                                               stdout=stdout)) == 0
+        finally:
+            bounded(service.close)
+        assert_no_children()
+        responses = [json.loads(line)
+                     for line in stdout.getvalue().splitlines()]
+        assert [r["ok"] for r in responses] == [True, False, True, True]
+        assert "lost to two worker deaths" in responses[1]["error"]
+        assert responses[2]["count"] == len(reference)
+
+
+class TestWorkerKilledMidSplit:
+    def test_steal_count_reruns_the_lost_split(self, inject):
+        hub = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
+        fired = inject(kills=1, split=True)
+        service = CliqueService(n_jobs=2)
+        try:
+            service.register(hub, name="hub")
+            static = bounded(lambda: service.count("hub"))
+            assert fired() == 0
+            stolen = bounded(lambda: service.count("hub", steal=True))
+            assert stolen["count"] == static["count"]
+            assert fired() == 1
+            assert service.stats()["pool_respawns"] == 1
         finally:
             bounded(service.close)
         assert_no_children()
@@ -228,11 +282,11 @@ class _PoisonState:
 
 class TestBroadcastHang:
     def test_worker_death_during_ship_raises_not_hangs(self, graph,
-                                                       tmp_path):
+                                                       reference, tmp_path):
         # A worker that dies while a new graph state ships may have been
         # killed by the state itself, so the pool does not retry: the
         # submit surfaces WorkerPoolError within the bound instead of
-        # parking the service lock forever, and the pool closes.
+        # parking the service lock forever, and stops its workers.
         decomposition = decompose(graph)
         state = GraphState(graph=graph, order=decomposition.order,
                            position=decomposition.position)
@@ -244,10 +298,13 @@ class TestBroadcastHang:
             with pytest.raises(WorkerPoolError):
                 bounded(lambda: pool.submit("g", poison, config, chunks,
                                             lambda r: None, mode="count"))
-            # The pool closed itself: reuse fails loudly, not silently.
-            with pytest.raises(RuntimeError):
-                pool.submit("g", state, config, chunks, lambda r: None,
-                            mode="count")
+            # Reuse with a good state runs on fresh workers.
+            aggregator = CountAggregator()
+            aggregator.start(len(decomposition.subproblems))
+            bounded(lambda: pool.submit("g", state, config, chunks,
+                                        aggregator.accept, mode="count"))
+            assert aggregator.finish() == len(reference)
+            assert pool.spinups == 2
         finally:
             bounded(pool.close)
         assert_no_children()

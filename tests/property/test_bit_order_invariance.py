@@ -176,20 +176,16 @@ class TestAlgorithmInvariance:
                                       backend="bitset", bit_order=bit_order)
             assert clique_fingerprint(cliques) == reference
 
-    @pytest.mark.parametrize("x_aware", [True, False],
-                             ids=["x-aware", "filtering"])
     @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
-    def test_subproblem_tiers_inherit_explicit_packing(self, algorithm,
-                                                       x_aware):
-        """The compact-subgraph tier (edge family) and the filtering tier
-        run on a subgraph: an explicit permutation must reach it restricted
-        to the subgraph's members, not as the whole graph's order."""
+    def test_subproblem_tiers_inherit_explicit_packing(self, algorithm):
+        """The compact-subgraph tier (edge family) runs on a subgraph: an
+        explicit permutation must reach it restricted to the subgraph's
+        members, not as the whole graph's order."""
         g = erdos_renyi_gnp(26, 0.5, seed=9)
         reference = maximal_cliques(g, backend="set")
         order = random.Random(9).sample(range(g.n), g.n)
         assert maximal_cliques(g, algorithm=algorithm, backend="bitset",
-                               bit_order=order, n_jobs=1,
-                               x_aware=x_aware) == reference
+                               bit_order=order, n_jobs=1) == reference
 
 
 class TestValidation:

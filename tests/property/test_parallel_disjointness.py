@@ -55,10 +55,9 @@ def _streams(graph, algorithm, backend):
     dec = decompose(graph)
     streams = []
     for sp in dec.subproblems:
-        cliques, _counters, dropped = solve_subproblem(
+        cliques, _counters = solve_subproblem(
             graph, dec.position, sp.vertex,
             algorithm=algorithm, options=BACKEND_OPTIONS[backend])
-        assert dropped == 0, "X-aware subproblems never post-filter"
         streams.append(cliques)
     return streams
 
@@ -101,13 +100,3 @@ def test_x_aware_pipeline_equals_serial(name, graph, algorithm, backend, n_jobs)
     serial = maximal_cliques(graph, algorithm=algorithm, **options)
     assert maximal_cliques(graph, algorithm=algorithm, **options,
                            n_jobs=n_jobs) == serial
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS_UNDER_TEST)
-@pytest.mark.parametrize(
-    "name,graph", GENERATOR_CASES, ids=[n for n, _ in GENERATOR_CASES])
-def test_escape_hatch_matches_x_aware(name, graph, algorithm):
-    """``x_aware=False`` (the filtering decomposition) stays equivalent."""
-    assert maximal_cliques(graph, algorithm=algorithm, n_jobs=2,
-                           x_aware=False) == \
-        maximal_cliques(graph, algorithm=algorithm, n_jobs=2, x_aware=True)

@@ -82,7 +82,7 @@ class TestRegistry:
         # must come from the same core_decomposition run.
         registry = GraphRegistry()
         entry = registry.register(graph)
-        decomposition = registry.decomposition(entry, "edges")
+        decomposition = registry.decomposition(entry)
         assert decomposition.order is entry.graph_state.order
         assert decomposition.position is entry.graph_state.position
 
@@ -91,32 +91,36 @@ class TestRegistry:
         entry = registry.register(graph)
         assert "degeneracy" in entry.graph_state.bit_graphs
 
-    def test_decomposition_cached_per_cost_model(self, graph):
+    def test_decomposition_built_lazily_once(self, graph):
         registry = GraphRegistry()
         entry = registry.register(graph)
-        first = registry.decomposition(entry, "edges")
+        assert registry.stats.decompose_calls == 0
+        first = registry.decomposition(entry)
         assert registry.stats.decompose_calls == 1
-        assert registry.decomposition(entry, "edges") is first
+        assert registry.decomposition(entry) is first
         assert registry.stats.decompose_calls == 1
         assert registry.stats.decompose_cache_hits == 1
-        registry.decomposition(entry, "uniform")
-        assert registry.stats.decompose_calls == 2
 
-    def test_decomposition_rejects_unknown_cost_model(self, graph):
+    def test_chunks_cached_per_count(self, graph):
         registry = GraphRegistry()
         entry = registry.register(graph)
-        with pytest.raises(InvalidParameterError):
-            registry.decomposition(entry, "nope")
-
-    def test_chunks_cached_per_knobs(self, graph):
-        registry = GraphRegistry()
-        entry = registry.register(graph)
-        first = registry.chunks(entry, "edges", "greedy", 4)
-        assert registry.chunks(entry, "edges", "greedy", 4) is first
+        first = registry.chunks(entry, 4)
+        assert registry.chunks(entry, 4) is first
         assert registry.stats.chunk_cache_hits == 1
-        other = registry.chunks(entry, "edges", "greedy", 2)
+        other = registry.chunks(entry, 2)
         assert other is not first
         assert registry.stats.chunk_builds == 2
+
+    def test_steal_plan_cached_per_pool_size_and_tier(self, graph):
+        registry = GraphRegistry()
+        entry = registry.register(graph)
+        first = registry.steal_plan(entry, 2, True)
+        assert registry.steal_plan(entry, 2, True) is first
+        assert registry.stats.steal_plan_cache_hits == 1
+        registry.steal_plan(entry, 2, False)
+        registry.steal_plan(entry, 4, True)
+        assert registry.stats.steal_plan_builds == 3
+        assert registry.stats.decompose_calls == 1
 
     def test_entries_oldest_first(self, graph):
         registry = GraphRegistry()
@@ -145,7 +149,7 @@ class TestRegistryThreadSafety:
             try:
                 barrier.wait(timeout=10)
                 entry = registry.register(graph, name="g")
-                registry.decomposition(entry, "edges")
+                registry.decomposition(entry)
                 entries.append(entry)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)

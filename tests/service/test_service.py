@@ -215,13 +215,6 @@ class TestRequestSurface:
     def test_constructor_validation(self):
         with pytest.raises(InvalidParameterError):
             CliqueService(n_jobs=0)
-        with pytest.raises(InvalidParameterError):
-            CliqueService(chunks_per_worker=0)
-        # Regression: these used to construct, then fail every request.
-        with pytest.raises(InvalidParameterError, match="chunk strategy"):
-            CliqueService(chunk_strategy="bogus")
-        with pytest.raises(InvalidParameterError, match="cost model"):
-            CliqueService(cost_model="bogus")
 
 
 class TestStealRequests:

@@ -187,9 +187,8 @@ class TestJobsFlag:
         assert main(["enumerate", graph_file, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_count_with_jobs_and_strategy(self, graph_file, capsys):
-        assert main(["count", graph_file, "--jobs", "2",
-                     "--chunk-strategy", "contiguous"]) == 0
+    def test_count_with_jobs_and_steal(self, graph_file, capsys):
+        assert main(["count", graph_file, "--jobs", "2", "--steal"]) == 0
         assert "1" in capsys.readouterr().out.split()
 
     def test_verify_with_jobs(self, graph_file, capsys):
@@ -204,32 +203,11 @@ class TestJobsFlag:
         assert "--jobs" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_chunk_strategy_without_jobs_exits_2(self, graph_file, capsys):
-        assert main(["enumerate", graph_file,
-                     "--chunk-strategy", "contiguous"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "--jobs" in err
-        assert len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--cost-model", "uniform"),
-        ("--chunks-per-worker", "4"),
-    ])
-    def test_parallel_only_flags_without_jobs_exit_2(
-            self, graph_file, capsys, flag, value):
-        assert main(["enumerate", graph_file, flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert flag in err and "--jobs" in err
-
-    def test_cost_model_and_chunks_per_worker_with_jobs(
-            self, graph_file, capsys):
+    def test_steal_with_jobs_matches_serial(self, graph_file, capsys):
         assert main(["enumerate", graph_file]) == 0
         serial = capsys.readouterr().out
         assert main(["enumerate", graph_file, "--jobs", "2",
-                     "--cost-model", "uniform",
-                     "--chunks-per-worker", "2"]) == 0
+                     "--steal"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_jobs_documented_in_help(self, capsys):
@@ -237,7 +215,7 @@ class TestJobsFlag:
             main(["enumerate", "--help"])
         out = capsys.readouterr().out
         assert "--jobs" in out
-        assert "--chunk-strategy" in out
+        assert "--steal" in out
 
 
 class TestErrorExits:

@@ -5,9 +5,12 @@ a :class:`repro.config.RunConfig` and validate it once.  The table below
 pins that as behaviour: each bad knob is refused with
 ``InvalidParameterError`` (or ``ok: false``, or exit 2 and one line) by
 every front end that can express it, and the protocol keeps serving
-after the refusal.
+after the refusal.  A deleted scheduling knob is refused the same way:
+as an option the algorithm does not take, an unknown request field or an
+unknown flag.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -58,7 +61,7 @@ CHILD_ENV = {**os.environ,
 
 
 def _case(api, pattern, *, n_jobs=(None, 1), service=None, request=None,
-          protocol=None, cli=None):
+          protocol=None, cli=None, flag=None):
     """One bad knob and how each front end spells it.
 
     ``api`` are keyword arguments for the entry points, tried with each
@@ -66,31 +69,29 @@ def _case(api, pattern, *, n_jobs=(None, 1), service=None, request=None,
     ``service`` are ``CliqueService`` constructor arguments, ``request``
     per-request keyword arguments, ``protocol`` request fields and ``cli``
     the flags after the graph file.  Every refusal must match ``pattern``.
+    ``flag`` is a deleted CLI flag, which argparse refuses with exit 2.
     """
     return dict(api=api, pattern=pattern, n_jobs=n_jobs, service=service,
-                request=request, protocol=protocol, cli=cli)
+                request=request, protocol=protocol, cli=cli, flag=flag)
+
+
+def _deleted(knob, value, flag):
+    """A deleted scheduling knob: refused by name on every front end."""
+    return _case({knob: value},
+                 rf"(takes no option|unknown request field\(s\)) {knob}\b",
+                 request={knob: value}, protocol={knob: value}, flag=flag)
 
 
 CASES = {
-    "x_aware-int": _case({"x_aware": 1}, "x_aware", request={"x_aware": 1},
-                         protocol={"x_aware": 1}),
+    "x_aware-deleted": _deleted("x_aware", False, ["--no-x-aware"]),
     "steal-str": _case({"steal": "yes"}, "steal", request={"steal": "yes"},
                        protocol={"steal": "yes"}),
-    "chunks_per_worker-0": _case(
-        {"chunks_per_worker": 0}, "chunks.per.worker",
-        service={"chunks_per_worker": 0},
-        cli=["--jobs", "1", "--chunks-per-worker", "0"]),
-    "chunks_per_worker-bool": _case(
-        {"chunks_per_worker": True}, "chunks.per.worker",
-        service={"chunks_per_worker": True}),
-    "chunk_strategy-unknown": _case(
-        {"chunk_strategy": "bogus"}, "chunk.strategy",
-        service={"chunk_strategy": "bogus"},
-        cli=["--jobs", "1", "--chunk-strategy", "bogus"]),
-    "cost_model-unknown": _case(
-        {"cost_model": "bogus"}, "cost.model",
-        service={"cost_model": "bogus"},
-        cli=["--jobs", "1", "--cost-model", "bogus"]),
+    "chunks_per_worker-deleted": _deleted(
+        "chunks_per_worker", 2, ["--chunks-per-worker", "2"]),
+    "chunk_strategy-deleted": _deleted(
+        "chunk_strategy", "contiguous", ["--chunk-strategy", "contiguous"]),
+    "cost_model-deleted": _deleted(
+        "cost_model", "candidates", ["--cost-model", "candidates"]),
     "n_jobs-0": _case({"n_jobs": 0}, "jobs", n_jobs=(),
                       service={"n_jobs": 0}, cli=["--jobs", "0"]),
     "n_jobs-bool": _case({"n_jobs": True}, "jobs", n_jobs=(),
@@ -201,6 +202,25 @@ def test_cli_rejects_with_one_line(graph_file, capsys, case_id, command):
     assert re.search(case["pattern"], err), err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "count", "verify"])
+@pytest.mark.parametrize("case_id", _with("flag"))
+def test_cli_refuses_deleted_flag(graph_file, capsys, case_id, command):
+    flag = CASES[case_id]["flag"]
+    with pytest.raises(SystemExit) as exited:
+        main([command, graph_file, "--jobs", "1", *flag])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
+
+
+def test_serve_refuses_deleted_flag(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--chunk-strategy", "contiguous"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --chunk-strategy" in \
+        capsys.readouterr().err
+
+
 class TestSchemaValidRequestsKeepTheServerUp:
     """An option the algorithm does not take used to raise ``TypeError``
     out of ``handle_request``: stdio exited, TCP dropped the client."""
@@ -286,9 +306,11 @@ class TestRunConfig:
 
     def test_parallel_config_gets_the_pool_defaults(self):
         config = RunConfig("hbbmc++", n_jobs=2).validate(GRAPH)
-        assert (config.chunk_strategy, config.cost_model,
-                config.chunks_per_worker, config.x_aware, config.steal) \
-            == ("greedy", "edges", 1, True, False)
+        assert (config.n_jobs, config.steal) == (2, False)
+
+    def test_four_fields(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == \
+            ["algorithm", "options", "n_jobs", "steal"]
 
     def test_explicit_permutation_is_checked_against_the_graph(self):
         RunConfig("hbbmc++", {"backend": "bitset", "bit_order": [3, 2, 1, 0]},
