@@ -90,8 +90,11 @@ class TestDuplicateAccounting:
 
     GRAPH = erdos_renyi_gnm(60, 900, seed=7)
 
-    def test_x_aware_never_suppresses_candidates(self):
-        _count, counters, _ = _run(self.GRAPH)
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    @pytest.mark.parametrize("algorithm", ["hbbmc++", "bk-pivot"])
+    def test_x_aware_never_suppresses_candidates(self, algorithm, backend):
+        _count, counters, _ = _run(self.GRAPH, algorithm=algorithm,
+                                   backend=backend)
         assert counters.suppressed_candidates == 0
 
     def test_filtering_path_suppresses_duplicates(self):

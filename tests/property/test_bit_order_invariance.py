@@ -23,11 +23,14 @@ from repro.graph.bitadj import (
     resolve_bit_order,
 )
 from repro.graph.generators import (
+    ba_heavy_hub,
     barabasi_albert,
     erdos_renyi_gnp,
     plex_caveman,
     ring_of_cliques,
 )
+from repro.parallel import CollectAggregator, ParallelStats, run_parallel
+from repro.parallel.decompose import uses_in_place_phase
 from repro.verify import clique_fingerprint
 
 FUZZ_GRAPHS = [
@@ -186,6 +189,23 @@ class TestAlgorithmInvariance:
         order = random.Random(9).sample(range(g.n), g.n)
         assert maximal_cliques(g, algorithm=algorithm, backend="bitset",
                                bit_order=order, n_jobs=1) == reference
+
+    @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
+    def test_split_tier_inherits_explicit_packing(self, algorithm):
+        """Steal mode cuts the hub's subproblem into parts of root branches,
+        each run on the whole-graph view: that view must be packed in the
+        explicit order too.  The in-place tier is the one that re-splits;
+        the edge family keeps its compact-subgraph tier."""
+        g = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
+        reference = maximal_cliques(g, backend="set")
+        options = {"backend": "bitset",
+                   "bit_order": random.Random(7).sample(range(g.n), g.n)}
+        aggregator, stats = CollectAggregator(), ParallelStats()
+        run_parallel(g, aggregator, algorithm=algorithm, n_jobs=1,
+                     steal=True, stats=stats, **options)
+        assert aggregator.finish(canonical=True) == reference
+        assert (stats.resplit_tasks > 0) == \
+            uses_in_place_phase(algorithm, options)
 
 
 class TestValidation:

@@ -8,7 +8,8 @@ must equal the serial result.  This is the structural invariant that
 eliminates the duplicated-branch work; the tests here pin it directly at
 the :func:`solve_subproblem` level and end to end through the pool, for
 both execution tiers (in-place vertex phase for hbbmc++/bk-pivot, seeded
-``initial_x`` framework run for ebbmc++).
+``initial_x`` framework run for ebbmc++).  ``reverse-search``'s filtering
+tier is held to the same ownership after its filter.
 
 All graphs come from seeded generators — no randomness at test time.
 """
@@ -88,6 +89,25 @@ def test_each_clique_owned_by_its_earliest_vertex(name, graph, backend):
     for sp, stream in zip(dec.subproblems,
                           _streams(graph, "hbbmc++", backend)):
         assert stream == sorted(owner.get(sp.vertex, []))
+
+
+@pytest.mark.parametrize(
+    "name,graph", GENERATOR_CASES, ids=[n for n, _ in GENERATOR_CASES])
+def test_filtering_tier_keeps_only_cliques_owned_by_the_root(name, graph):
+    """``reverse-search`` cannot seed X: subproblem v enumerates
+    G[later(v)] and drops what an earlier neighbour extends.  What it keeps
+    must be exactly the cliques rooted at v, as on the X-aware tiers."""
+    dec = decompose(graph)
+    owner = {}
+    for clique in _reference(name, graph):
+        root = min(clique, key=lambda u: dec.position[u])
+        owner.setdefault(root, []).append(clique)
+    for sp in dec.subproblems:
+        cliques, counters = solve_subproblem(
+            graph, dec.position, sp.vertex,
+            algorithm="reverse-search", options={})
+        assert cliques == sorted(owner.get(sp.vertex, []))
+        assert counters.emitted == len(cliques)
 
 
 @pytest.mark.parametrize("n_jobs", N_JOBS_UNDER_TEST)

@@ -61,7 +61,7 @@ CHILD_ENV = {**os.environ,
 
 
 def _case(api, pattern, *, n_jobs=(None, 1), service=None, request=None,
-          protocol=None, cli=None, flag=None):
+          protocol=None, cli=None, flag=None, knob=None):
     """One bad knob and how each front end spells it.
 
     ``api`` are keyword arguments for the entry points, tried with each
@@ -69,28 +69,41 @@ def _case(api, pattern, *, n_jobs=(None, 1), service=None, request=None,
     ``service`` are ``CliqueService`` constructor arguments, ``request``
     per-request keyword arguments, ``protocol`` request fields and ``cli``
     the flags after the graph file.  Every refusal must match ``pattern``.
-    ``flag`` is a deleted CLI flag, which argparse refuses with exit 2.
+    ``flag`` is a deleted CLI flag, which argparse refuses with exit 2, and
+    ``knob`` a deleted keyword, which ``CliqueService`` no longer takes.
     """
     return dict(api=api, pattern=pattern, n_jobs=n_jobs, service=service,
-                request=request, protocol=protocol, cli=cli, flag=flag)
+                request=request, protocol=protocol, cli=cli, flag=flag,
+                knob=knob)
 
 
-def _deleted(knob, value, flag):
-    """A deleted scheduling knob: refused by name on every front end."""
+def _deleted(knob, value, flag=None):
+    """A deleted scheduling knob: refused by name on every front end,
+    whether ``value`` was once accepted or once refused as a bad value.
+    ``flag`` is its old CLI spelling, where it had one."""
     return _case({knob: value},
                  rf"(takes no option|unknown request field\(s\)) {knob}\b",
-                 request={knob: value}, protocol={knob: value}, flag=flag)
+                 request={knob: value}, protocol={knob: value}, flag=flag,
+                 knob=knob)
 
 
 CASES = {
-    "x_aware-deleted": _deleted("x_aware", False, ["--no-x-aware"]),
+    "x_aware-int": _deleted("x_aware", 1),
+    "x_aware-false": _deleted("x_aware", False, ["--no-x-aware"]),
     "steal-str": _case({"steal": "yes"}, "steal", request={"steal": "yes"},
                        protocol={"steal": "yes"}),
-    "chunks_per_worker-deleted": _deleted(
+    "chunks_per_worker-0": _deleted(
+        "chunks_per_worker", 0, ["--chunks-per-worker", "0"]),
+    "chunks_per_worker-bool": _deleted("chunks_per_worker", True),
+    "chunks_per_worker-2": _deleted(
         "chunks_per_worker", 2, ["--chunks-per-worker", "2"]),
-    "chunk_strategy-deleted": _deleted(
+    "chunk_strategy-unknown": _deleted(
+        "chunk_strategy", "bogus", ["--chunk-strategy", "bogus"]),
+    "chunk_strategy-contiguous": _deleted(
         "chunk_strategy", "contiguous", ["--chunk-strategy", "contiguous"]),
-    "cost_model-deleted": _deleted(
+    "cost_model-unknown": _deleted(
+        "cost_model", "bogus", ["--cost-model", "bogus"]),
+    "cost_model-candidates": _deleted(
         "cost_model", "candidates", ["--cost-model", "candidates"]),
     "n_jobs-0": _case({"n_jobs": 0}, "jobs", n_jobs=(),
                       service={"n_jobs": 0}, cli=["--jobs", "0"]),
@@ -147,6 +160,13 @@ def test_service_constructor_rejects(case_id):
     case = CASES[case_id]
     with pytest.raises(InvalidParameterError, match=case["pattern"]):
         CliqueService(**case["service"])
+
+
+@pytest.mark.parametrize("case_id", _with("knob"))
+def test_service_constructor_takes_no_deleted_knob(case_id):
+    case = CASES[case_id]
+    with pytest.raises(TypeError, match=case["knob"]):
+        CliqueService(**case["api"])
 
 
 @pytest.fixture(scope="module")
