@@ -9,17 +9,19 @@ _SRC = pathlib.Path(__file__).parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.bench.experiments import BACKEND
 from repro.bench.runner import measure
 from repro.graph.generators import load_dataset
 
 
 def run_cell(benchmark, dataset: str, algorithm: str, **options):
-    """Benchmark one table cell; returns the measurement for assertions."""
+    """Benchmark one table cell on the tables' one backend; returns the
+    measurement for assertions."""
     g = load_dataset(dataset)
     result = {}
 
     def once():
-        result["m"] = measure(g, algorithm, **options)
+        result["m"] = measure(g, algorithm, backend=BACKEND, **options)
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     return result["m"]

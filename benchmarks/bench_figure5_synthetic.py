@@ -3,10 +3,12 @@
 Shape checks: all algorithms agree on every generated graph, runtime grows
 with n and with rho, and the BA model (larger cliques) costs more than the
 ER model at matched parameters — the paper's Appendix D observations.
+Every run names the tables' one backend (``repro.bench.experiments.BACKEND``).
 """
 
 import pytest
 
+from repro.bench.experiments import BACKEND
 from repro.bench.runner import measure
 from repro.graph.generators import barabasi_albert, erdos_renyi_gnm
 
@@ -32,7 +34,7 @@ def test_figure5ab_cell(benchmark, model, n, algorithm):
     result = {}
 
     def once():
-        result["m"] = measure(g, algorithm)
+        result["m"] = measure(g, algorithm, backend=BACKEND)
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     _times[(model, n, 8, algorithm)] = result["m"].seconds
@@ -46,7 +48,7 @@ def test_figure5cd_cell(benchmark, model, rho):
     result = {}
 
     def once():
-        result["m"] = measure(g, "hbbmc++")
+        result["m"] = measure(g, "hbbmc++", backend=BACKEND)
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     _times[(model, 2000, rho, "hbbmc++")] = result["m"].seconds
@@ -55,7 +57,7 @@ def test_figure5cd_cell(benchmark, model, rho):
 def test_agreement_across_models():
     for model in ("ER", "BA"):
         g = _graph(model, 1000, 8)
-        counts = {measure(g, a).cliques for a in ALGORITHMS}
+        counts = {measure(g, a, backend=BACKEND).cliques for a in ALGORITHMS}
         assert len(counts) == 1
 
 

@@ -21,14 +21,18 @@ two cannot drift.)
 Every branch-and-bound algorithm additionally accepts
 ``backend="set" | "bitset"`` selecting the branch-state representation:
 Python sets or ``int`` bitmasks (:mod:`repro.graph.bitadj`).  Both
-backends emit identical clique sets.  The bitset backend also accepts
+backends emit identical clique sets.  A request that names no backend
+runs on :func:`repro.core.frameworks.default_backend` of its graph —
+``bitset`` unless the graph is large and sparse — except
+``reverse-search``, which has no bitmask engine and runs on ``set``.  A
+named backend always wins.  The bitset backend also accepts
 ``bit_order="degeneracy" | "input"`` (or an explicit vertex permutation)
 selecting the vertex→bit packing: ``"degeneracy"`` — the default — packs
 the high-core vertices into the low mask words so deep-branch masks stay
-short, ``"input"`` is the identity mapping.  Early termination on the
-bitset backend is bit-native end to end (:mod:`repro.core.bit_plex`):
-plex branches are decomposed and their cliques assembled directly on the
-masks.
+short, ``"input"`` is the identity mapping.  ``bit_order`` needs a named
+``backend="bitset"``.  Early termination on the bitset backend is
+bit-native end to end (:mod:`repro.core.bit_plex`): plex branches are
+decomposed and their cliques assembled directly on the masks.
 
 ``maximal_cliques``, ``count_maximal_cliques``, ``enumerate_to_sink``
 and ``run_with_report`` also accept ``n_jobs=N`` to fan the enumeration
@@ -76,7 +80,7 @@ from repro.baselines import (
 )
 from repro.config import RunConfig
 from repro.core.counters import Counters, RunReport
-from repro.core.frameworks import run_hybrid, run_vertex
+from repro.core.frameworks import default_backend, run_hybrid, run_vertex
 from repro.core.result import CliqueCollector, CliqueCounter, CliqueSink
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.graph.adjacency import Graph
@@ -114,6 +118,22 @@ class AlgorithmSpec:
     def option_names(self) -> frozenset[str]:
         """The options ``runner`` takes: its parameters after ``g, sink``."""
         return frozenset(list(inspect.signature(self.runner).parameters)[2:])
+
+    def backend_for(self, g: Graph) -> str | None:
+        """The backend a request that names none runs on ``g``.
+
+        A runner whose ``backend`` parameter defaults to a name keeps it
+        (``reverse-search``: ``"set"``); one that defaults to ``None``
+        takes :func:`repro.core.frameworks.default_backend` of ``g``.
+        ``None`` when the runner takes no ``backend``.
+        """
+        if "backend" not in self.option_names:
+            return None
+        return self._backend_default or default_backend(g)
+
+    @cached_property
+    def _backend_default(self) -> str | None:
+        return inspect.signature(self.runner).parameters["backend"].default
 
     @property
     def supports_initial_x(self) -> bool:
@@ -264,13 +284,14 @@ def _run(g: Graph, config: RunConfig, trace: Tracer | None, sink: CliqueSink,
             f"trace must be a repro.obs.Tracer or None, got {trace!r}"
         )
     if config.n_jobs is None:
-        config.validate(g)
+        config = config.validate(g)
         runner = get_algorithm(config.algorithm).runner
         if config.options:
             runner = partial(runner, **config.options)
         if trace is None:
             return runner(g, sink), None
-        with trace.span("enumerate", algorithm=config.algorithm):
+        with trace.span("enumerate", algorithm=config.algorithm,
+                        backend=config.options.get("backend")):
             counters = runner(g, sink)
         trace.annotate(counters=counters.as_dict())
         return counters, None

@@ -3,7 +3,9 @@
 Each function enumerates all maximal cliques of a graph into a sink and
 returns run counters.  They are thin, documented configurations of the
 shared vertex engine; the worst-case complexities quoted below are from the
-paper's Table VII.
+paper's Table VII.  ``backend=None`` (the default) runs on
+:func:`repro.core.frameworks.default_backend` of the graph, as
+:func:`repro.core.frameworks.run_vertex` resolves it.
 
 ============  =============================  =============================
 Function      Paper algorithm                Worst-case time
@@ -28,7 +30,7 @@ from repro.graph.adjacency import Graph
 
 def bk(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
        et_threshold: int = 0, graph_reduction: bool = False,
-       backend: str = "set", bit_order=None,
+       backend: str | None = None, bit_order=None,
        initial_x: set[int] | None = None) -> Counters:
     """Original Bron–Kerbosch: branch on every candidate, no pivot."""
     return run_vertex(g, sink, ordering_kind=None, vertex_strategy="none",
@@ -40,7 +42,7 @@ def bk(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 def bk_pivot(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
              et_threshold: int = 0, graph_reduction: bool = False,
-             backend: str = "set", bit_order=None,
+             backend: str | None = None, bit_order=None,
              initial_x: set[int] | None = None) -> Counters:
     """BK with Tomita's pivot (max |N(u) ∩ C| over C ∪ X)."""
     return run_vertex(g, sink, ordering_kind=None, vertex_strategy="tomita",
@@ -52,7 +54,7 @@ def bk_pivot(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 def bk_ref(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
            et_threshold: int = 0, graph_reduction: bool = False,
-           backend: str = "set", bit_order=None,
+           backend: str | None = None, bit_order=None,
            initial_x: set[int] | None = None) -> Counters:
     """BK with Naudé's refined pivot selection (domination shortcuts)."""
     return run_vertex(g, sink, ordering_kind=None, vertex_strategy="ref",
@@ -64,7 +66,7 @@ def bk_ref(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 def bk_degen(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
              et_threshold: int = 0, graph_reduction: bool = False,
-             backend: str = "set", bit_order=None,
+             backend: str | None = None, bit_order=None,
              initial_x: set[int] | None = None) -> Counters:
     """Eppstein–Löffler–Strash: degeneracy ordering at the initial branch."""
     return run_vertex(g, sink, ordering_kind="degeneracy",
@@ -76,7 +78,7 @@ def bk_degen(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 def bk_degree(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
               et_threshold: int = 0, graph_reduction: bool = False,
-              backend: str = "set", bit_order=None,
+              backend: str | None = None, bit_order=None,
               initial_x: set[int] | None = None) -> Counters:
     """Degree ordering at the initial branch (h-index bound)."""
     return run_vertex(g, sink, ordering_kind="degree",
@@ -88,7 +90,7 @@ def bk_degree(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 def bk_rcd(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
            et_threshold: int = 0, graph_reduction: bool = False,
-           backend: str = "set", bit_order=None,
+           backend: str | None = None, bit_order=None,
            initial_x: set[int] | None = None) -> Counters:
     """BK_Rcd: top-down min-degree peeling until the candidate is a clique."""
     return run_vertex(g, sink, ordering_kind=None, vertex_strategy="rcd",
@@ -100,7 +102,7 @@ def bk_rcd(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 def bk_fac(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
            et_threshold: int = 0, graph_reduction: bool = False,
-           backend: str = "set", bit_order=None,
+           backend: str | None = None, bit_order=None,
            initial_x: set[int] | None = None) -> Counters:
     """BK_Fac: degeneracy outer loop + adaptive pivot refinement."""
     return run_vertex(g, sink, ordering_kind="degeneracy",
@@ -111,7 +113,7 @@ def bk_fac(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 
 def rref(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
-         backend: str = "set", bit_order=None,
+         backend: str | None = None, bit_order=None,
          initial_x: set[int] | None = None) -> Counters:
     """RRef = BK_Ref + graph reduction (Deng et al., the paper's baseline)."""
     return bk_ref(g, sink, counters=counters, graph_reduction=True,
@@ -120,7 +122,7 @@ def rref(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 
 def rdegen(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
-           backend: str = "set", bit_order=None,
+           backend: str | None = None, bit_order=None,
            initial_x: set[int] | None = None) -> Counters:
     """RDegen = BK_Degen + graph reduction."""
     return bk_degen(g, sink, counters=counters, graph_reduction=True,
@@ -129,7 +131,7 @@ def rdegen(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 
 def rrcd(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
-         backend: str = "set", bit_order=None,
+         backend: str | None = None, bit_order=None,
          initial_x: set[int] | None = None) -> Counters:
     """RRcd = BK_Rcd + graph reduction."""
     return bk_rcd(g, sink, counters=counters, graph_reduction=True,
@@ -138,7 +140,7 @@ def rrcd(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
 
 
 def rfac(g: Graph, sink: CliqueSink, *, counters: Counters | None = None,
-         backend: str = "set", bit_order=None,
+         backend: str | None = None, bit_order=None,
          initial_x: set[int] | None = None) -> Counters:
     """RFac = BK_Fac + graph reduction."""
     return bk_fac(g, sink, counters=counters, graph_reduction=True,

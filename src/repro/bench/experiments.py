@@ -3,6 +3,10 @@
 Every function accepts ``quick=True`` to run a reduced sweep (a subset of
 datasets / algorithms) so the pytest-benchmark suite stays fast; the full
 runs back EXPERIMENTS.md.
+
+Every timed run of a table names :data:`BACKEND`, and the table's title
+says so: a request that names no backend runs on a per-graph default, so
+a table left to it would compare representations as well as algorithms.
 """
 
 from __future__ import annotations
@@ -25,6 +29,16 @@ TABLE2_ALGORITHMS = ("hbbmc++", "rref", "rdegen", "rrcd", "rfac")
 TABLE3_ALGORITHMS = ("hbbmc++", "hbbmc+", "rdegen", "ref++", "rcd++", "fac++")
 TABLE6_ALGORITHMS = ("hbbmc++", "vbbmc-dgn", "hbbmc-dgn", "hbbmc-mdg")
 FIGURE5_ALGORITHMS = ("hbbmc++", "rref", "rdegen", "rrcd", "rfac")
+
+#: The one backend every timed run of a table takes.  ``set`` serves
+#: every registered algorithm (``reverse-search`` has no bitmask engine)
+#: and is the representation these tables were first measured on.
+BACKEND = "set"
+
+
+def _timed_title(title: str) -> str:
+    """A timed table's title, naming the backend its runs take."""
+    return f"{title} [backend={BACKEND}]"
 
 
 def _datasets(quick: bool) -> tuple[str, ...]:
@@ -62,12 +76,12 @@ def _runtime_table(
     quick: bool,
 ) -> ExperimentResult:
     result = ExperimentResult(
-        experiment_id, title,
+        experiment_id, _timed_title(title),
         ["Graph"] + list(algorithms) + ["#cliques", "winner"],
     )
     for name in _datasets(quick):
         g = load_dataset(name)
-        runs = [measure(g, algo) for algo in algorithms]
+        runs = [measure(g, algo, backend=BACKEND) for algo in algorithms]
         counts = {r.cliques for r in runs}
         assert len(counts) == 1, f"algorithms disagree on {name}: {counts}"
         winner = min(runs, key=lambda r: r.seconds).algorithm
@@ -107,7 +121,7 @@ def table3(quick: bool = False) -> ExperimentResult:
 def table4(quick: bool = False) -> ExperimentResult:
     """Table IV: depth d at which branching switches edge -> vertex."""
     result = ExperimentResult(
-        "table4", "Hybrid switch depth (time and #Calls)",
+        "table4", _timed_title("Hybrid switch depth (time and #Calls)"),
         ["Graph", "d=1 time", "d=1 #calls", "d=2 time", "d=2 #calls",
          "d=3 time", "d=3 #calls"],
     )
@@ -115,7 +129,7 @@ def table4(quick: bool = False) -> ExperimentResult:
         g = load_dataset(name)
         cells: list = [name]
         for depth in (1, 2, 3):
-            run = measure(g, "hbbmc++", edge_depth=depth)
+            run = measure(g, "hbbmc++", edge_depth=depth, backend=BACKEND)
             cells.extend([run.seconds, run.counters.total_calls])
         result.add_row(*cells)
     result.add_note(
@@ -128,7 +142,7 @@ def table4(quick: bool = False) -> ExperimentResult:
 def table5(quick: bool = False) -> ExperimentResult:
     """Table V: early-termination threshold t in {0, 1, 2, 3}."""
     result = ExperimentResult(
-        "table5", "Early termination: varying t",
+        "table5", _timed_title("Early termination: varying t"),
         ["Graph",
          "t=0 time", "t=0 #calls",
          "t=1 time", "t=1 #calls", "t=1 ratio",
@@ -139,7 +153,7 @@ def table5(quick: bool = False) -> ExperimentResult:
         g = load_dataset(name)
         cells: list = [name]
         for t in (0, 1, 2, 3):
-            run = measure(g, "hbbmc++", et_threshold=t)
+            run = measure(g, "hbbmc++", et_threshold=t, backend=BACKEND)
             cells.extend([run.seconds, run.counters.vertex_calls])
             if t:
                 cells.append(run.counters.et_ratio)
@@ -211,7 +225,7 @@ def figure5(
 
     result = ExperimentResult(
         f"figure5{variant}",
-        f"Figure 5({variant}): {model} model, varying {label}",
+        _timed_title(f"Figure 5({variant}): {model} model, varying {label}"),
         [label] + list(algorithms),
     )
     for n, rho in points:
@@ -219,7 +233,7 @@ def figure5(
             g = erdos_renyi_gnm(n, rho * n, seed=42 + n + rho)
         else:
             g = barabasi_albert(n, max(1, rho), seed=42 + n + rho)
-        runs = [measure(g, algo) for algo in algorithms]
+        runs = [measure(g, algo, backend=BACKEND) for algo in algorithms]
         counts = {r.cliques for r in runs}
         assert len(counts) == 1, f"disagreement at {label} point {(n, rho)}"
         result.add_row(n if sweep_n else rho, *[r.seconds for r in runs])

@@ -22,6 +22,7 @@ from dataclasses import replace
 
 from repro.api import ALGORITHMS, DEFAULT_ALGORITHM, maximal_cliques, run_with_report
 from repro.config import RunConfig
+from repro.core.frameworks import MAX_BITS_PER_EDGE
 from repro.core.phases import BACKENDS
 from repro.exceptions import (
     GraphFormatError,
@@ -67,11 +68,14 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="NAME",
                         help=f"algorithm (default {DEFAULT_ALGORITHM}; "
                              f"see 'repro-mce algorithms')")
-    parser.add_argument("--backend", choices=BACKENDS, default="set",
+    parser.add_argument("--backend", choices=BACKENDS, default=None,
                         help="branch-state representation: Python sets or "
-                             "int bitmasks (default: set)")
+                             "int bitmasks (default: chosen from the graph "
+                             "- bitset unless it is large and sparse, "
+                             "n*n > %d*m; set for reverse-search)"
+                             % MAX_BITS_PER_EDGE)
     parser.add_argument("--bit-order", choices=BIT_ORDERS, default=None,
-                        help="bitmask packing for --backend bitset: "
+                        help="bitmask packing; needs --backend bitset: "
                              "'degeneracy' (default; dense core in the low "
                              "mask words) or 'input' (vertex id = bit id)")
     parser.add_argument("--jobs", metavar="N", default=None,
@@ -89,7 +93,9 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 def _config(args: argparse.Namespace) -> RunConfig:
     """The one run the graph-taking flags describe (the API validates it;
     ``--jobs`` is parsed here so a bad value exits 2 with one line)."""
-    options: dict = {"backend": args.backend}
+    options: dict = {}
+    if args.backend is not None:
+        options["backend"] = args.backend
     if args.bit_order is not None:
         options["bit_order"] = args.bit_order
     return RunConfig(
@@ -165,15 +171,18 @@ def cmd_count(args: argparse.Namespace) -> int:
     names = sorted(ALGORITHMS) if args.all else [args.algorithm]
     for name in names:
         try:
-            report = run_with_report(
-                g, trace=tracer, **replace(config, algorithm=name).keywords())
+            run = replace(config, algorithm=name).validate(g)
+            report = run_with_report(g, trace=tracer, **run.keywords())
         except InvalidParameterError as exc:
             if not args.all:
                 raise
             print(f"{name:16s} skipped ({exc})")
             continue
+        # Each row names the backend it ran on: without --backend it is
+        # the algorithm's default for this graph.
         print(f"{name:16s} {report.clique_count:10d} cliques  "
-              f"{report.seconds:8.3f}s  {report.counters.total_calls:10d} calls")
+              f"{report.seconds:8.3f}s  {report.counters.total_calls:10d} calls"
+              f"  {run.options['backend']}")
     _dump_trace(args, tracer)
     return 0
 

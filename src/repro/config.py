@@ -33,13 +33,14 @@ class RunConfig:
 
     ``options`` go to the algorithm's runner: ``backend``, ``bit_order``,
     ``et_threshold``, ``graph_reduction`` and the rest of its keyword
-    parameters.  ``n_jobs=None`` is the classic single-process run.  With
-    ``n_jobs`` the run is partitioned over the worker pool
-    (:mod:`repro.parallel`) on one schedule: X-aware subproblems packed
-    by their edge cost into one chunk per worker, or with ``steal=True``
-    the work-stealing plan.  ``steal`` left ``None`` was not given:
-    without ``n_jobs`` it must stay so, and with ``n_jobs`` it means
-    ``False``.
+    parameters.  A ``backend`` left out (or ``None``) is resolved from the
+    graph by :meth:`validate`.  ``n_jobs=None`` is the classic
+    single-process run.  With ``n_jobs`` the run is partitioned over the
+    worker pool (:mod:`repro.parallel`) on one schedule: X-aware
+    subproblems packed by their edge cost into one chunk per worker, or
+    with ``steal=True`` the work-stealing plan.  ``steal`` left ``None``
+    was not given: without ``n_jobs`` it must stay so, and with
+    ``n_jobs`` it means ``False``.
     """
 
     algorithm: str
@@ -52,11 +53,17 @@ class RunConfig:
 
         Raises :class:`repro.exceptions.UnknownAlgorithmError` for an
         unregistered algorithm and ``InvalidParameterError`` for any other
-        bad knob.  A serial run returns ``self``: its runner checks the
-        option values before any work.  A parallel run must fail in the
-        parent, so its option values go through a dry run of the runner
-        on the empty graph (an explicit ``bit_order`` is checked against
-        ``g`` instead), and it returns a copy with the defaults filled in.
+        bad knob.  A request that names no ``backend`` gets the one its
+        algorithm runs on ``g`` written into the options
+        (:meth:`repro.api.AlgorithmSpec.backend_for`), so the pool, its
+        workers, the subproblem runs and the service all see one explicit
+        backend; a ``bit_order`` without a named backend is left for the
+        runner to refuse.  A serial run returns ``self`` when there is
+        nothing to fill in: its runner checks the option values before
+        any work.  A parallel run must fail in the parent, so its option
+        values go through a dry run of the runner on the empty graph (an
+        explicit ``bit_order`` is checked against ``g`` instead), and it
+        returns a copy with the defaults filled in.
         """
         from repro.api import get_algorithm  # deferred: the api imports us
 
@@ -72,27 +79,34 @@ class RunConfig:
             raise InvalidParameterError(
                 f"steal must be a bool, got {self.steal!r}"
             )
+        config = self
+        if self.options.get("backend") is None \
+                and self.options.get("bit_order") is None:
+            backend = spec.backend_for(g)
+            if backend is not None:
+                config = replace(self, options={**self.options,
+                                                "backend": backend})
         if self.n_jobs is None:
             if self.steal is not None:
                 raise InvalidParameterError(
                     "steal requires n_jobs (the parallel path)"
                 )
-            return self
+            return config
 
-        resolved = replace(self, n_jobs=validate_n_jobs(self.n_jobs),
+        resolved = replace(config, n_jobs=validate_n_jobs(self.n_jobs),
                            steal=self.steal is True)
         if "initial_x" in self.options:
             raise InvalidParameterError(
                 "initial_x cannot be combined with n_jobs; the "
                 "decomposition seeds it per subproblem"
             )
-        dry_options = self.options
+        dry_options = resolved.options
         bit_order = self.options.get("bit_order")
         if bit_order is not None and not isinstance(bit_order, str):
             from repro.graph.bitadj import check_permutation
 
             check_permutation(bit_order, g.n)  # type: ignore[arg-type]
-            dry_options = {**self.options, "bit_order": "input"}
+            dry_options = {**dry_options, "bit_order": "input"}
         spec.runner(Graph(0), lambda clique: None, **dry_options)
         return resolved
 

@@ -5,10 +5,12 @@ the edge-oriented engine and a vertex-phase strategy — into the complete
 enumeration frameworks the paper evaluates.  Both stream maximal cliques to
 a caller-provided sink and return the run's :class:`Counters`.
 
-Both entry points accept ``backend="set"`` (the default ``set``-based
-branch state) or ``backend="bitset"`` (``int`` bitmask branch state, see
-:mod:`repro.graph.bitadj`).  Both backends enumerate identical clique sets
-(and agree on ``Counters.emitted``); because pivot degree-ties resolve in
+Both entry points accept ``backend="set"`` (``set``-based branch state)
+or ``backend="bitset"`` (``int`` bitmask branch state, see
+:mod:`repro.graph.bitadj`).  A run that names none takes
+:func:`default_backend` of its input graph: ``bitset`` unless the graph is
+large and sparse.  Both backends enumerate identical clique sets (and
+agree on ``Counters.emitted``); because pivot degree-ties resolve in
 different scan orders, per-branch instrumentation counters may differ by
 a few counts between them.
 
@@ -54,15 +56,38 @@ def _counting(sink: CliqueSink, counters: Counters) -> CliqueSink:
     return wrapped
 
 
+#: The largest whole-graph mask table, in bits per edge (n² / m), on
+#: which a run that names no backend takes ``bitset``.  Past it the table
+#: is mostly zero words: every mask operation walks them while a ``set``
+#: intersection stays O(few), and packing the table costs O(n²) memory.
+#: Set from the bitset/set time ratios in README "Adjacency backends".
+MAX_BITS_PER_EDGE = 800
+
+
+def default_backend(g: Graph) -> str:
+    """The backend a run on ``g`` takes when the caller names none.
+
+    ``bitset`` unless ``g`` is large and sparse, that is unless its
+    degeneracy-packed mask table (n² bits) would hold more than
+    :data:`MAX_BITS_PER_EDGE` bits per edge.  It reads ``n`` and ``m``
+    only, so it decides before anything is packed.
+    """
+    return "set" if g.n * g.n > MAX_BITS_PER_EDGE * g.m else "bitset"
+
+
 def _is_exact_int(value: object) -> bool:
     """``int`` but not ``bool``: ``1.0`` and ``True`` are not knob values."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate_run_options(et_threshold: int, backend: str,
+def _validate_run_options(g: Graph, et_threshold: int, backend: str | None,
                           bit_order=None, *, graph_reduction: bool = False,
-                          edge_depth: int | None = 1) -> None:
+                          edge_depth: int | None = 1) -> str:
     """Reject bad options at the API boundary, before any work starts.
+
+    Returns the backend to run: ``backend``, or :func:`default_backend`
+    of ``g`` when it is ``None``.  A ``bit_order`` needs a named
+    ``backend="bitset"``: the default may resolve to either side.
 
     ``EngineContext`` re-validates ``et_threshold`` when it is built, but
     that happens after graph reduction has already run (and never happens
@@ -85,7 +110,7 @@ def _validate_run_options(et_threshold: int, backend: str,
         raise InvalidParameterError(
             f"edge_depth must be an integer >= 1 or None, got {edge_depth!r}"
         )
-    if backend not in BACKENDS:
+    if backend is not None and backend not in BACKENDS:
         raise InvalidParameterError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
@@ -93,15 +118,18 @@ def _validate_run_options(et_threshold: int, backend: str,
         from repro.graph.bitadj import BIT_ORDERS
 
         if backend != "bitset":
+            got = "no backend was named" if backend is None \
+                else f"got backend={backend!r}"
             raise InvalidParameterError(
                 "bit_order selects the bitmask packing and requires "
-                f"backend='bitset'; got backend={backend!r}"
+                f"backend='bitset'; {got}"
             )
         if isinstance(bit_order, str) and bit_order not in BIT_ORDERS:
             raise InvalidParameterError(
                 f"unknown bit_order {bit_order!r}; expected one of "
                 f"{BIT_ORDERS} or an explicit vertex permutation"
             )
+    return default_backend(g) if backend is None else backend
 
 
 def _bit_view(work: Graph, bit_order):
@@ -218,7 +246,7 @@ def run_hybrid(
     edge_depth: int | None = 1,
     edge_order_kind: str = "truss",
     vertex_strategy: str = "tomita",
-    backend: str = "set",
+    backend: str | None = None,
     bit_order=None,
     initial_x: set[int] | frozenset[int] | None = None,
     counters: Counters | None = None,
@@ -236,10 +264,11 @@ def run_hybrid(
         edge_order_kind: "truss" (default), "degen-lex" or "min-degree".
         vertex_strategy: phase used below the edge levels — "tomita",
             "ref", "rcd", "fac" or "none".
-        backend: branch-state representation, "set" or "bitset".
+        backend: branch-state representation, "set" or "bitset";
+            ``None`` takes :func:`default_backend` of ``g``.
         bit_order: bitmask packing — "degeneracy" (the default: dense
             core in the low mask words), "input" (identity) or an explicit
-            vertex permutation.  Requires ``bitset``.
+            vertex permutation.  Requires a named ``backend="bitset"``.
         initial_x: vertex ids seeded into the initial branch's exclusion
             set; the run then reports the maximal cliques of
             ``G[V \\ initial_x]`` that no ``initial_x`` vertex extends.
@@ -248,9 +277,9 @@ def run_hybrid(
     Returns:
         The run's :class:`Counters`.
     """
-    _validate_run_options(et_threshold, backend, bit_order,
-                          graph_reduction=graph_reduction,
-                          edge_depth=edge_depth)
+    backend = _validate_run_options(g, et_threshold, backend, bit_order,
+                                    graph_reduction=graph_reduction,
+                                    edge_depth=edge_depth)
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)
@@ -310,7 +339,7 @@ def run_vertex(
     vertex_strategy: str = "tomita",
     et_threshold: int = 0,
     graph_reduction: bool = False,
-    backend: str = "set",
+    backend: str | None = None,
     bit_order=None,
     initial_x: set[int] | frozenset[int] | None = None,
     counters: Counters | None = None,
@@ -327,9 +356,11 @@ def run_vertex(
         et_threshold: t for early termination (0 disables, max 3).
         graph_reduction: peel low-degree vertices first (GR).  Bypassed
             when ``initial_x`` is non-empty.
-        backend: branch-state representation, "set" or "bitset".
+        backend: branch-state representation, "set" or "bitset";
+            ``None`` takes :func:`default_backend` of ``g``.
         bit_order: bitmask packing — "degeneracy" (the default), "input"
-            or an explicit vertex permutation.  Requires ``bitset``.
+            or an explicit vertex permutation.  Requires a named
+            ``backend="bitset"``.
         initial_x: vertex ids seeded into the initial branch's exclusion
             set; the run then reports the maximal cliques of
             ``G[V \\ initial_x]`` that no ``initial_x`` vertex extends.
@@ -338,8 +369,8 @@ def run_vertex(
     Returns:
         The run's :class:`Counters`.
     """
-    _validate_run_options(et_threshold, backend, bit_order,
-                          graph_reduction=graph_reduction)
+    backend = _validate_run_options(g, et_threshold, backend, bit_order,
+                                    graph_reduction=graph_reduction)
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)

@@ -40,6 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.counters import Counters
+from repro.core.frameworks import default_backend
 from repro.core.result import CliqueCollector, CliqueCounter
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
@@ -284,7 +285,9 @@ class InPlaceRunner:
         kwargs = dict(get_algorithm(algorithm).subproblem_phase or {})
         if "et_threshold" in options:
             kwargs["et_threshold"] = options["et_threshold"]
-        backend = options.get("backend", "set")
+        # Validated options name their backend (RunConfig.validate); a
+        # direct call that names none takes the whole graph's default.
+        backend = options.get("backend") or default_backend(g)
         self.counters = Counters()
         self._g = g
         self._position = position
@@ -472,7 +475,9 @@ def solve_subproblem(
       ``bit_graph`` optionally supplies the whole-graph bitmask view for
       ``backend="bitset"`` (the pool's is built once, in the parent);
     * the pure edge-oriented family runs the registered framework on a
-      compact branch graph over ``N(v)`` with ``initial_x`` seeded.
+      compact branch graph over ``N(v)`` with ``initial_x`` seeded, on
+      the backend ``options`` name: validated options carry the whole
+      graph's choice, so a subgraph never re-decides it.
 
     An algorithm that cannot seed an exclusion set (per
     ``AlgorithmSpec.supports_initial_x``: ``reverse-search``) enumerates

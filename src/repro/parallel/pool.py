@@ -100,9 +100,13 @@ class GraphState:
     against the same graph.
 
     Views are built in the parent (the service registry's
-    ``"degeneracy"`` view at registration, :func:`run_parallel`'s in its
-    ``decompose`` step) and reach the workers inside the state, so a
-    worker never packs a graph; all its in-place runners share the view.
+    ``"degeneracy"`` view at registration, for a graph that
+    :func:`repro.core.frameworks.default_backend` sends to ``bitset``;
+    :func:`run_parallel`'s in its ``decompose`` step) and reach the
+    workers inside the state, so a worker packs no graph a request's
+    default runs on; all its in-place runners share the view.  An explicit
+    bitset request on a registered large sparse graph, which has no view,
+    packs it on first use in each process that runs it.
     """
 
     graph: Graph
@@ -929,8 +933,9 @@ def execute(
     warm pool and registry caches).  Results stream into ``aggregator``;
     its merge (``finish()``) stays with the caller.  With a ``trace`` the
     run adds ``decompose``/``pack``/``ship``/``execute`` spans, a grafted
-    ``chunk`` (or ``split``) span per task, and the folded counters as
-    the trace root's ``counters`` attribute.
+    ``chunk`` (or ``split``) span per task, and the folded counters and
+    the run's backend as the trace root's ``counters`` and ``backend``
+    attributes.
     """
     steal = config.steal is True
     n_jobs = pool.n_jobs
@@ -964,7 +969,8 @@ def execute(
     if trace is not None:
         for record in aggregator.spans:
             trace.attach(record)
-        trace.annotate(counters=aggregator.counters.as_dict())
+        trace.annotate(counters=aggregator.counters.as_dict(),
+                       backend=config.options.get("backend"))
 
     return ParallelStats(
         n_jobs=n_jobs,

@@ -71,8 +71,12 @@ class CliqueService:
     branch-and-bound knobs (``backend=``, ``bit_order=``,
     ``et_threshold=``, ...) and ``steal`` — the cached artifacts are
     knob-independent, so switching algorithms between requests stays
-    warm.  ``n_jobs`` is fixed at construction; each request's
-    :class:`repro.config.RunConfig` inherits it.
+    warm.  A request that names no ``backend`` runs on the one
+    :meth:`repro.config.RunConfig.validate` resolves for the graph
+    (``bitset`` unless it is large and sparse; ``set`` for
+    ``reverse-search``); a traced response reports it as the trace
+    root's ``backend``.  ``n_jobs`` is fixed at construction; each
+    request's :class:`repro.config.RunConfig` inherits it.
     """
 
     def __init__(self, *, n_jobs: int = 1) -> None:

@@ -21,7 +21,11 @@ in the response, for client-side correlation):
   ``algorithm``, ``backend``, ``bit_order``, ``et_threshold``,
   ``graph_reduction``, ``steal`` (``true`` selects the work-stealing
   schedule), ``trace`` (``true`` adds the span tree and per-chunk worker
-  timeline to the response).  Any other field is refused.
+  timeline to the response).  Any other field is refused.  Without a
+  ``backend`` the request runs on the graph's default (``bitset``
+  unless the graph is large and sparse; ``set`` for ``reverse-search``),
+  which a traced response reports as the trace root's ``backend``;
+  ``bit_order`` needs ``"backend": "bitset"``.
 * ``{"op": "enumerate", "graph": ..., "limit": N, ...}`` — same knobs.
   ``cliques`` comes in subproblem-position order (the degeneracy order
   of each clique's earliest member), each clique ascending and each
@@ -41,9 +45,10 @@ Responses
 ---------
 ``{"ok": true, ...payload...}`` on success;
 ``{"ok": false, "error": "one-line message"}`` on any user error (bad
-JSON, unknown op, unknown graph/algorithm, invalid knob) — the service
-never tears down a connection over a bad request.  Knob values are
-checked by the service's :class:`repro.config.RunConfig`, as in the API.
+JSON, unknown op, unknown graph/algorithm, invalid knob, a line longer
+than :data:`MAX_REQUEST_BYTES`) — the service never tears down a
+connection over a bad request.  Knob values are checked by the service's
+:class:`repro.config.RunConfig`, as in the API.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ if TYPE_CHECKING:
     from repro.service.core import CliqueService
 
 PROTOCOL_VERSION = 1
+
+#: The longest request line a transport reads (bytes on a socket,
+#: characters on a text stream), newline excluded.  A longer line is
+#: answered :func:`oversized_line` and the rest of it is discarded in
+#: reads of this size, so no line costs more memory than the cap.  It
+#: sits far above the inline registers clients send (a few tens of KB);
+#: a larger graph registers from a file.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 #: per-request enumeration knobs forwarded into the algorithm options.
 OPTION_FIELDS = ("backend", "bit_order", "et_threshold", "graph_reduction")
@@ -197,6 +210,15 @@ def handle_request(service: CliqueService,
         if request_id is not None:
             response["id"] = request_id
     return response, shutdown
+
+
+def oversized_line() -> str:
+    """The response line for a request line over :data:`MAX_REQUEST_BYTES`."""
+    return json.dumps({
+        "ok": False,
+        "error": f"request line longer than {MAX_REQUEST_BYTES} bytes; "
+                 "register large graphs from a file ('path')",
+    })
 
 
 def handle_line(service: CliqueService, line: str) -> tuple[str, bool]:

@@ -6,7 +6,10 @@ packing, and — on the bitset backend — the whole-graph degeneracy-packed
 :class:`BitGraph`.  For a long-running service those artifacts are a
 pure function of the graph (and the pool size), so the registry computes
 each of them once per registered graph and replays them for every later
-request.
+request.  The mask table is packed at registration only for a graph that
+:func:`repro.core.frameworks.default_backend` sends to ``bitset``: a
+large sparse graph registers in O(n + m), and an explicit bitset request
+on it packs its view on first use.
 
 Graphs are keyed by a *content fingerprint* — the SHA256 of the canonical
 edge list, the same construction :func:`repro.verify.clique_fingerprint`
@@ -23,6 +26,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.core.frameworks import default_backend
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.coreness import core_decomposition
@@ -62,12 +66,15 @@ class GraphEntry:
     """One registered graph plus every cached prologue artifact.
 
     ``graph_state`` is the worker-shippable payload (adjacency + peel
-    order + bitmask views); the degeneracy-packed :class:`BitGraph` is
-    prebuilt at registration so even the first bitset request skips the
-    packing step, and the decomposition costs its subproblems by popcount
-    over it.  The decomposition is built on the first request that needs
-    it; chunk lists are cached per chunk count and steal plans per (pool
-    size, tier) — tiny keys over expensive values.
+    order + bitmask views).  For a graph on the ``bitset`` side of
+    :func:`repro.core.frameworks.default_backend` the degeneracy-packed
+    :class:`BitGraph` is prebuilt at registration, so even the first
+    bitset request skips the packing step, and the decomposition costs its
+    subproblems by popcount over it; a graph on the ``set`` side holds no
+    mask table and its decomposition costs by set intersection, which
+    gives the same values.  The decomposition is built on the first
+    request that needs it; chunk lists are cached per chunk count and
+    steal plans per (pool size, tier) — tiny keys over expensive values.
     """
 
     name: str
@@ -145,9 +152,12 @@ class GraphRegistry:
                 graph_state = GraphState(
                     graph=g, order=core.order, position=core.position,
                 )
-                # Prebuild the default packing so the first bitset
-                # request is as warm as the hundredth.
-                graph_state.bit_graph({"backend": "bitset"})
+                # Prebuild the default packing where requests that name
+                # no backend run bitset, so the first such request is as
+                # warm as the hundredth; a large sparse graph stays
+                # O(n + m) until a bitset request asks for its masks.
+                if default_backend(g) == "bitset":
+                    graph_state.bit_graph({"backend": "bitset"})
                 entry = GraphEntry(
                     name=name or fingerprint[:12],
                     fingerprint=fingerprint,

@@ -3,7 +3,10 @@
 Both transports delegate every request to
 :func:`repro.service.protocol.handle_line`; the service's internal lock
 serialises pool access, so the TCP server can thread per connection
-without interleaving enumeration work.
+without interleaving enumeration work.  Both read a line in bounded
+reads of :data:`repro.service.protocol.MAX_REQUEST_BYTES`: a longer line
+is answered ``ok: false``, the rest of it is discarded, and the next
+line is served.
 
 ``repro-mce serve`` (see :mod:`repro.cli`) wraps these for the command
 line; tests drive them directly with in-memory streams and ephemeral
@@ -17,7 +20,39 @@ import socketserver
 import sys
 import threading
 
+from repro.service import protocol
 from repro.service.protocol import handle_line
+
+
+def _request_lines(readline):
+    """Each line of a stream, read ``MAX_REQUEST_BYTES + 1`` at a time.
+
+    ``readline(size)`` is a text or binary stream's.  A line over the cap
+    yields ``None`` once its remainder has been read and dropped in reads
+    of the same size; a stream that ends mid-line ends the iteration.
+    """
+    while True:
+        limit = protocol.MAX_REQUEST_BYTES
+        line = readline(limit + 1)
+        if not line:
+            return
+        newline = "\n" if isinstance(line, str) else b"\n"
+        if len(line) <= limit or line.endswith(newline):
+            yield line
+            continue
+        while line and not line.endswith(newline):
+            line = readline(limit + 1)
+        yield None
+
+
+def _answer(service, line: str | None) -> tuple[str | None, bool]:
+    """The response line for one request line (``None``: a blank line,
+    which gets none) and whether it asked for shutdown."""
+    if line is None:
+        return protocol.oversized_line(), False
+    if not line.strip():
+        return None, False
+    return handle_line(service, line)
 
 
 def serve_stdio(service, stdin=None, stdout=None) -> int:
@@ -28,10 +63,10 @@ def serve_stdio(service, stdin=None, stdout=None) -> int:
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    for line in stdin:
-        if not line.strip():
+    for line in _request_lines(stdin.readline):
+        response, shutdown = _answer(service, line)
+        if response is None:
             continue
-        response, shutdown = handle_line(service, line)
         stdout.write(response + "\n")
         stdout.flush()
         if shutdown:
@@ -43,11 +78,12 @@ class _LineHandler(socketserver.StreamRequestHandler):
     """One TCP connection: newline-delimited requests until close."""
 
     def handle(self) -> None:
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace")
-            if not line.strip():
+        for raw in _request_lines(self.rfile.readline):
+            line = None if raw is None \
+                else raw.decode("utf-8", errors="replace")
+            response, shutdown = _answer(self.server.service, line)
+            if response is None:
                 continue
-            response, shutdown = handle_line(self.server.service, line)
             self.wfile.write(response.encode("utf-8") + b"\n")
             self.wfile.flush()
             if shutdown:

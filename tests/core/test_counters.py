@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import enumerate_to_sink, run_with_report
 from repro.core.counters import Counters, RunReport
+from repro.core.frameworks import default_backend
 from repro.core.result import CliqueCounter
 from repro.graph.generators import erdos_renyi_gnm, erdos_renyi_gnp, plex_caveman
 from repro.graph.generators.dataset_suite import social_proxy
@@ -341,6 +342,33 @@ class TestFullCounterPins:
                        and rank[(b, w) if b < w else (w, b)] > r)
             tiny += size <= 2
         assert tiny > len(rank) // 2
+
+
+class TestDefaultBackendCounters:
+    """A run that names no backend is the run on the backend it resolves
+    to (:func:`repro.core.frameworks.default_backend`): every counter of
+    the :class:`TestFullCounterPins` algorithms is equal, serially and on
+    the in-place tier."""
+
+    ALGORITHMS = ("hbbmc++", "hbbmc", "hbbmc-dgn", "vbbmc-dgn", "bk",
+                  "bk-ref", "ref++")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("name", sorted(FULL_PIN_GRAPHS))
+    def test_serial_default_is_the_resolved_run(self, name, algorithm):
+        g = FULL_PIN_GRAPHS[name]
+        default = enumerate_to_sink(g, CliqueCounter(), algorithm=algorithm)
+        assert default.as_dict() == \
+            _run_counters(g, algorithm, default_backend(g))
+
+    @pytest.mark.parametrize("algorithm", ["hbbmc++", "vbbmc-dgn"])
+    @pytest.mark.parametrize("name", sorted(FULL_PIN_GRAPHS))
+    def test_in_place_default_is_the_resolved_run(self, name, algorithm):
+        g = FULL_PIN_GRAPHS[name]
+        default = run_with_report(g, algorithm=algorithm, n_jobs=1)
+        named = run_with_report(g, algorithm=algorithm, n_jobs=1,
+                                backend=default_backend(g))
+        assert default.counters.as_dict() == named.counters.as_dict()
 
 
 class TestRunReport:

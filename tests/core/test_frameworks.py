@@ -39,7 +39,7 @@ class TestEdgeOrderingInputs:
         assert view is not None and view.n == g.n
 
     def test_set_run_intersects_sets(self, monkeypatch):
-        _, (_, view) = self._orderings(monkeypatch)
+        _, (_, view) = self._orderings(monkeypatch, backend="set")
         assert view is None
 
     @pytest.mark.parametrize("backend", ["set", "bitset"])

@@ -331,7 +331,8 @@ class TestSetupCounts:
         permutation = list(reversed(range(hub.n)))
         assert count_maximal_cliques(
             hub, n_jobs=n_jobs, steal=True, backend="bitset",
-            bit_order=permutation) == count_maximal_cliques(hub)
+            bit_order=permutation) == count_maximal_cliques(hub,
+                                                            backend="set")
         assert bit_packings() == [hub.n]
 
     def test_set_backend_never_packs(self, hub, bit_packings):

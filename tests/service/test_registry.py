@@ -5,7 +5,8 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.builders import complete_graph
-from repro.graph.generators import erdos_renyi_gnm
+from repro.core.frameworks import default_backend
+from repro.graph.generators import barabasi_albert, erdos_renyi_gnm
 from repro.service import GraphRegistry, graph_fingerprint
 
 
@@ -90,6 +91,29 @@ class TestRegistry:
         registry = GraphRegistry()
         entry = registry.register(graph)
         assert "degeneracy" in entry.graph_state.bit_graphs
+
+    def test_large_sparse_graph_registers_without_masks(self):
+        # BA(3000, 1) is on the set side of default_backend: registration
+        # peels it but packs no mask table.
+        sparse = barabasi_albert(3000, 1, seed=5)
+        assert default_backend(sparse) == "set"
+        registry = GraphRegistry()
+        entry = registry.register(sparse)
+        assert entry.graph_state.bit_graphs == {}
+        assert entry.info()["cached_bit_orders"] == []
+
+    def test_set_side_decomposition_costs_as_the_packed_one(self):
+        # Without a view the decomposition costs by sets: same values.
+        from repro.parallel.decompose import decompose
+
+        sparse = barabasi_albert(3000, 2, seed=5)
+        registry = GraphRegistry()
+        entry = registry.register(sparse)
+        packed = decompose(sparse, core=entry.core,
+                           bit_graph=entry.graph_state.bit_graph(
+                               {"backend": "bitset"}))
+        assert registry.decomposition(entry).subproblems == \
+            packed.subproblems
 
     def test_decomposition_built_lazily_once(self, graph):
         registry = GraphRegistry()

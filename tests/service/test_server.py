@@ -2,17 +2,20 @@
 
 import io
 import json
+import socket
 import threading
 
 import pytest
 
 from repro.graph.builders import complete_graph
+from repro.graph.generators import erdos_renyi_gnm
 from repro.graph.io import write_edge_list
 from repro.service import (
     CliqueService,
     ServiceClient,
     ServiceError,
     handle_request,
+    protocol,
     serve_stdio,
     serve_tcp,
 )
@@ -313,6 +316,69 @@ class TestStdioTransport:
         for bad, after in zip(responses[1::2], responses[2::2]):
             assert not bad["ok"], bad
             assert after["ok"] and after["count"] == 1, after
+
+
+#: the cap the line-length tests patch in, so a line over it stays small.
+SMALL_CAP = 64
+
+#: an over-long line: one byte past the cap, and one spanning several
+#: discard reads.
+OVER_LONG = ["x" * (SMALL_CAP + 1), "y" * (3 * SMALL_CAP + 5)]
+
+
+def _padded_ping() -> str:
+    """A ping request exactly ``SMALL_CAP`` characters long."""
+    line = json.dumps({"op": "ping"})
+    return line[:-1] + " " * (SMALL_CAP - len(line)) + "}"
+
+
+@pytest.fixture()
+def small_cap(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_REQUEST_BYTES", SMALL_CAP)
+
+
+class TestRequestLineCap:
+    """A line over ``MAX_REQUEST_BYTES`` is refused; the next is served."""
+
+    def _check(self, responses):
+        over, ping, over_again, at_cap = responses
+        for refused in (over, over_again):
+            assert not refused["ok"]
+            assert f"longer than {SMALL_CAP} bytes" in refused["error"]
+        assert ping["pong"] and at_cap["pong"]
+
+    def test_stdio(self, service, small_cap):
+        lines = [OVER_LONG[0], json.dumps({"op": "ping"}), OVER_LONG[1],
+                 _padded_ping()]
+        assert len(lines[-1]) == SMALL_CAP
+        stdin = io.StringIO("".join(line + "\n" for line in lines))
+        stdout = io.StringIO()
+        assert serve_stdio(service, stdin=stdin, stdout=stdout) == 0
+        self._check([json.loads(line)
+                     for line in stdout.getvalue().splitlines()])
+
+    def test_tcp(self, service, small_cap):
+        thread, port = TestTCPTransport()._start(service)
+        lines = [OVER_LONG[0], json.dumps({"op": "ping"}), OVER_LONG[1],
+                 _padded_ping(), json.dumps({"op": "shutdown"})]
+        with socket.create_connection(("127.0.0.1", port), timeout=30) \
+                as conn, conn.makefile("rb") as replies:
+            conn.sendall("".join(line + "\n" for line in lines).encode())
+            responses = [json.loads(replies.readline()) for _ in lines]
+        thread.join(10)
+        assert not thread.is_alive()
+        self._check(responses[:-1])
+        assert responses[-1]["bye"]
+
+    def test_cap_sits_far_above_inline_registers(self):
+        # An inline register of G(110, 3300), the largest graph a
+        # service-mixed client sends, is about 40 KB: the cap leaves room
+        # for graphs a hundred times larger.
+        g = erdos_renyi_gnm(110, 3300, seed=1)
+        line = json.dumps({"op": "register", "n": g.n, "name": "large",
+                           "edges": [list(e) for e in g.edges()]})
+        assert 30_000 < len(line) and \
+            100 * len(line) < protocol.MAX_REQUEST_BYTES
 
 
 class TestTCPTransport:

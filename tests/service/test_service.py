@@ -20,7 +20,7 @@ from repro.api import ALGORITHMS, maximal_cliques
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.builders import complete_graph
-from repro.graph.generators import erdos_renyi_gnm
+from repro.graph.generators import barabasi_albert, erdos_renyi_gnm
 from repro.graph.io import load_graph
 from repro.service import CliqueService
 from repro.verify import clique_fingerprint
@@ -153,6 +153,28 @@ class TestFidelity:
             result = service.fingerprint("g", backend="bitset",
                                          bit_order=permutation)
         assert result["sha256"] == direct
+
+
+class TestSetSideGraph:
+    """A graph the default sends to ``set`` registers without masks; an
+    explicit bitset request on it packs its view on first use."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_explicit_bitset_request_answers_correctly(self, n_jobs):
+        sparse = barabasi_albert(3000, 2, seed=9)
+        want = maximal_cliques(sparse, backend="set")
+        with CliqueService(n_jobs=n_jobs) as service:
+            info = service.register(sparse, name="sparse")
+            assert info["cached_bit_orders"] == []
+            default = service.fingerprint("sparse", trace=True)
+            named = service.fingerprint("sparse", backend="bitset",
+                                        trace=True)
+            again = service.count("sparse", backend="bitset")
+        assert default["trace"]["attrs"]["backend"] == "set"
+        assert named["trace"]["attrs"]["backend"] == "bitset"
+        assert default["sha256"] == named["sha256"] == \
+            clique_fingerprint(want)
+        assert again["count"] == len(want) and again["warm"]
 
 
 class TestRequestSurface:

@@ -154,8 +154,9 @@ class TestBitOrderFlag:
         assert capsys.readouterr().out.strip() == "0 1 2 3"  # K4
 
     def test_bit_order_without_mask_backend_exits_2(self, graph_file, capsys):
-        # --backend defaults to set; the error names the bitset backend
-        # so the fix is discoverable from the one-line message.
+        # Without --backend the default may land on either side, so
+        # --bit-order needs a named one; the error names the bitset
+        # backend so the fix is discoverable from the one-line message.
         assert main(["enumerate", graph_file,
                      "--bit-order", "degeneracy"]) == 2
         err = capsys.readouterr().err
