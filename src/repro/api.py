@@ -23,7 +23,8 @@ Every branch-and-bound algorithm additionally accepts
 Python sets or ``int`` bitmasks (:mod:`repro.graph.bitadj`).  Both
 backends emit identical clique sets.  A request that names no backend
 runs on :func:`repro.core.frameworks.default_backend` of its graph —
-``bitset`` unless the graph is large and sparse — except
+``bitset`` unless the graph is large and sparse, with a far lower bound
+for the vertex family (``vbbmc-dgn``, the R* and BK baselines) — except
 ``reverse-search``, which has no bitmask engine and runs on ``set``.  A
 named backend always wins.  The bitset backend also accepts
 ``bit_order="degeneracy" | "input"`` (or an explicit vertex permutation)
@@ -124,12 +125,15 @@ class AlgorithmSpec:
 
         A runner whose ``backend`` parameter defaults to a name keeps it
         (``reverse-search``: ``"set"``); one that defaults to ``None``
-        takes :func:`repro.core.frameworks.default_backend` of ``g``.
-        ``None`` when the runner takes no ``backend``.
+        takes :func:`repro.core.frameworks.default_backend` of ``g``, under
+        the vertex-oriented bound for the ``vertex`` family (whose runners
+        are :func:`repro.core.frameworks.run_vertex`).  ``None`` when the
+        runner takes no ``backend``.
         """
         if "backend" not in self.option_names:
             return None
-        return self._backend_default or default_backend(g)
+        return self._backend_default or default_backend(
+            g, vertex_oriented=self.family == "vertex")
 
     @cached_property
     def _backend_default(self) -> str | None:

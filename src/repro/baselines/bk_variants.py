@@ -4,8 +4,9 @@ Each function enumerates all maximal cliques of a graph into a sink and
 returns run counters.  They are thin, documented configurations of the
 shared vertex engine; the worst-case complexities quoted below are from the
 paper's Table VII.  ``backend=None`` (the default) runs on
-:func:`repro.core.frameworks.default_backend` of the graph, as
-:func:`repro.core.frameworks.run_vertex` resolves it.
+:func:`repro.core.frameworks.default_backend` of the graph under the
+vertex-oriented bound, as :func:`repro.core.frameworks.run_vertex`
+resolves it.
 
 ============  =============================  =============================
 Function      Paper algorithm                Worst-case time

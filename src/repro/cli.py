@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from repro.api import ALGORITHMS, DEFAULT_ALGORITHM, maximal_cliques, run_with_report
 from repro.config import RunConfig
-from repro.core.frameworks import MAX_BITS_PER_EDGE
+from repro.core.frameworks import MAX_BITS_PER_EDGE, MAX_VERTEX_BITS_PER_EDGE
 from repro.core.phases import BACKENDS
 from repro.exceptions import (
     GraphFormatError,
@@ -72,8 +72,9 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help="branch-state representation: Python sets or "
                              "int bitmasks (default: chosen from the graph "
                              "- bitset unless it is large and sparse, "
-                             "n*n > %d*m; set for reverse-search)"
-                             % MAX_BITS_PER_EDGE)
+                             "n*n > %d*m, or n*n > %d*m for the vertex "
+                             "family; set for reverse-search)"
+                             % (MAX_BITS_PER_EDGE, MAX_VERTEX_BITS_PER_EDGE))
     parser.add_argument("--bit-order", choices=BIT_ORDERS, default=None,
                         help="bitmask packing; needs --backend bitset: "
                              "'degeneracy' (default; dense core in the low "

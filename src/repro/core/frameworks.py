@@ -9,10 +9,11 @@ Both entry points accept ``backend="set"`` (``set``-based branch state)
 or ``backend="bitset"`` (``int`` bitmask branch state, see
 :mod:`repro.graph.bitadj`).  A run that names none takes
 :func:`default_backend` of its input graph: ``bitset`` unless the graph is
-large and sparse.  Both backends enumerate identical clique sets (and
-agree on ``Counters.emitted``); because pivot degree-ties resolve in
-different scan orders, per-branch instrumentation counters may differ by
-a few counts between them.
+large and sparse, a bound that is far lower for :func:`run_vertex`.
+Both backends enumerate identical clique sets (and agree on
+``Counters.emitted``); because pivot degree-ties resolve in different
+scan orders, per-branch instrumentation counters may differ by a few
+counts between them.
 
 Both also accept ``initial_x``, a set of vertex ids seeded into the
 exclusion set of the initial branch: the run then enumerates exactly the
@@ -63,16 +64,26 @@ def _counting(sink: CliqueSink, counters: Counters) -> CliqueSink:
 #: Set from the bitset/set time ratios in README "Adjacency backends".
 MAX_BITS_PER_EDGE = 800
 
+#: The same bound for :func:`run_vertex`, the engine of the ``vertex``
+#: family (VBBMC and the BK baselines): its bitset runs lose to ``set`` on
+#: far denser graphs than the edge-rooted runs of :func:`run_hybrid` do.
+#: Set from the vertex-family table in README "Adjacency backends".
+MAX_VERTEX_BITS_PER_EDGE = 60
 
-def default_backend(g: Graph) -> str:
+
+def default_backend(g: Graph, *, vertex_oriented: bool = False) -> str:
     """The backend a run on ``g`` takes when the caller names none.
 
     ``bitset`` unless ``g`` is large and sparse, that is unless its
     degeneracy-packed mask table (n² bits) would hold more than
-    :data:`MAX_BITS_PER_EDGE` bits per edge.  It reads ``n`` and ``m``
-    only, so it decides before anything is packed.
+    :data:`MAX_BITS_PER_EDGE` bits per edge, or more than
+    :data:`MAX_VERTEX_BITS_PER_EDGE` for a ``vertex_oriented`` run
+    (:func:`run_vertex`).  It reads ``n`` and ``m`` only, so it decides
+    before anything is packed.
     """
-    return "set" if g.n * g.n > MAX_BITS_PER_EDGE * g.m else "bitset"
+    bound = MAX_VERTEX_BITS_PER_EDGE if vertex_oriented \
+        else MAX_BITS_PER_EDGE
+    return "set" if g.n * g.n > bound * g.m else "bitset"
 
 
 def _is_exact_int(value: object) -> bool:
@@ -82,12 +93,14 @@ def _is_exact_int(value: object) -> bool:
 
 def _validate_run_options(g: Graph, et_threshold: int, backend: str | None,
                           bit_order=None, *, graph_reduction: bool = False,
-                          edge_depth: int | None = 1) -> str:
+                          edge_depth: int | None = 1,
+                          vertex_oriented: bool = False) -> str:
     """Reject bad options at the API boundary, before any work starts.
 
     Returns the backend to run: ``backend``, or :func:`default_backend`
-    of ``g`` when it is ``None``.  A ``bit_order`` needs a named
-    ``backend="bitset"``: the default may resolve to either side.
+    of ``g`` (with ``vertex_oriented``) when it is ``None``.  A
+    ``bit_order`` needs a named ``backend="bitset"``: the default may
+    resolve to either side.
 
     ``EngineContext`` re-validates ``et_threshold`` when it is built, but
     that happens after graph reduction has already run (and never happens
@@ -129,7 +142,9 @@ def _validate_run_options(g: Graph, et_threshold: int, backend: str | None,
                 f"unknown bit_order {bit_order!r}; expected one of "
                 f"{BIT_ORDERS} or an explicit vertex permutation"
             )
-    return default_backend(g) if backend is None else backend
+    if backend is None:
+        return default_backend(g, vertex_oriented=vertex_oriented)
+    return backend
 
 
 def _bit_view(work: Graph, bit_order):
@@ -357,7 +372,8 @@ def run_vertex(
         graph_reduction: peel low-degree vertices first (GR).  Bypassed
             when ``initial_x`` is non-empty.
         backend: branch-state representation, "set" or "bitset";
-            ``None`` takes :func:`default_backend` of ``g``.
+            ``None`` takes :func:`default_backend` of ``g`` under the
+            vertex-oriented bound.
         bit_order: bitmask packing — "degeneracy" (the default), "input"
             or an explicit vertex permutation.  Requires a named
             ``backend="bitset"``.
@@ -370,7 +386,8 @@ def run_vertex(
         The run's :class:`Counters`.
     """
     backend = _validate_run_options(g, et_threshold, backend, bit_order,
-                                    graph_reduction=graph_reduction)
+                                    graph_reduction=graph_reduction,
+                                    vertex_oriented=True)
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)

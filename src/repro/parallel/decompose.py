@@ -40,7 +40,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.counters import Counters
-from repro.core.frameworks import default_backend
 from repro.core.result import CliqueCollector, CliqueCounter
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
@@ -258,7 +257,9 @@ class InPlaceRunner:
     ``graph_reduction`` in ``options`` is ignored, matching the
     frameworks' reduction bypass under a seeded exclusion set.
 
-    Branch state uses the backend's representation.  Under the
+    Branch state uses the representation of the backend ``options``
+    name: they are validated options (:meth:`repro.config.RunConfig.validate`
+    writes the backend in), so the runner never decides one.  Under the
     degeneracy packing of ``position`` (:func:`packs_by_position`, the
     default bitset view) a root's candidates are the low bits of its own
     adjacency mask, so ``(C, X)`` comes from two ANDs.  Any other packing,
@@ -285,9 +286,7 @@ class InPlaceRunner:
         kwargs = dict(get_algorithm(algorithm).subproblem_phase or {})
         if "et_threshold" in options:
             kwargs["et_threshold"] = options["et_threshold"]
-        # Validated options name their backend (RunConfig.validate); a
-        # direct call that names none takes the whole graph's default.
-        backend = options.get("backend") or default_backend(g)
+        backend = options["backend"]  # validated options name it
         self.counters = Counters()
         self._g = g
         self._position = position

@@ -73,9 +73,9 @@ class CliqueService:
     knob-independent, so switching algorithms between requests stays
     warm.  A request that names no ``backend`` runs on the one
     :meth:`repro.config.RunConfig.validate` resolves for the graph
-    (``bitset`` unless it is large and sparse; ``set`` for
-    ``reverse-search``); a traced response reports it as the trace
-    root's ``backend``.  ``n_jobs`` is fixed at construction; each
+    (``bitset`` unless it is large and sparse, by a far lower bound for
+    the vertex family; ``set`` for ``reverse-search``); a traced
+    response reports it as the trace root's ``backend``.  ``n_jobs`` is fixed at construction; each
     request's :class:`repro.config.RunConfig` inherits it.
     """
 

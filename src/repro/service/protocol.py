@@ -23,8 +23,9 @@ in the response, for client-side correlation):
   schedule), ``trace`` (``true`` adds the span tree and per-chunk worker
   timeline to the response).  Any other field is refused.  Without a
   ``backend`` the request runs on the graph's default (``bitset``
-  unless the graph is large and sparse; ``set`` for ``reverse-search``),
-  which a traced response reports as the trace root's ``backend``;
+  unless the graph is large and sparse, by a far lower bound for the
+  vertex family; ``set`` for ``reverse-search``), which a traced
+  response reports as the trace root's ``backend``;
   ``bit_order`` needs ``"backend": "bitset"``.
 * ``{"op": "enumerate", "graph": ..., "limit": N, ...}`` — same knobs.
   ``cliques`` comes in subproblem-position order (the degeneracy order

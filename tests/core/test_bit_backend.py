@@ -75,7 +75,7 @@ class TestBitFrameworks:
     def test_run_hybrid_bitset_counts_match(self):
         g = erdos_renyi_gnm(40, 260, seed=21)
         set_sink, bit_sink = CliqueCollector(), CliqueCollector()
-        set_counters = run_hybrid(g, set_sink)
+        set_counters = run_hybrid(g, set_sink, backend="set")
         bit_counters = run_hybrid(g, bit_sink, backend="bitset")
         assert set_sink.sorted_cliques() == bit_sink.sorted_cliques()
         assert set_counters.emitted == bit_counters.emitted
@@ -85,7 +85,8 @@ class TestBitFrameworks:
     def test_run_hybrid_bitset_edge_depths(self, depth):
         g = erdos_renyi_gnm(35, 220, seed=8)
         set_sink, bit_sink = CliqueCollector(), CliqueCollector()
-        run_hybrid(g, set_sink, edge_depth=depth, graph_reduction=False)
+        run_hybrid(g, set_sink, edge_depth=depth, graph_reduction=False,
+                   backend="set")
         run_hybrid(g, bit_sink, edge_depth=depth, graph_reduction=False,
                    backend="bitset")
         assert set_sink.sorted_cliques() == bit_sink.sorted_cliques()
@@ -94,7 +95,7 @@ class TestBitFrameworks:
     def test_run_vertex_bitset_orderings(self, ordering):
         g = erdos_renyi_gnm(30, 180, seed=17)
         set_sink, bit_sink = CliqueCollector(), CliqueCollector()
-        run_vertex(g, set_sink, ordering_kind=ordering)
+        run_vertex(g, set_sink, ordering_kind=ordering, backend="set")
         run_vertex(g, bit_sink, ordering_kind=ordering, backend="bitset")
         assert set_sink.sorted_cliques() == bit_sink.sorted_cliques()
 

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from repro.api import enumerate_to_sink, run_with_report
+from repro.api import enumerate_to_sink, get_algorithm, run_with_report
 from repro.core.counters import Counters, RunReport
-from repro.core.frameworks import default_backend
 from repro.core.result import CliqueCounter
 from repro.graph.generators import erdos_renyi_gnm, erdos_renyi_gnp, plex_caveman
 from repro.graph.generators.dataset_suite import social_proxy
@@ -346,7 +345,7 @@ class TestFullCounterPins:
 
 class TestDefaultBackendCounters:
     """A run that names no backend is the run on the backend it resolves
-    to (:func:`repro.core.frameworks.default_backend`): every counter of
+    to (:meth:`repro.api.AlgorithmSpec.backend_for`): every counter of
     the :class:`TestFullCounterPins` algorithms is equal, serially and on
     the in-place tier."""
 
@@ -358,16 +357,17 @@ class TestDefaultBackendCounters:
     def test_serial_default_is_the_resolved_run(self, name, algorithm):
         g = FULL_PIN_GRAPHS[name]
         default = enumerate_to_sink(g, CliqueCounter(), algorithm=algorithm)
-        assert default.as_dict() == \
-            _run_counters(g, algorithm, default_backend(g))
+        backend = get_algorithm(algorithm).backend_for(g)
+        assert default.as_dict() == _run_counters(g, algorithm, backend)
 
     @pytest.mark.parametrize("algorithm", ["hbbmc++", "vbbmc-dgn"])
     @pytest.mark.parametrize("name", sorted(FULL_PIN_GRAPHS))
     def test_in_place_default_is_the_resolved_run(self, name, algorithm):
         g = FULL_PIN_GRAPHS[name]
         default = run_with_report(g, algorithm=algorithm, n_jobs=1)
+        backend = get_algorithm(algorithm).backend_for(g)
         named = run_with_report(g, algorithm=algorithm, n_jobs=1,
-                                backend=default_backend(g))
+                                backend=backend)
         assert default.counters.as_dict() == named.counters.as_dict()
 
 

@@ -93,6 +93,7 @@ def test_same_view_matches_dual_view_body(name, bit_order, et_threshold,
 
     assert general[1] == fast[1]
     assert general[0] == fast[0]
-    assert len(set(fast[0])) == len(fast[0]) == count_maximal_cliques(g)
+    assert len(set(fast[0])) == len(fast[0]) == \
+        count_maximal_cliques(g, backend="set")
     if et_threshold:
         assert fast[1]["et_hits"] > 0

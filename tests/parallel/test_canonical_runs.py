@@ -84,7 +84,7 @@ def _payloads(graph, algorithm, options):
 
 @pytest.fixture(scope="module")
 def serial():
-    return maximal_cliques(GRAPH)
+    return maximal_cliques(GRAPH, backend="set")
 
 
 @pytest.fixture(scope="module", params=list(TIERS))
@@ -149,6 +149,7 @@ def test_steal_split_parts_are_canonical(backend):
 def test_steal_merge_takes_the_runs_as_they_come(n_jobs):
     payloads, _ = _payloads(HUB, "hbbmc++", {"backend": "bitset"})
     kwargs = dict(n_jobs=n_jobs, steal=True, backend="bitset")
-    assert maximal_cliques(HUB, **kwargs) == maximal_cliques(HUB)
+    assert maximal_cliques(HUB, **kwargs) == maximal_cliques(HUB,
+                                                             backend="set")
     assert maximal_cliques(HUB, sort=False, **kwargs) == \
         [clique for payload in payloads for clique in payload]

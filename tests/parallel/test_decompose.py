@@ -143,7 +143,8 @@ class TestSolveSubproblem:
         found = []
         for v in d.order:
             cliques, counters = solve_subproblem(
-                g, d.position, v, algorithm="hbbmc++", options={})
+                g, d.position, v, algorithm="hbbmc++",
+                options={"backend": "set"})
             assert counters.emitted == len(cliques)
             assert counters.suppressed_candidates == 0
             found.extend(cliques)
@@ -156,7 +157,8 @@ class TestSolveSubproblem:
         d = decompose(g)
         for v in d.order:
             cliques, _ = solve_subproblem(
-                g, d.position, v, algorithm="bk-pivot", options={})
+                g, d.position, v, algorithm="bk-pivot",
+                options={"backend": "set"})
             for clique in cliques:
                 assert v in clique
                 assert min(d.position[u] for u in clique) == d.position[v]
@@ -168,7 +170,8 @@ class TestSolveSubproblem:
         singletons = []
         for v in d.order:
             cliques, _ = solve_subproblem(
-                g, d.position, v, algorithm="hbbmc++", options={})
+                g, d.position, v, algorithm="hbbmc++",
+                options={"backend": "set"})
             singletons.extend(c for c in cliques if len(c) == 1)
         assert singletons == [(2,)]
 
@@ -176,8 +179,8 @@ class TestSolveSubproblem:
         g = erdos_renyi_gnm(25, 120, seed=2)
         d = decompose(g)
         v = d.order[0]
-        a, _ = solve_subproblem(g, d.position, v,
-                                algorithm="hbbmc++", options={})
+        a, _ = solve_subproblem(g, d.position, v, algorithm="hbbmc++",
+                                options={"backend": "set"})
         b, _ = solve_subproblem(g, d.position, v, algorithm="hbbmc++",
                                 options={"backend": "bitset"})
         assert a == b
@@ -189,7 +192,7 @@ class TestSolveSubproblem:
         order = list(reversed(range(g.n)))
         for v in d.order:
             a, _ = solve_subproblem(g, d.position, v, algorithm="ebbmc++",
-                                    options={})
+                                    options={"backend": "set"})
             b, _ = solve_subproblem(
                 g, d.position, v, algorithm="ebbmc++",
                 options={"backend": "bitset", "bit_order": order})

@@ -49,7 +49,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def reference(graph):
-    return maximal_cliques(graph)
+    return maximal_cliques(graph, backend="set")
 
 
 class TestValidation:
@@ -173,7 +173,7 @@ class TestWorkerPool:
     """The reusable pool: ship once, submit many, close once."""
 
     def _submit(self, pool, key, state, chunks, mode="count"):
-        config = RunConfig(algorithm="hbbmc++", options={})
+        config = RunConfig(algorithm="hbbmc++", options={"backend": "set"})
         aggregator = CountAggregator()
         aggregator.start(sum(len(c.positions) for c in chunks))
         pool.submit(key, state, config, chunks, aggregator.accept, mode=mode)
@@ -415,7 +415,7 @@ class TestMonotonicStamps:
                             lambda: next(ticks, real - 3600.0))
         state, decomposition = _graph_state(graph)
         chunks = make_chunks(decomposition.subproblems, 1)
-        config = RunConfig(algorithm="hbbmc++", options={})
+        config = RunConfig(algorithm="hbbmc++", options={"backend": "set"})
         result = _solve_chunk(state, config, chunks[0], "count")
         assert result.finished >= result.started
 
@@ -430,7 +430,7 @@ class TestMonotonicStamps:
 class TestStealMode:
     @pytest.fixture(scope="class")
     def hub_reference(self, hub):
-        return maximal_cliques(hub)
+        return maximal_cliques(hub, backend="set")
 
     def test_steal_matches_static(self, hub, hub_reference):
         agg = CollectAggregator()
@@ -473,7 +473,7 @@ class TestStealMode:
     def test_dynamic_dispatch_counts_steals(self, graph, reference):
         state, decomposition = _graph_state(graph)
         chunks = make_chunks(decomposition.subproblems, 8)
-        config = RunConfig(algorithm="hbbmc++", options={})
+        config = RunConfig(algorithm="hbbmc++", options={"backend": "set"})
         with WorkerPool(2, warm=True) as pool:
             agg = CountAggregator()
             agg.start(sum(len(c.positions) for c in chunks))

@@ -49,7 +49,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def reference(graph):
-    return maximal_cliques(graph)
+    return maximal_cliques(graph, backend="set")
 
 
 def bounded(fn, seconds=BOUND):
@@ -291,7 +291,7 @@ class TestBroadcastHang:
         state = GraphState(graph=graph, order=decomposition.order,
                            position=decomposition.position)
         chunks = make_chunks(decomposition.subproblems, 4)
-        config = RunConfig(algorithm="hbbmc++", options={})
+        config = RunConfig(algorithm="hbbmc++", options={"backend": "set"})
         poison = _PoisonState(str(tmp_path / "killed"))
         pool = WorkerPool(2, warm=True)
         try:

@@ -73,7 +73,7 @@ def test_backends_match_on_edge_depth_sweep(algorithm, backend):
     """Deeper edge branching exercises the recursive mask edge engines."""
     g = erdos_renyi_gnm(45, 350, seed=9)
     options = MASK_OPTIONS[backend]
-    reference = maximal_cliques(g, algorithm=algorithm)
+    reference = maximal_cliques(g, algorithm=algorithm, backend="set")
     assert maximal_cliques(g, algorithm=algorithm, **options) == reference
     if algorithm.startswith("hbbmc"):
         for depth in (2, 3, None):

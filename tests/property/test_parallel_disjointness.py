@@ -47,7 +47,7 @@ _REFERENCE_CACHE: dict[str, list] = {}
 
 def _reference(name, graph):
     if name not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[name] = maximal_cliques(graph)
+        _REFERENCE_CACHE[name] = maximal_cliques(graph, backend="set")
     return _REFERENCE_CACHE[name]
 
 

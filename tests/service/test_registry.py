@@ -109,11 +109,13 @@ class TestRegistry:
         sparse = barabasi_albert(3000, 2, seed=5)
         registry = GraphRegistry()
         entry = registry.register(sparse)
+        by_sets = registry.decomposition(entry)
+        # No view was packed, so the registry's decomposition costed by sets.
+        assert entry.graph_state.bit_graphs == {}
         packed = decompose(sparse, core=entry.core,
                            bit_graph=entry.graph_state.bit_graph(
                                {"backend": "bitset"}))
-        assert registry.decomposition(entry).subproblems == \
-            packed.subproblems
+        assert by_sets.subproblems == packed.subproblems
 
     def test_decomposition_built_lazily_once(self, graph):
         registry = GraphRegistry()

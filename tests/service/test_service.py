@@ -67,7 +67,7 @@ class TestWarmPath:
     def test_pool_reused_across_many_requests(self, graph):
         with CliqueService(n_jobs=2) as service:
             service.register(graph, name="g")
-            results = [service.count("g") for _ in range(4)]
+            results = [service.count("g", backend="set") for _ in range(4)]
             # Knob changes must not disturb the warm pool either.
             results.append(service.count("g", backend="bitset"))
             results.append(service.count("g", algorithm="ebbmc++",
@@ -147,7 +147,7 @@ class TestFidelity:
     def test_explicit_bit_order_permutation(self, graph):
         """Regression tie-in: permutations are valid through the service."""
         permutation = list(reversed(range(graph.n)))
-        direct = clique_fingerprint(maximal_cliques(graph))
+        direct = clique_fingerprint(maximal_cliques(graph, backend="set"))
         with CliqueService(n_jobs=2) as service:
             service.register(graph, name="g")
             result = service.fingerprint("g", backend="bitset",
@@ -247,17 +247,21 @@ class TestStealRequests:
         return ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
 
     def test_steal_matches_static_across_ops(self, hub):
-        reference = maximal_cliques(hub)
+        # Named set runs and default (bitset) runs, against a set reference.
+        reference = maximal_cliques(hub, backend="set")
         with CliqueService(n_jobs=2) as service:
             service.register(hub, name="hub")
-            count = service.count("hub", steal=True)
-            cliques = service.enumerate("hub", steal=True)["cliques"]
-            fingerprint = service.fingerprint("hub", steal=True)["sha256"]
-        assert count["count"] == len(reference)
-        # The service streams cliques in subproblem-position order;
-        # canonically sorted they must match the direct path exactly.
-        assert sorted(tuple(c) for c in cliques) == reference
-        assert fingerprint == clique_fingerprint(reference)
+            for options in ({"backend": "set"}, {}):
+                count = service.count("hub", steal=True, **options)
+                cliques = service.enumerate("hub", steal=True,
+                                            **options)["cliques"]
+                fingerprint = service.fingerprint("hub", steal=True,
+                                                  **options)["sha256"]
+                assert count["count"] == len(reference)
+                # The service streams cliques in subproblem-position order;
+                # canonically sorted they must match the direct path.
+                assert sorted(tuple(c) for c in cliques) == reference
+                assert fingerprint == clique_fingerprint(reference)
 
     def test_steal_plan_is_cached(self, hub):
         with CliqueService(n_jobs=2) as service:

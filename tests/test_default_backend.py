@@ -1,7 +1,8 @@
 """The backend a request runs on when it names none, on every front end.
 
 :func:`repro.core.frameworks.default_backend` picks ``bitset`` unless the
-graph is large and sparse (``n*n > MAX_BITS_PER_EDGE*m``), and
+graph is large and sparse (``n*n > MAX_BITS_PER_EDGE*m``, or
+``n*n > MAX_VERTEX_BITS_PER_EDGE*m`` for the vertex family), and
 ``reverse-search``, which has no bitmask engine, runs on ``set``.  A named
 backend always wins.  The table below runs each case through the serial
 API, the partitioned pipeline (``n_jobs=1`` in-process, ``n_jobs=2`` over
@@ -15,9 +16,15 @@ import json
 import pytest
 
 from repro import count_maximal_cliques, enumerate_to_sink
+from repro.api import ALGORITHMS
 from repro.cli import main
 from repro.config import RunConfig
-from repro.core.frameworks import MAX_BITS_PER_EDGE, default_backend
+from repro.core import frameworks
+from repro.core.frameworks import (
+    MAX_BITS_PER_EDGE,
+    MAX_VERTEX_BITS_PER_EDGE,
+    default_backend,
+)
 from repro.core.result import CliqueCounter
 from repro.graph.adjacency import Graph
 from repro.graph.generators import barabasi_albert, erdos_renyi_gnm
@@ -26,11 +33,13 @@ from repro.obs import Tracer
 from repro.obs.trace import find_spans
 from repro.service import CliqueService, handle_line
 
-#: one graph on each side of the rule, and a small dense one that
+#: one graph on each side of the rule, one between its two bounds (bitset
+#: for hbbmc++, set for the vertex family), and a small dense one that
 #: reverse search enumerates quickly.
 GRAPHS = {
     "dense": erdos_renyi_gnm(90, 2000, seed=5),
     "sparse": barabasi_albert(3000, 1, seed=5),
+    "between": barabasi_albert(1000, 4, seed=5),
     "small": erdos_renyi_gnm(30, 200, seed=5),
 }
 COUNTS = {name: count_maximal_cliques(g, backend="set")
@@ -45,6 +54,9 @@ CASES = {
     "small-default": ("small", {}, "bitset"),
     "small-reverse-search": ("small", {"algorithm": "reverse-search"},
                              "set"),
+    "between-default": ("between", {}, "bitset"),
+    "between-vertex-family": ("between", {"algorithm": "bk-pivot"}, "set"),
+    "dense-vertex-family": ("dense", {"algorithm": "bk-pivot"}, "bitset"),
 }
 
 
@@ -159,6 +171,44 @@ class TestRule:
         g.add_edge(1, 2)
         assert g.n * g.n == MAX_BITS_PER_EDGE * g.m
         assert default_backend(g) == "bitset"
+
+    def test_vertex_family_boundary_is_inclusive_on_the_bitset_side(self):
+        g = Graph(MAX_VERTEX_BITS_PER_EDGE)
+        for v in range(1, MAX_VERTEX_BITS_PER_EDGE):
+            g.add_edge(0, v)
+        g.add_edge(1, 2)
+        assert g.n * g.n == MAX_VERTEX_BITS_PER_EDGE * g.m
+        assert default_backend(g, vertex_oriented=True) == "bitset"
+        g.remove_edge(1, 2)
+        assert default_backend(g, vertex_oriented=True) == "set"
+
+    def test_each_family_resolves_by_its_bound(self):
+        g = GRAPHS["between"]
+        assert MAX_VERTEX_BITS_PER_EDGE * g.m < g.n * g.n \
+            <= MAX_BITS_PER_EDGE * g.m
+        for name, spec in ALGORITHMS.items():
+            want = "set" if spec.family in ("vertex", "reverse-search") \
+                else "bitset"
+            assert spec.backend_for(g) == want, name
+
+    def test_runners_resolve_as_backend_for(self, monkeypatch):
+        # A runner called directly with no backend decides as the
+        # registry entry does: read the backend its engine context gets.
+        seen = []
+        make_context = frameworks.make_context
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["backend"])
+            return make_context(*args, **kwargs)
+
+        monkeypatch.setattr(frameworks, "make_context", recording)
+        g = GRAPHS["between"]
+        for name, spec in ALGORITHMS.items():
+            if spec.family == "reverse-search":
+                continue
+            seen.clear()
+            spec.runner(g, CliqueCounter())
+            assert seen == [spec.backend_for(g)], name
 
     @pytest.mark.parametrize("n", [20000, 50000])
     def test_large_sparse_barabasi_albert_runs_on_set(self, n):
