@@ -41,7 +41,8 @@ out over the
 degeneracy-partitioned worker pool (:mod:`repro.parallel`): the root level
 splits into per-vertex subproblems packed into one cost-balanced chunk
 per worker (``steal=True``: many small chunks handed out dynamically),
-each solved by the selected algorithm/backend in a worker process.
+each solved by the selected algorithm/backend in one of N - 1 worker
+processes or in the calling process, which is the N-th worker.
 Subproblems are X-set-aware — each worker seeds its engine's exclusion
 set from the degeneracy order so no branch is explored twice across
 workers.  Results merge deterministically, so every ``n_jobs`` value
@@ -260,7 +261,8 @@ def enumerate_to_sink(
     ``options`` are forwarded to the underlying framework (e.g.
     ``et_threshold=2`` or ``backend="bitset"`` for registered
     branch-and-bound variants).  With ``n_jobs=N`` the run is partitioned
-    across N worker processes (see :mod:`repro.parallel`); the stream
+    across N workers, the calling process and N - 1 worker processes
+    (see :mod:`repro.parallel`); the stream
     order is deterministic — degeneracy-position order of the subproblem,
     canonical within each subproblem — independent of worker scheduling.
 
@@ -327,9 +329,9 @@ def maximal_cliques(
 
     With ``sort=True`` (default) each clique is sorted and the list is in
     lexicographic order, giving a canonical result independent of the
-    algorithm used.  ``n_jobs=N`` distributes the run over N worker
-    processes; with ``sort=False`` the parallel order is still
-    deterministic (subproblems in degeneracy order).
+    algorithm used.  ``n_jobs=N`` distributes the run over the calling
+    process and N - 1 worker processes; with ``sort=False`` the parallel
+    order is still deterministic (subproblems in degeneracy order).
 
     The workers already ship each subproblem's cliques canonical, so the
     parallel path never re-sorts a clique: the ``merge`` step

@@ -80,10 +80,12 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                              "'degeneracy' (default; dense core in the low "
                              "mask words) or 'input' (vertex id = bit id)")
     parser.add_argument("--jobs", metavar="N", default=None,
-                        help="worker processes for the degeneracy-"
-                             "partitioned parallel pool (positive integer; "
-                             "default: classic single-process run; 1 = "
-                             "partitioned pipeline without subprocesses)")
+                        help="workers for the degeneracy-partitioned "
+                             "parallel pool, this process included: N "
+                             "starts N-1 worker processes (positive "
+                             "integer; default: classic single-process "
+                             "run; 1 = partitioned pipeline without "
+                             "subprocesses)")
     parser.add_argument("--steal", action="store_true",
                         help="work-stealing schedule: many small chunks "
                              "dispatched dynamically, cost outliers re-split "

@@ -7,8 +7,9 @@ exclusion set (earlier neighbours) so the per-subproblem clique streams
 are pairwise disjoint and no branch is explored twice across workers;
 LPT packing by their edge cost cuts one balanced chunk per worker
 (:mod:`repro.parallel.scheduler`); owned worker processes, one pipe
-each, solve each chunk with any registered algorithm/backend
-(:mod:`repro.parallel.pool`); and pluggable aggregators merge the streams
+each, and a one-shot run's calling process solve the chunks with any
+registered algorithm/backend (:mod:`repro.parallel.pool`); and pluggable
+aggregators merge the streams
 back deterministically (:mod:`repro.parallel.aggregate`).
 
 ``steal=True`` swaps the one-shot fan-out for a work-stealing schedule:

@@ -21,12 +21,12 @@ across requests so repeated queries skip the spin-up entirely;
 single function call.  Both go through :func:`execute`, the one
 decompose → pack → submit → merge pipeline.
 
-``n_jobs=1`` runs the identical decomposition + chunk pipeline in-process
-(no subprocesses), so the parallel path can be tested and profiled without
-pool nondeterminism; ``n_jobs>=2`` fans the chunks out over worker
-processes, one duplex pipe each, and the calling thread reads the results
-back as workers finish, with the aggregator re-establishing deterministic
-order.
+A one-shot run's calling process is one of its ``n_jobs`` workers
+(:class:`WorkerPool`), so ``n_jobs=1`` and single-task runs start no
+process and run the identical decomposition + chunk pipeline in-process:
+the parallel path can be tested and profiled without pool
+nondeterminism.  Worker processes, one duplex pipe each, report to the
+calling thread, and the aggregator re-establishes deterministic order.
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ class ParallelStats:
     """Optional observability for one parallel run (used by the bench).
 
     Pass an instance via ``run_parallel(..., stats=...)``; it is filled in
-    place.  ``chunk_cpu_seconds`` is worker-side ``process_time`` per
-    chunk: its maximum plus the decomposition prologue is the critical
+    place.  ``chunk_cpu_seconds`` is the ``process_time`` of each chunk
+    in the process that solved it, a worker process or the one-shot
+    caller: its maximum plus the decomposition prologue is the critical
     path, its sum the total CPU that :meth:`work_ratio` compares.
     """
 
@@ -169,7 +170,7 @@ class ParallelStats:
     n_chunks: int = 0
     start_method: str = ""
     steal: bool = False
-    #: tasks sent past the initial dispatch window.
+    #: tasks handed out past each worker's first.
     steals: int = 0
     #: subproblems re-split at their own root, and their split tasks.
     resplit_subproblems: int = 0
@@ -282,7 +283,7 @@ def _solve_chunk(
     graph_state: GraphState, config: RunConfig, chunk: Chunk, mode: str,
     context: TraceContext | None = None,
 ) -> ChunkResult:
-    """Run every subproblem of one chunk; shared by workers and inline mode.
+    """Run every subproblem of one chunk, in a worker or in the caller.
 
     On the in-place tier one :class:`InPlaceRunner` (sink, counters and
     engine context built once, on the parent-built view) serves the whole
@@ -342,12 +343,8 @@ def _worker_loop(conn: Connection, graphs: dict[str, GraphState],
             if kind == "graph":
                 graphs[body[0]] = body[1]
                 reply: tuple[bool, Any] = (True, None)
-            elif isinstance(body[4], SplitTask):
-                reply = (True, _solve_split(graphs[body[0]], body[1],
-                                            body[4], body[2], body[3]))
             else:
-                reply = (True, _solve_chunk(graphs[body[0]], body[1],
-                                            body[4], body[2], body[3]))
+                reply = (True, _solve(graphs[body[0]], body))
         except Exception as exc:  # re-raised in the parent, with this note
             import traceback
             exc.add_note("".join(traceback.format_exception(exc)).rstrip())
@@ -370,15 +367,17 @@ class _Worker:
     conn: Connection
 
 
-def _ready(workers: list[_Worker]) -> list[_Worker]:
-    """Block until some ``workers`` reply or die (pipe or sentinel)."""
+def _ready(workers: list[_Worker],
+           timeout: float | None = None) -> list[_Worker]:
+    """The ``workers`` that replied or died (pipe or sentinel), waiting
+    for one at most ``timeout`` seconds (``None``: until one does)."""
     from multiprocessing.connection import wait  # not needed before a pool
     handles: list[Connection | int] = []
     owner: dict[object, _Worker] = {}
     for w in workers:
         handles += (w.conn, w.process.sentinel)
         owner[w.conn] = owner[w.process.sentinel] = w
-    return list(dict.fromkeys(owner[h] for h in wait(handles)))
+    return list(dict.fromkeys(owner[h] for h in wait(handles, timeout)))
 
 
 def _receive(worker: _Worker) -> tuple[bool, Any] | None:
@@ -530,6 +529,14 @@ def _solve_split(
                    branches=len(task.branches))
 
 
+def _solve(graph_state: GraphState, task: Task) -> ChunkResult:
+    """Solve one pool task, chunk or split part, in the current process."""
+    _, config, mode, context, work = task
+    if isinstance(work, SplitTask):
+        return _solve_split(graph_state, config, work, mode, context)
+    return _solve_chunk(graph_state, config, work, mode, context)
+
+
 class _SplitMerger:
     """Parent-side accumulator folding split parts back into one item.
 
@@ -565,9 +572,9 @@ class _SplitMerger:
 class SubmitReport:
     """What one :meth:`WorkerPool.submit` did beyond the results.
 
-    ``steals`` counts tasks sent past the initial window (0 when the task
-    count fits it); ``steals_by_worker`` attributes each to the worker
-    that returned it.
+    ``steals`` counts tasks handed out past each worker's first (0 when
+    the task count fits the workers, or the caller works alone);
+    ``steals_by_worker`` attributes each to the worker that returned it.
     """
 
     steals: int = 0
@@ -586,11 +593,15 @@ class WorkerPool:
 
     The pool is lazy (workers start on the first submit that needs them)
     and sticky: later submits reuse the processes, and a state already
-    shipped is never re-sent.  ``warm=True`` sizes the pool at ``n_jobs``
-    and routes even single-chunk requests through it (the service
-    profile); ``warm=False`` sizes it to the work, solves single-chunk
-    runs inline, and lets the first graph ride the fork instead of a ship
-    (the :func:`run_parallel` profile).
+    shipped is never re-sent.  ``warm=True`` (the service profile) keeps
+    ``n_jobs`` worker processes and an idle submitting thread, so the
+    service's connection threads keep answering ``ping`` and ``stats``
+    while a request runs.  ``warm=False`` (the :func:`run_parallel`
+    profile) counts the calling process as one of its ``n_jobs``
+    workers: it starts ``min(n_jobs, tasks) - 1`` processes, sized to the
+    first submit's work, lets the first graph ride the fork instead of a
+    ship, and solves tasks itself (:meth:`_dispatch`).  ``n_jobs=1``,
+    warm or not, starts no process at all.
 
     Each worker is a ``multiprocessing`` process (``fork`` where
     available, else ``spawn``) running :func:`_worker_loop` on its own
@@ -600,17 +611,22 @@ class WorkerPool:
     ships, ends the submit with :class:`WorkerPoolError` and stops every
     worker.  The pool stays usable: the next submit starts fresh workers
     holding every state shipped so far.  Only :meth:`close` is terminal.
-    There is no deadline yet: a hung worker holds its submit.
+    There is no deadline yet: a hung worker holds its submit, and a task
+    the caller runs cannot be killed at all.
 
-    Observability: :attr:`spinups` counts pool starts (one, plus one per
-    submit after a :class:`WorkerPoolError`), :attr:`graph_ships` states
-    sent to a live pool — both flat across warm repeats — and
-    :attr:`respawns` replaced workers.
+    Observability: :attr:`spinups` counts the pool starts that started a
+    process (one, plus one per submit after a :class:`WorkerPoolError`),
+    :attr:`graph_ships` states sent to a live pool — both flat across
+    warm repeats — and :attr:`respawns` replaced workers.
+    :attr:`start_method` stays ``"inline"`` until a process starts.
     """
 
     def __init__(self, n_jobs: int, *, warm: bool = False) -> None:
         self.n_jobs = n_jobs
         self.warm = warm
+        # A warm pool's caller stays free for the service's other
+        # threads; a one-shot caller is one of its n_jobs workers.
+        self._caller_works = not warm or n_jobs == 1
         # Shared by the service's connection threads: every mutation of
         # the state below is under this lock (an RLock: close() nests).
         self._lock = threading.RLock()
@@ -646,15 +662,19 @@ class WorkerPool:
             child.close()
         return worker
 
-    def _ensure_pool(self, n_chunks: int) -> list[_Worker]:
-        """Start the workers on first use; replace any that died idle."""
+    def _ensure_pool(self, n_tasks: int) -> list[_Worker]:
+        """Start the workers on first use; replace any that died idle.
+        A one-shot caller is a worker itself, so it starts one process
+        fewer than it has workers, and none for a single task."""
         with self._lock:
             if not self._workers:
-                self.start_method = _pool_context()[1]
-                n = self.n_jobs if self.warm else min(self.n_jobs, n_chunks)
-                for _ in range(n):
-                    self._workers.append(self._spawn())
-                self.spinups += 1
+                n = min(self.n_jobs, n_tasks) - 1 if self._caller_works \
+                    else self.n_jobs
+                if n > 0:
+                    self.start_method = _pool_context()[1]
+                    for _ in range(n):
+                        self._workers.append(self._spawn())
+                    self.spinups += 1
             for w in self._workers:
                 if w.process.exitcode is not None:
                     self._respawn(w)
@@ -690,19 +710,22 @@ class WorkerPool:
         worker-side cache: a live pool is sent each key's state once, so
         repeat submits with the same key are pure compute.
 
-        Execution is a dynamic shared queue: at most one task per worker
-        is in flight, and each completion dispatches the next task off
-        the front of the list.  Task order is therefore the schedule —
-        steal mode passes chunks pre-sorted largest-first with ``splits``
-        (parts of re-split outliers) ahead of them.  Every task sent
-        beyond the initial window counts as a *steal* of the worker that
-        returns it (:class:`SubmitReport`).  A task that raises is
-        re-raised here with its type, and the pool stays usable.
+        Execution is a dynamic shared queue (:meth:`_dispatch`): at most
+        one task per worker process is in flight, and each completion
+        dispatches the next task off the front of the list, while a
+        one-shot caller solves tasks off its back.  Task order is
+        therefore the schedule — steal mode passes chunks pre-sorted
+        largest-first with ``splits`` (parts of re-split outliers) ahead
+        of them.  Every task handed out beyond each worker's first counts
+        as a *steal* of the worker that returns it (:class:`SubmitReport`).
+        A task that raises is re-raised here with its type, and the pool
+        stays usable.
 
         With a ``tracer`` the submit contributes a ``ship`` span (always
         present so traces have one shape; ``shipped`` records whether a
         state was sent) and an ``execute`` span wrapping the fan-out —
-        worker chunk spans are parented on the *caller's* current span.
+        chunk spans, the caller's and the workers', are parented on the
+        *caller's* current span.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
@@ -711,40 +734,23 @@ class WorkerPool:
         if not chunks and not splits:
             return report
         context = tracer.current if tracer is not None else None
-        merger = _SplitMerger(splits, mode)
-        n_tasks = len(chunks) + len(splits)
-        if self.n_jobs == 1 \
-                or (not self._workers and not self.warm and n_tasks == 1):
-            # In-process path: no subprocesses, no shipping, same pipeline.
-            with maybe_span(tracer, "ship", transport="inline",
-                            shipped=False):
-                pass
-            with maybe_span(tracer, "execute", transport="inline",
-                            n_chunks=len(chunks), n_splits=len(splits),
-                            steal=config.steal):
-                for split in splits:
-                    accept(merger.fold(_solve_split(
-                        graph_state, config, split, mode, context)))
-                for chunk in chunks:
-                    accept(_solve_chunk(graph_state, config, chunk, mode,
-                                        context))
-            return report
+        work: list[Chunk | SplitTask] = [*splits, *chunks]
+        tasks: list[Task] = [(key, config, mode, context, w) for w in work]
         if not self._workers and not self.warm:
             # One-shot profile: the first graph rides the fork, not a ship.
             with self._lock:
                 self._states.setdefault(key, graph_state)
-        workers = self._ensure_pool(n_tasks)
-        ship_needed = key not in self._states
+        workers = self._ensure_pool(len(tasks))
+        ship_needed = bool(workers) and key not in self._states
         with maybe_span(tracer, "ship", transport=self.start_method,
                         shipped=ship_needed, workers=len(workers)):
             if ship_needed:
                 self._ship(key, graph_state)
-        work: list[Chunk | SplitTask] = [*splits, *chunks]
-        tasks: list[Task] = [(key, config, mode, context, w) for w in work]
         with maybe_span(tracer, "execute", transport=self.start_method,
                         n_chunks=len(chunks), n_splits=len(splits),
                         steal=config.steal) as execute_span:
-            self._dispatch(tasks, merger, accept, report)
+            self._dispatch(graph_state, tasks, _SplitMerger(splits, mode),
+                           accept, report)
             if tracer is not None:
                 execute_span.attrs.update(steals=report.steals)
         return report
@@ -772,38 +778,84 @@ class WorkerPool:
             self._states[key] = graph_state
             self.graph_ships += 1
 
-    def _dispatch(self, tasks: list[Task], merger: _SplitMerger,
+    def _dispatch(self, graph_state: GraphState, tasks: list[Task],
+                  merger: _SplitMerger,
                   accept: Callable[[ChunkResult], None],
                   report: SubmitReport) -> None:
-        """One task per busy worker; each reply, unpickled here on the
-        calling thread, frees its worker for the next task.
+        """One task per busy worker, fed from the front of the queue; each
+        reply, unpickled here on the calling thread, frees its worker for
+        the next task.  A one-shot caller works too: whenever no reply is
+        waiting it solves a queued task in-process — the *last* while
+        worker processes share the queue (the smallest under steal's
+        largest-first order, so no process waits on the caller for more
+        than one small task), else the first.
 
-        ``queue_wait_s`` on a traced task's span runs from its send here
-        to its start in the worker (both ``time.monotonic()``).  A dead
-        worker's task is rerun once on a fresh worker: tasks are
-        deterministic and results keyed by position, so nothing doubles.
-        A task that raised is re-raised once the tasks in flight are
-        back, leaving no stale reply in a pipe; any other failure kills
-        the busy workers and stops the rest.
+        ``queue_wait_s`` on a traced task's span runs to the task's start
+        from its send, or, for the caller's own task, from the start of
+        this loop (all ``time.monotonic()``).  Each worker's first task
+        is its share and every later one a steal; a caller alone steals
+        nothing.  A dead worker's task is rerun once on a fresh worker:
+        tasks are deterministic and results keyed by position, so nothing
+        doubles.  A task that raised, in a worker or in the caller, is
+        re-raised once the tasks in flight are back, leaving no stale
+        reply in a pipe; any other failure kills the busy workers and
+        stops the rest.
         """
         queue = deque(range(len(tasks)))
-        window = min(len(self._workers), len(tasks))
+        caller = self._caller_works
+        window = len(self._workers) + (1 if caller else 0) \
+            if self._workers else len(tasks)
         busy: dict[_Worker, int] = {}
-        sent: dict[int, float] = {}
+        # A send to a worker restamps its task; the caller's wait from here.
+        sent = dict.fromkeys(queue, time.monotonic())
+        handed = 0
+        stolen: set[int] = set()
         lost: set[int] = set()
         failure: BaseException | None = None
 
+        def take(last: bool = False) -> int:
+            nonlocal handed
+            i = queue.pop() if last else queue.popleft()
+            if handed >= window:
+                stolen.add(i)
+            handed += 1
+            return i
+
         def send(worker: _Worker) -> None:
-            i = busy[worker] = queue.popleft()
+            i = busy[worker] = take()
             sent[i] = time.monotonic()
             with suppress(OSError):  # died idle: its EOF reports the loss
                 worker.conn.send(("task", tasks[i]))
 
+        def finish(i: int, result: ChunkResult) -> None:
+            if result.span is not None:
+                result.span["attrs"]["queue_wait_s"] = \
+                    result.started - sent[i]
+            if i in stolen:
+                report.steals += 1
+                report.steals_by_worker[result.worker] = \
+                    report.steals_by_worker.get(result.worker, 0) + 1
+            if merger.owns(result.chunk_index):
+                result = merger.fold(result)
+            accept(result)
+
         try:
-            for w in self._workers[:window]:
+            for w in self._workers[:len(tasks)]:
                 send(w)
-            while busy:
-                for w in _ready(list(busy)):
+            while busy or queue:
+                ready = _ready(list(busy), 0 if caller and queue else None) \
+                    if busy else []
+                if not ready:  # the caller's turn
+                    i = take(last=bool(self._workers))
+                    try:
+                        own = _solve(graph_state, tasks[i])
+                    except Exception as exc:  # raised as a worker's would be
+                        failure = exc
+                        queue.clear()
+                        continue
+                    finish(i, own)
+                    continue
+                for w in ready:
                     i = busy.pop(w)
                     reply = _receive(w)
                     if reply is None:
@@ -824,16 +876,7 @@ class WorkerPool:
                         failure = result
                         queue.clear()
                         continue
-                    if result.span is not None:
-                        result.span["attrs"]["queue_wait_s"] = \
-                            result.started - sent[i]
-                    if i >= window:
-                        report.steals += 1
-                        report.steals_by_worker[result.worker] = \
-                            report.steals_by_worker.get(result.worker, 0) + 1
-                    if merger.owns(result.chunk_index):
-                        result = merger.fold(result)
-                    accept(result)
+                    finish(i, result)
         except BaseException:
             for w in busy:
                 w.process.kill()
@@ -1011,9 +1054,12 @@ def run_parallel(
     (``emitted`` equals the true clique count).
 
     The knobs form one :class:`repro.config.RunConfig`, validated before
-    any worker starts; :func:`execute` runs it on a pool of its own, torn
-    down before returning.  Callers with many requests should hold a warm
-    :class:`WorkerPool` or a :class:`repro.service.CliqueService`.
+    any worker starts; :func:`execute` runs it on a one-shot pool of its
+    own, torn down before returning.  The calling process is one of the
+    ``n_jobs`` workers: the run starts ``min(n_jobs, tasks) - 1`` worker
+    processes (none for ``n_jobs=1`` or a single chunk) and solves its
+    share of the tasks itself.  Callers with many requests should hold a
+    warm :class:`WorkerPool` or a :class:`repro.service.CliqueService`.
 
     ``steal=True`` switches to work stealing: ``STEAL_CHUNK_FACTOR`` times
     as many chunks, dispatched dynamically largest-first, and cost

@@ -1,5 +1,6 @@
 """Unit tests for the worker-pool driver and its validation surface."""
 
+import multiprocessing
 import os
 import time
 
@@ -40,6 +41,7 @@ from repro.parallel.pool import (
     plan_steal_schedule,
 )
 from repro.parallel.scheduler import STEAL_CHUNK_FACTOR, make_chunks
+from repro.service import CliqueService
 
 
 @pytest.fixture(scope="module")
@@ -583,3 +585,47 @@ class TestPoolThreadSafety:
             assert len({id(p) for p in seen}) == 1
         finally:
             pool.close()
+
+
+class TestProcessCount:
+    """A one-shot caller is one of its n_jobs workers; a warm pool's
+    caller is not."""
+
+    @pytest.mark.parametrize("steal", [False, True])
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_one_shot_starts_one_process_fewer_than_workers(
+            self, graph, reference, spawns, n_jobs, steal):
+        # min(n_jobs, tasks) - 1: this graph's runs have n_jobs tasks
+        # (static) or more (steal).
+        assert maximal_cliques(graph, n_jobs=n_jobs,
+                               steal=steal) == reference
+        assert len(spawns) == n_jobs - 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_jobs, steal, g", [
+        (1, False, "graph"), (1, True, "graph"), (2, False, "single"),
+        (3, True, "single"),
+    ])
+    def test_single_worker_runs_start_none(self, graph, spawns, n_jobs,
+                                           steal, g):
+        g = graph if g == "graph" else Graph(1)
+        stats = ParallelStats()
+        agg = CollectAggregator()
+        run_parallel(g, agg, algorithm="hbbmc++", n_jobs=n_jobs,
+                     steal=steal, stats=stats)
+        assert sorted(agg.finish()) == maximal_cliques(g, backend="set")
+        assert spawns == []
+        assert stats.start_method == "inline"
+        assert stats.steals == 0
+
+    def test_warm_service_keeps_n_jobs_processes(self, graph, reference,
+                                                 spawns):
+        with CliqueService(n_jobs=2) as service:
+            service.register(graph, name="g")
+            assert service.count("g")["count"] == len(reference)
+            assert len(spawns) == 2
+            assert len(multiprocessing.active_children()) == 2
+            stats = service.stats()
+            assert stats["pool_spinups"] == 1
+            assert stats["start_method"] in ("fork", "spawn")
+        assert multiprocessing.active_children() == []

@@ -9,9 +9,10 @@ the next one runs on fresh workers.
 
 Faults are injected deterministically: a patched ``_solve_chunk`` or
 ``_solve_split`` (the workers fork from this process, so they inherit
-the patch) or a poisoned graph state acts in a worker process only, and
-only while it can claim a flag file (``"x"`` mode is the atomic claim),
-so the number of faults is exact however the tasks land on the workers.
+the patch) or a poisoned graph state acts in a worker process, or in a
+one-shot caller's own task, and only while it can claim a flag file
+(``"x"`` mode is the atomic claim), so the number of faults is exact
+however the tasks land on the workers.
 """
 
 import io
@@ -73,6 +74,13 @@ def bounded(fn, seconds=BOUND):
     return box.get("value")
 
 
+def wait_until(condition, seconds=BOUND):
+    """Poll ``condition`` until it holds or ``seconds`` have passed."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
 def claim(flag):
     """Whether this call is the first to claim ``flag``."""
     try:
@@ -89,9 +97,10 @@ def inject(monkeypatch, tmp_path):
     ``inject(kills=k)`` SIGKILLs the worker starting chunk 0, the first
     ``k`` times; ``inject(raises=True)`` raises ``ValueError`` there
     once.  ``inject(kills=k, split=True)`` patches ``_solve_split``
-    instead and kills the worker starting any split part.  The parent's
-    own (inline) calls are never touched.  Returns a function telling how
-    many faults fired.
+    instead and kills the worker starting any split part.  The calling
+    process's own calls are never touched: a one-shot caller solves tasks
+    too, and a fault aimed at a task it takes never fires.  Returns a
+    function telling how many faults fired.
     """
     parent = os.getpid()
 
@@ -196,6 +205,117 @@ class TestWorkerKilledMidChunk:
         assert [r["ok"] for r in responses] == [True, False, True, True]
         assert "lost to two worker deaths" in responses[1]["error"]
         assert responses[2]["count"] == len(reference)
+
+
+class TestCallerShare:
+    """A one-shot caller solves its share of the tasks in-process.
+
+    Its own task cannot be killed, so each fault that needs a worker
+    process aims at one: with two chunks the worker takes chunk 0 off the
+    front of the queue and the caller chunk 1 off its back, and under
+    ``steal=True`` the worker's first task is the largest split part.
+    Where the order of the two sides matters, the worker's task waits on
+    a flag file the caller writes.
+    """
+
+    @pytest.fixture
+    def caller_raises(self, monkeypatch, tmp_path):
+        """Patch ``_solve_chunk`` to raise ``ValueError`` in the caller,
+        once.  A worker starts its chunk only after that, so the caller
+        surely takes a task and the worker's reply is still in flight."""
+        parent = os.getpid()
+        raised = tmp_path / "raised"
+        real = pool_module._solve_chunk
+
+        def solve(graph_state, config, task, mode, context=None):
+            if os.getpid() != parent:
+                wait_until(raised.exists)
+            elif claim(raised):
+                raise ValueError("injected caller failure")
+            return real(graph_state, config, task, mode, context)
+
+        monkeypatch.setattr(pool_module, "_solve_chunk", solve)
+
+    def test_caller_failure_keeps_its_type_and_the_next_call_answers(
+            self, graph, reference, caller_raises):
+        with pytest.raises(ValueError, match="injected caller failure"):
+            bounded(lambda: maximal_cliques(graph, n_jobs=2))
+        assert_no_children()
+        assert bounded(lambda: maximal_cliques(graph, n_jobs=2)) == reference
+        assert_no_children()
+
+    def test_caller_failure_drains_the_worker_reply(self, graph, reference,
+                                                    caller_raises):
+        # The pool keeps its worker process past the failed submit, so a
+        # reply left in that worker's pipe would be read by the next one.
+        decomposition = decompose(graph)
+        state = GraphState(graph=graph, order=decomposition.order,
+                           position=decomposition.position)
+        config = RunConfig(algorithm="hbbmc++", options={"backend": "set"})
+        pool = WorkerPool(2)
+
+        def count(n_chunks):
+            chunks = make_chunks(decomposition.subproblems, n_chunks)
+            aggregator = CountAggregator()
+            aggregator.start(len(decomposition.subproblems))
+            pool.submit("g", state, config, chunks, aggregator.accept,
+                        mode="count")
+            return aggregator.finish()
+
+        try:
+            with pytest.raises(ValueError, match="injected caller failure"):
+                bounded(lambda: count(2))
+            (worker,) = pool._workers
+            assert not worker.conn.poll(1.0)
+            # A different packing: a stale chunk-0 reply would not fit it.
+            assert bounded(lambda: count(3)) == len(reference)
+            assert pool.spinups == 1 and pool.respawns == 0
+        finally:
+            bounded(pool.close)
+        assert_no_children()
+
+    def test_worker_killed_while_the_caller_solves(self, graph, reference,
+                                                   inject, monkeypatch,
+                                                   spawns, tmp_path_factory):
+        fired = inject(kills=1)
+        parent = os.getpid()
+        started = tmp_path_factory.mktemp("caller") / "started"
+        solve = pool_module._solve_chunk  # kills the worker on chunk 0
+        caller_done = []
+
+        def ordered(graph_state, config, task, mode, context=None):
+            if os.getpid() != parent:
+                # The worker dies only once the caller is in its own task.
+                wait_until(started.exists)
+                return solve(graph_state, config, task, mode, context)
+            started.touch()
+            wait_until(lambda: fired() == 1
+                       and not multiprocessing.active_children())
+            result = solve(graph_state, config, task, mode, context)
+            caller_done.append(time.monotonic())
+            return result
+
+        monkeypatch.setattr(pool_module, "_solve_chunk", ordered)
+        cliques = bounded(lambda: maximal_cliques(graph, n_jobs=2))
+        assert cliques == reference
+        assert fired() == 1
+        # One task for the caller; the replacement starts after it ends
+        # and reruns the lost chunk.
+        assert len(caller_done) == 1
+        assert len(spawns) == 2 and spawns[1] >= caller_done[0]
+        assert_no_children()
+
+    def test_one_shot_steal_reruns_a_killed_split_part(self, inject,
+                                                       spawns):
+        hub = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
+        want = count_maximal_cliques(hub, backend="set")
+        fired = inject(kills=1, split=True)
+        got = bounded(lambda: count_maximal_cliques(hub, n_jobs=2,
+                                                    steal=True))
+        assert got == want
+        assert fired() == 1
+        assert len(spawns) == 2
+        assert_no_children()
 
 
 class TestWorkerKilledMidSplit:
