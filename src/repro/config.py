@@ -37,8 +37,8 @@ class RunConfig:
     graph by :meth:`validate`.  ``n_jobs=None`` is the classic
     single-process run.  With ``n_jobs`` the run is partitioned over the
     worker pool (:mod:`repro.parallel`) on one schedule: X-aware
-    subproblems packed by their edge cost into one chunk per worker, or
-    with ``steal=True`` the work-stealing plan.  ``steal`` left ``None``
+    subproblems packed by a cost read off the degeneracy peel into one
+    chunk per worker, or with ``steal=True`` the work-stealing plan.  ``steal`` left ``None``
     was not given: without ``n_jobs`` it must stay so, and with
     ``n_jobs`` it means ``False``.
     """

@@ -5,7 +5,9 @@ subgraph has a vertex of degree <= k.  The classic bucket-queue peeling
 algorithm computes, in O(n + m):
 
 * the *degeneracy ordering* (repeatedly remove a minimum-degree vertex),
-* the *core number* of every vertex, and
+* the *core number* of every vertex,
+* every vertex's *forward degree*, its count of later neighbours in the
+  ordering (its degree when peeled), and
 * ``delta`` itself (the largest core number).
 
 ``BK_Degen`` (Eppstein–Löffler–Strash) uses the ordering at the initial
@@ -29,19 +31,22 @@ class CoreDecomposition:
         position: ``position[v]`` is the index of ``v`` in ``order``.
         core_number: per-vertex core number.
         degeneracy: the graph degeneracy ``delta``.
+        forward_degree: ``forward_degree[v]`` is the number of neighbours
+            of ``v`` later in ``order``, at most ``degeneracy``.
     """
 
     order: list[int]
     position: list[int]
     core_number: list[int]
     degeneracy: int
+    forward_degree: list[int]
 
 
 def core_decomposition(g: Graph) -> CoreDecomposition:
     """Peel minimum-degree vertices with a bucket queue (O(n + m))."""
     n = g.n
     if n == 0:
-        return CoreDecomposition([], [], [], 0)
+        return CoreDecomposition([], [], [], 0, [])
 
     degree = g.degrees()
     max_deg = max(degree)
@@ -53,6 +58,7 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
     order: list[int] = []
     position = [0] * n
     core_number = [0] * n
+    forward_degree = [0] * n
     degeneracy = 0
     current = 0  # lowest bucket that may be non-empty
 
@@ -71,6 +77,7 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
         removed[v] = True
         degeneracy = max(degeneracy, current)
         core_number[v] = degeneracy
+        forward_degree[v] = current  # the live neighbours: all later
         position[v] = len(order)
         order.append(v)
         for w in adj[v]:
@@ -79,7 +86,8 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
                 buckets[dw].append(w)
                 if dw < current:
                     current = dw
-    return CoreDecomposition(order, position, core_number, degeneracy)
+    return CoreDecomposition(order, position, core_number, degeneracy,
+                             forward_degree)
 
 
 def degeneracy_ordering(g: Graph) -> list[int]:

@@ -5,7 +5,8 @@ subproblems along a degeneracy ordering (:mod:`repro.parallel.decompose`),
 each carrying both its candidate set (later neighbours) and its seeded
 exclusion set (earlier neighbours) so the per-subproblem clique streams
 are pairwise disjoint and no branch is explored twice across workers;
-LPT packing by their edge cost cuts one balanced chunk per worker
+LPT packing by a cost read off the degeneracy peel (``C(k, 2) + k + 1``
+for ``k`` later neighbours) cuts one balanced chunk per worker
 (:mod:`repro.parallel.scheduler`); owned worker processes, one pipe
 each, and a one-shot run's calling process solve the chunks with any
 registered algorithm/backend (:mod:`repro.parallel.pool`); and pluggable

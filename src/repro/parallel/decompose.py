@@ -17,12 +17,12 @@ solve on a compact induced subgraph — which is what makes the
 decomposition the natural unit of parallel work (Das et al., ParMCE).
 
 This module extracts the subproblems, attaches a per-subproblem *cost
-estimate* (the edges of ``G[later(v)]`` plus ``|later(v)| + 1``) used by
-:mod:`repro.parallel.scheduler` to pack balanced chunks, and solves
-them: :class:`InPlaceRunner` runs the in-place tier, one
-engine context per chunk, and :func:`solve_subproblem` solves any one
-subproblem on any tier.  The in-process fallback and the worker
-processes execute the same code.
+estimate* (``C(k, 2) + k + 1`` for ``k = |later(v)|``, read off the
+degeneracy peel) used by :mod:`repro.parallel.scheduler` to pack
+balanced chunks, and solves them: :class:`InPlaceRunner` runs the
+in-place tier, one engine context per chunk, and
+:func:`solve_subproblem` solves any one subproblem on any tier.  The
+in-process fallback and the worker processes execute the same code.
 
 Subproblems are *X-set-aware*: the earlier neighbours of ``v`` are
 seeded into the engine's exclusion set (``initial_x``), so branches owned
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from repro.core.counters import Counters
 from repro.core.result import CliqueCollector, CliqueCounter
-from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import DEFAULT_BIT_ORDER, BitGraph, iter_bits
 from repro.graph.coreness import core_decomposition
@@ -93,27 +92,6 @@ def subproblem_sets(
     return later, earlier
 
 
-def _estimate_cost(g: Graph, later: set[int]) -> float:
-    """Estimated enumeration cost of one subproblem: the edges of
-    ``G[later]`` plus ``|later| + 1``, a quadratic proxy tracking
-    candidate-graph density."""
-    adj = g.adj
-    edges = sum(len(adj[w] & later) for w in later) // 2
-    return float(edges + len(later) + 1)
-
-
-def _estimate_mask_cost(masks: list[int], later: int) -> float:
-    """:func:`_estimate_cost` with ``later`` a bit mask over ``masks``,
-    counted by popcount: the same value as the set computation."""
-    degrees = 0
-    rest = later
-    while rest:
-        low = rest & -rest
-        degrees += (masks[low.bit_length() - 1] & later).bit_count()
-        rest ^= low
-    return float(degrees // 2 + later.bit_count() + 1)
-
-
 def packs_by_position(bg: BitGraph, position: list[int]) -> bool:
     """Whether ``bg`` holds the vertex at position ``p`` in bit ``n - 1 - p``.
 
@@ -124,8 +102,7 @@ def packs_by_position(bg: BitGraph, position: list[int]) -> bool:
         and set(map(operator.add, bg.bit_of, position)) <= {bg.n - 1}
 
 
-def decompose(g: Graph, *, core=None,
-              bit_graph: BitGraph | None = None) -> Decomposition:
+def decompose(g: Graph, *, core=None) -> Decomposition:
     """Partition the root level of the search into per-vertex subproblems.
 
     ``core`` optionally supplies an already-computed
@@ -134,40 +111,25 @@ def decompose(g: Graph, *, core=None,
     the re-peel *and* guarantee every consumer shares the same vertex
     order.
 
-    ``bit_graph`` optionally supplies the degeneracy-packed view of ``g``
-    for that order (see :func:`packs_by_position`).  ``run_parallel``
-    builds it in the parent for the requests whose workers read it, and
-    the service registry builds it at registration.  With the view, the
-    cost estimate reads ``later(v)`` as ``masks[b] & ((1 << b) - 1)`` for
-    ``b = n - 1 - position[v]`` and counts by popcount.  Without one it
-    uses vertex sets and builds no masks: a view costs about ``n**2 / 8``
-    bytes, too much to build for a cost estimate on a large sparse graph.
-    Both give the same costs, so the chunk packing does not depend on it.
+    Subproblem ``v`` costs ``k * (k - 1) / 2 + k + 1`` with
+    ``k = |later(v)|``, read off the peel's ``forward_degree``: the edges
+    of ``G[later(v)]`` taken as complete, plus the candidates and the
+    root.  Nothing is intersected or counted per edge, and no bit view is
+    read or built.
     """
     if core is None:
         core = core_decomposition(g)
-    order, position = core.order, core.position
-    if bit_graph is not None and not packs_by_position(bit_graph, position):
-        raise InvalidParameterError(
-            "bit_graph must pack the decomposition order (the "
-            "'degeneracy' bit order)"
-        )
+    order, forward_degree = core.order, core.forward_degree
     subproblems = []
     total = 0.0
-    last = g.n - 1
     for p, v in enumerate(order):
-        if bit_graph is None:
-            later, _ = subproblem_sets(g, position, v)
-            cost = _estimate_cost(g, later)
-        else:
-            b = last - p
-            cost = _estimate_mask_cost(bit_graph.masks,
-                                       bit_graph.masks[b] & ((1 << b) - 1))
+        k = forward_degree[v]
+        cost = float(k * (k - 1) // 2 + k + 1)
         subproblems.append(Subproblem(position=p, vertex=v, cost=cost))
         total += cost
     return Decomposition(
         order=order,
-        position=position,
+        position=core.position,
         subproblems=subproblems,
         total_cost=total,
     )

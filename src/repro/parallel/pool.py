@@ -946,9 +946,7 @@ class _OneShot:
             # Pack once, here: the pool forks after this, so every worker
             # inherits the view instead of rebuilding it.
             graph_state.bit_graph(self.config.options, keep=True)
-        return graph_state, decompose(
-            self.g, core=core,
-            bit_graph=graph_state.bit_graphs.get("degeneracy"))
+        return graph_state, decompose(self.g, core=core)
 
     def chunks(self, decomposition: Decomposition,
                n_chunks: int) -> list[Chunk]:
@@ -1047,9 +1045,9 @@ def run_parallel(
     """Enumerate ``g``'s maximal cliques across a one-shot worker pool.
 
     The root level is partitioned per-vertex in degeneracy order into
-    X-aware subproblems, packed LPT by their edge cost into one chunk per
-    worker, and solved by ``algorithm`` (any registered name, any
-    backend).  Results stream into ``aggregator`` with a deterministic
+    X-aware subproblems, packed LPT by a cost read off the degeneracy
+    peel into one chunk per worker, and solved by ``algorithm`` (any
+    registered name, any backend).  Results stream into ``aggregator`` with a deterministic
     merge; the returned :class:`Counters` sum the per-worker counters
     (``emitted`` equals the true clique count).
 

@@ -6,9 +6,9 @@ enough that no worker becomes the straggler — the scaling ceiling of the
 whole subsystem is ``total_cost / max(chunk_cost)``.
 
 Packing is LPT list scheduling: subproblems sorted by estimated cost
-(descending) are assigned to the currently lightest chunk.  It is
-deterministic: ties break on subproblem position and chunk index, never
-on hash order.
+(descending) are assigned to the currently lightest chunk, kept on a
+heap.  It is deterministic: ties break on subproblem position and chunk
+index, never on hash order.
 
 Steal mode (:func:`plan_steal`) packs the same way but changes the
 economics: instead of one chunk per worker it cuts
@@ -23,6 +23,7 @@ subproblem exceeds a worker's fair share.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
@@ -55,16 +56,17 @@ def make_chunks(subproblems: list[Subproblem], n_chunks: int) -> list[Chunk]:
     """Pack ``subproblems`` into at most ``n_chunks`` non-empty chunks.
 
     LPT: in order of cost (descending, then position), each subproblem
-    joins the currently lightest chunk (the lowest index on a tie).
+    joins the currently lightest chunk (the lowest index on a tie).  The
+    chunks sit in a heap of ``(load, index)``, so the lightest is its top.
     """
     if n_chunks < 1:
         raise InvalidParameterError(f"n_chunks must be >= 1, got {n_chunks}")
     k = min(n_chunks, len(subproblems))
-    loads = [0.0] * k
+    lightest: list[tuple[float, int]] = [(0.0, i) for i in range(k)]
     members: list[list[int]] = [[] for _ in range(k)]
     for sub in sorted(subproblems, key=lambda s: (-s.cost, s.position)):
-        target = min(range(k), key=lambda i: (loads[i], i))
-        loads[target] += sub.cost
+        load, target = lightest[0]
+        heapq.heapreplace(lightest, (load + sub.cost, target))
         members[target].append(sub.position)
     cost_of = {s.position: s.cost for s in subproblems}
     chunks: list[Chunk] = []

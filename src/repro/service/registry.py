@@ -69,12 +69,11 @@ class GraphEntry:
     order + bitmask views).  For a graph on the ``bitset`` side of
     :func:`repro.core.frameworks.default_backend` the degeneracy-packed
     :class:`BitGraph` is prebuilt at registration, so even the first
-    bitset request skips the packing step, and the decomposition costs its
-    subproblems by popcount over it; a graph on the ``set`` side holds no
-    mask table and its decomposition costs by set intersection, which
-    gives the same values.  The decomposition is built on the first
-    request that needs it; chunk lists are cached per chunk count and
-    steal plans per (pool size, tier) — tiny keys over expensive values.
+    bitset request skips the packing step; a graph on the ``set`` side
+    holds no mask table.  The decomposition costs its subproblems from the
+    registration peel alone and is built on the first request that needs
+    it; chunk lists are cached per chunk count and steal plans per (pool
+    size, tier) — tiny keys over expensive values.
     """
 
     name: str
@@ -195,9 +194,7 @@ class GraphRegistry:
             if cached is not None:
                 self.stats.decompose_cache_hits += 1
                 return cached
-            decomposition = decompose(
-                entry.graph, core=entry.core,
-                bit_graph=entry.graph_state.bit_graphs.get("degeneracy"))
+            decomposition = decompose(entry.graph, core=entry.core)
             self.stats.decompose_calls += 1
             entry._decomposition = decomposition
             return decomposition

@@ -41,10 +41,7 @@ class TestOrderingProperty:
         """The defining property: each vertex has <= delta later neighbours."""
         g = erdos_renyi_gnm(40, 180, seed=seed)
         decomposition = core_decomposition(g)
-        position = decomposition.position
-        for v in g.vertices():
-            forward = sum(1 for w in g.adj[v] if position[w] > position[v])
-            assert forward <= decomposition.degeneracy
+        assert max(decomposition.forward_degree) <= decomposition.degeneracy
 
     def test_ordering_is_permutation(self):
         g = erdos_renyi_gnm(30, 100, seed=1)
@@ -57,6 +54,37 @@ class TestOrderingProperty:
         # Core numbers along the peel order never decrease.
         cores = [decomposition.core_number[v] for v in decomposition.order]
         assert all(a <= b for a, b in zip(cores, cores[1:]))
+
+
+def _with_isolated_vertices():
+    g = erdos_renyi_gnm(30, 70, seed=4)
+    g.add_vertices(5)
+    return g
+
+
+FORWARD_GRAPHS = {
+    **{f"er-{seed}": (lambda seed=seed: erdos_renyi_gnm(40, 180, seed=seed))
+       for seed in range(5)},
+    "empty": lambda: Graph(0),
+    "edgeless": lambda: Graph(4),
+    "isolated": _with_isolated_vertices,
+    "k6": lambda: complete_graph(6),
+}
+
+
+class TestForwardDegree:
+    @pytest.mark.parametrize("name", sorted(FORWARD_GRAPHS))
+    def test_counts_later_neighbours(self, name):
+        g = FORWARD_GRAPHS[name]()
+        decomposition = core_decomposition(g)
+        position = decomposition.position
+        assert decomposition.forward_degree == [
+            sum(1 for w in g.adj[v] if position[w] > position[v])
+            for v in g.vertices()
+        ]
+        assert sum(decomposition.forward_degree) == g.m
+        assert all(k <= decomposition.degeneracy
+                   for k in decomposition.forward_degree)
 
 
 class TestKCore:

@@ -3,25 +3,15 @@
 import pytest
 
 from repro.api import maximal_cliques
-from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import BitGraph
 from repro.graph.builders import complete_graph
-from repro.graph.coreness import core_decomposition
-from repro.graph.generators import (
-    ba_heavy_hub,
-    erdos_renyi_gnm,
-    mesh_graph,
-    plex_caveman,
-    ring_of_cliques,
-)
+from repro.graph.generators import erdos_renyi_gnm, ring_of_cliques
 from repro.parallel.decompose import (
     decompose,
     solve_subproblem,
     subproblem_sets,
 )
-from repro.parallel.pool import GraphState, plan_steal_schedule
-from repro.parallel.scheduler import make_chunks
 
 
 class TestDecompose:
@@ -45,14 +35,14 @@ class TestDecompose:
         assert all(s.cost >= 1.0 for s in d.subproblems)
         assert d.total_cost == pytest.approx(sum(s.cost for s in d.subproblems))
 
-    def test_cost_is_candidate_edges_plus_size(self):
+    def test_cost_is_complete_candidate_graph_plus_size(self):
+        # G[later(v)] taken as complete: C(k, 2) + k + 1, k = |later(v)|.
         g = erdos_renyi_gnm(25, 90, seed=1)
         d = decompose(g)
         for s in d.subproblems:
             later, _ = subproblem_sets(g, d.position, s.vertex)
-            edges = sum(1 for u in later for w in later
-                        if u < w and g.has_edge(u, w))
-            assert s.cost == edges + len(later) + 1
+            k = len(later)
+            assert s.cost == k * (k - 1) / 2 + k + 1
 
     def test_costs_track_density(self):
         # The root of a planted clique must out-weigh an isolated vertex.
@@ -65,62 +55,12 @@ class TestDecompose:
         assert d.order[0] == 6
         assert by_vertex[d.order[1]] > by_vertex[6]
 
-
-def _with_isolated_vertices():
-    g = erdos_renyi_gnm(30, 70, seed=4)
-    g.add_vertices(5)
-    return g
-
-
-COST_GRAPHS = {
-    "er": lambda: erdos_renyi_gnm(60, 500, seed=11),
-    "ba-heavy-hub": lambda: ba_heavy_hub(200, 3, hub_parts=4,
-                                         hub_part_size=3, seed=7),
-    "plex-caveman": lambda: plex_caveman(10, 8, 2, seed=3),
-    "mesh": lambda: mesh_graph(8, 10, stiffener_cliques=6, clique_size=5,
-                               seed=2, window=2),
-    "isolated": _with_isolated_vertices,
-    "empty": lambda: Graph(0),
-}
-
-
-class TestViewCosts:
-    """Costing by popcount over the degeneracy view changes no cost."""
-
-    @staticmethod
-    def _both(g):
-        core = core_decomposition(g)
-        state = GraphState(graph=g, order=core.order, position=core.position)
-        view = state.bit_graph({"backend": "bitset"})
-        return (decompose(g, core=core),
-                decompose(g, core=core, bit_graph=view))
-
-    @pytest.mark.parametrize("name", sorted(COST_GRAPHS))
-    def test_view_costs_equal_set_costs(self, name):
-        g = COST_GRAPHS[name]()
-        by_sets, by_view = self._both(g)
-        assert by_view.subproblems == by_sets.subproblems
-        assert by_view.total_cost == by_sets.total_cost
-        for k in (1, 2, 5):
-            assert make_chunks(by_view.subproblems, k) == \
-                make_chunks(by_sets.subproblems, k)
-        for n_jobs in (1, 2):
-            assert plan_steal_schedule(g, by_view, n_jobs) == \
-                plan_steal_schedule(g, by_sets, n_jobs)
-
-    def test_other_packings_are_rejected(self):
-        g = COST_GRAPHS["er"]()
-        core = core_decomposition(g)
-        assert core.order != list(range(g.n))[::-1]
-        with pytest.raises(InvalidParameterError):
-            decompose(g, core=core, bit_graph=BitGraph.from_graph(g))
-
     def test_no_view_builds_no_masks(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("decompose built a bit view")
 
         monkeypatch.setattr(BitGraph, "from_graph", classmethod(refuse))
-        decompose(COST_GRAPHS["er"]())
+        decompose(erdos_renyi_gnm(60, 500, seed=11))
 
 
 class TestSubproblemSets:

@@ -1,6 +1,7 @@
 """Unit tests for the LPT chunk packing and the steal-mode plan."""
 
 import math
+import random
 
 import pytest
 
@@ -24,7 +25,40 @@ def _subs(costs):
             for i, c in enumerate(costs)]
 
 
+def _linear_scan_chunks(subproblems, n_chunks):
+    """Reference LPT packing: a linear scan for the lightest chunk."""
+    k = min(n_chunks, len(subproblems))
+    loads = [0.0] * k
+    members = [[] for _ in range(k)]
+    for sub in sorted(subproblems, key=lambda s: (-s.cost, s.position)):
+        target = min(range(k), key=lambda i: (loads[i], i))
+        loads[target] += sub.cost
+        members[target].append(sub.position)
+    cost_of = {s.position: s.cost for s in subproblems}
+    chunks = []
+    for raw in members:
+        if not raw:
+            continue
+        positions = tuple(sorted(raw))
+        chunks.append(Chunk(index=len(chunks), positions=positions,
+                            cost=sum(cost_of[p] for p in positions)))
+    return chunks
+
+
 class TestMakeChunks:
+    @pytest.mark.parametrize("n_chunks", range(1, 9))
+    def test_matches_linear_scan(self, n_chunks):
+        # Ties (small integer costs), zero costs, fractional costs, and
+        # fewer subproblems than chunks: 40 packings per chunk count.
+        rng = random.Random(n_chunks)
+        for _ in range(40):
+            costs = [rng.choice((0.0, 0.0, 1.0, 1.0, 3.0, 4.0, 7.0))
+                     if rng.random() < 0.7 else rng.uniform(0.0, 10.0)
+                     for _ in range(rng.randrange(12))]
+            subs = _subs(costs)
+            assert make_chunks(subs, n_chunks) == \
+                _linear_scan_chunks(subs, n_chunks)
+
     def test_exact_cover(self):
         subs = _subs([5, 1, 3, 2, 8, 1, 1, 4])
         chunks = make_chunks(subs, 3)

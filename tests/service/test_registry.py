@@ -102,20 +102,16 @@ class TestRegistry:
         assert entry.graph_state.bit_graphs == {}
         assert entry.info()["cached_bit_orders"] == []
 
-    def test_set_side_decomposition_costs_as_the_packed_one(self):
-        # Without a view the decomposition costs by sets: same values.
+    def test_set_side_decomposition_packs_no_view(self):
+        # The decomposition costs from the registration peel alone.
         from repro.parallel.decompose import decompose
 
         sparse = barabasi_albert(3000, 2, seed=5)
         registry = GraphRegistry()
         entry = registry.register(sparse)
-        by_sets = registry.decomposition(entry)
-        # No view was packed, so the registry's decomposition costed by sets.
+        decomposition = registry.decomposition(entry)
         assert entry.graph_state.bit_graphs == {}
-        packed = decompose(sparse, core=entry.core,
-                           bit_graph=entry.graph_state.bit_graph(
-                               {"backend": "bitset"}))
-        assert by_sets.subproblems == packed.subproblems
+        assert decomposition == decompose(sparse, core=entry.core)
 
     def test_decomposition_built_lazily_once(self, graph):
         registry = GraphRegistry()
