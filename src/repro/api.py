@@ -95,19 +95,13 @@ AlgorithmFn = Callable[..., Counters]
 class AlgorithmSpec:
     """Registry entry: a runnable algorithm plus its description.
 
-    ``subproblem_phase`` declares how an X-aware parallel subproblem runs
-    the algorithm *below* the decomposition's per-vertex root: keyword
-    arguments (``vertex_strategy``, ``et_threshold``) for
-    :func:`repro.core.phases.make_context`, executed in place on the whole
-    graph's adjacency with the branch ``(S={v}, C=later, X=earlier)``.
-    This is exact for every hybrid/vertex algorithm — their sub-root
-    engine *is* the vertex phase, and a subproblem's candidate set is
-    already degeneracy-bounded, which is the bound the hybrid's top-level
-    edge branching exists to beat — and it skips the per-subproblem
-    subgraph/ordering/framework prologue that would otherwise dominate.
-    ``None`` (the pure edge-oriented family) means the subproblem instead
-    runs the full registered framework on a compact branch graph with
-    ``initial_x`` seeded.
+    ``subproblem_phase`` names the vertex-phase keywords
+    (``vertex_strategy``, ``et_threshold``) that the runner fixes in its
+    body, where its signature cannot show them: the BK baselines' pivot
+    rule, and the R* baselines' disabled early termination.  Every other
+    registered value is a keyword default of the runner.  Under ``n_jobs``
+    an X-aware subproblem runs with :meth:`subproblem_options`, in place on
+    the whole graph (:class:`repro.parallel.decompose.InPlaceRunner`).
     """
 
     name: str
@@ -117,9 +111,21 @@ class AlgorithmSpec:
     subproblem_phase: dict | None = None
 
     @cached_property
+    def defaults(self) -> dict[str, Any]:
+        """The options ``runner`` takes, its parameters after ``g, sink``,
+        at their registered values."""
+        params = list(inspect.signature(self.runner).parameters.values())
+        return {p.name: p.default for p in params[2:]}
+
+    @cached_property
     def option_names(self) -> frozenset[str]:
-        """The options ``runner`` takes: its parameters after ``g, sink``."""
-        return frozenset(list(inspect.signature(self.runner).parameters)[2:])
+        """The options ``runner`` takes."""
+        return frozenset(self.defaults)
+
+    def subproblem_options(self, options: dict) -> dict[str, Any]:
+        """Every option value a parallel subproblem runs with: the
+        request's ``options`` over the registered ones."""
+        return {**self.defaults, **(self.subproblem_phase or {}), **options}
 
     def backend_for(self, g: Graph) -> str | None:
         """The backend a request that names none runs on ``g``.
@@ -133,12 +139,8 @@ class AlgorithmSpec:
         """
         if "backend" not in self.option_names:
             return None
-        return self._backend_default or default_backend(
+        return self.defaults["backend"] or default_backend(
             g, vertex_oriented=self.family == "vertex")
-
-    @cached_property
-    def _backend_default(self) -> str | None:
-        return inspect.signature(self.runner).parameters["backend"].default
 
     @property
     def supports_initial_x(self) -> bool:
@@ -156,14 +158,11 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         # --- the paper's contribution ------------------------------------
         _spec("hbbmc++", partial(run_hybrid, et_threshold=3, graph_reduction=True),
               "HBBMC + early termination (t=3) + graph reduction (full version)",
-              "hybrid",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 3}),
+              "hybrid"),
         _spec("hbbmc+", partial(run_hybrid, et_threshold=0, graph_reduction=True),
-              "HBBMC + graph reduction, without early termination", "hybrid",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 0}),
+              "HBBMC + graph reduction, without early termination", "hybrid"),
         _spec("hbbmc", partial(run_hybrid, et_threshold=0, graph_reduction=False),
-              "plain hybrid framework (Algorithm 4)", "hybrid",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 0}),
+              "plain hybrid framework (Algorithm 4)", "hybrid"),
         _spec("ebbmc", partial(run_hybrid, edge_depth=None, et_threshold=0,
                                graph_reduction=False),
               "pure edge-oriented framework (Algorithm 3)", "edge"),
@@ -173,31 +172,25 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         # --- hybrid with alternative vertex phases (Table III) -----------
         _spec("ref++", partial(run_hybrid, vertex_strategy="ref",
                                et_threshold=3, graph_reduction=True),
-              "hybrid top + BK_Ref phase + ET + GR", "hybrid",
-              subproblem_phase={"vertex_strategy": "ref", "et_threshold": 3}),
+              "hybrid top + BK_Ref phase + ET + GR", "hybrid"),
         _spec("rcd++", partial(run_hybrid, vertex_strategy="rcd",
                                et_threshold=3, graph_reduction=True),
-              "hybrid top + BK_Rcd phase + ET + GR", "hybrid",
-              subproblem_phase={"vertex_strategy": "rcd", "et_threshold": 3}),
+              "hybrid top + BK_Rcd phase + ET + GR", "hybrid"),
         _spec("fac++", partial(run_hybrid, vertex_strategy="fac",
                                et_threshold=3, graph_reduction=True),
-              "hybrid top + BK_Fac phase + ET + GR", "hybrid",
-              subproblem_phase={"vertex_strategy": "fac", "et_threshold": 3}),
+              "hybrid top + BK_Fac phase + ET + GR", "hybrid"),
         # --- alternative initial orderings (Table VI) ---------------------
         _spec("vbbmc-dgn", partial(run_vertex, ordering_kind="degeneracy",
                                    vertex_strategy="tomita", et_threshold=3,
                                    graph_reduction=True),
               "vertex-oriented initial branch (degeneracy) + ET + GR",
-              "vertex",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 3}),
+              "vertex"),
         _spec("hbbmc-dgn", partial(run_hybrid, edge_order_kind="degen-lex",
                                    et_threshold=3, graph_reduction=True),
-              "hybrid with degeneracy-lexicographic edge order", "hybrid",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 3}),
+              "hybrid with degeneracy-lexicographic edge order", "hybrid"),
         _spec("hbbmc-mdg", partial(run_hybrid, edge_order_kind="min-degree",
                                    et_threshold=3, graph_reduction=True),
-              "hybrid with min-endpoint-degree edge order", "hybrid",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 3}),
+              "hybrid with min-endpoint-degree edge order", "hybrid"),
         # --- the paper's four baselines (Table II) ------------------------
         _spec("rref", rref, "BK_Ref + graph reduction (Deng et al.)", "vertex",
               subproblem_phase={"vertex_strategy": "ref", "et_threshold": 0}),
@@ -209,19 +202,19 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
               subproblem_phase={"vertex_strategy": "fac", "et_threshold": 0}),
         # --- classic family (Appendix A) ----------------------------------
         _spec("bk", bk, "original Bron-Kerbosch, no pivot", "vertex",
-              subproblem_phase={"vertex_strategy": "none", "et_threshold": 0}),
+              subproblem_phase={"vertex_strategy": "none"}),
         _spec("bk-pivot", bk_pivot, "Tomita pivoting", "vertex",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 0}),
+              subproblem_phase={"vertex_strategy": "tomita"}),
         _spec("bk-ref", bk_ref, "Naudé refined pivoting", "vertex",
-              subproblem_phase={"vertex_strategy": "ref", "et_threshold": 0}),
+              subproblem_phase={"vertex_strategy": "ref"}),
         _spec("bk-degen", bk_degen, "degeneracy-ordered initial branch", "vertex",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 0}),
+              subproblem_phase={"vertex_strategy": "tomita"}),
         _spec("bk-degree", bk_degree, "degree-ordered initial branch", "vertex",
-              subproblem_phase={"vertex_strategy": "tomita", "et_threshold": 0}),
+              subproblem_phase={"vertex_strategy": "tomita"}),
         _spec("bk-rcd", bk_rcd, "top-down min-degree peeling", "vertex",
-              subproblem_phase={"vertex_strategy": "rcd", "et_threshold": 0}),
+              subproblem_phase={"vertex_strategy": "rcd"}),
         _spec("bk-fac", bk_fac, "adaptive pivot refinement", "vertex",
-              subproblem_phase={"vertex_strategy": "fac", "et_threshold": 0}),
+              subproblem_phase={"vertex_strategy": "fac"}),
         # --- related work ---------------------------------------------------
         _spec("reverse-search", reverse_search,
               "output-sensitive lexicographic reverse search",
@@ -363,13 +356,12 @@ def count_maximal_cliques(
     No clique is built on the way.  A serial run counts emissions as the
     engines make them (the bitset backend's bit tuples are never translated
     back to vertex ids).  With ``n_jobs=N`` the in-place tier — every
-    hybrid and vertex algorithm, on every backend — counts inside the
-    workers, which ship one ``(count, max_size, total_vertices)`` triple
-    per subproblem.  Two tiers still build each subproblem's clique list
-    worker-side before compressing it: the pure edge-oriented family
-    (``ebbmc``, ``ebbmc++``), solved on a compact relabelled graph, and
-    ``reverse-search``, which cannot seed an exclusion set and filters
-    instead.  Only the triples cross the process boundary either way.
+    algorithm that can seed an exclusion set, on every backend — counts
+    inside the workers, which ship one ``(count, max_size,
+    total_vertices)`` triple per subproblem.  Only ``reverse-search``,
+    which cannot seed one and filters instead, builds each subproblem's
+    clique list worker-side before compressing it.  Only the triples
+    cross the process boundary either way.
     """
     config = RunConfig(algorithm, options, n_jobs, steal)
     return _count(g, config, trace)[1]

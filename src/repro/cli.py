@@ -35,6 +35,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.generators import DATASET_NAMES, load_dataset, paper_stats
 from repro.graph.io import load_graph
 from repro.graph.metrics import graph_stats
+from repro.lint_flags import add_lint_arguments
 from repro.obs import Tracer
 from repro.verify import verify_enumeration
 
@@ -378,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "parity, hot-path purity, boundary "
                                     "conventions, lock discipline, "
                                     "pickle/fork safety, lifecycle)")
-    from repro.analysis.runner import add_lint_arguments
-
     add_lint_arguments(p)
     p.set_defaults(fn=cmd_lint)
 

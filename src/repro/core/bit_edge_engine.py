@@ -19,15 +19,19 @@ exactly the candidate pairs ranked at or after ``r``, so its sub-branch is
 
 * candidates ``C = alive[a] & alive[b]`` — the common neighbours whose
   edges to ``a`` and ``b`` both rank after ``r``;
-* exclusions ``X = adj[a] & adj[b] & ~C`` (below the root, also
-  ``& universe``) — every other common graph neighbour;
+* exclusions ``X = adj[a] & adj[b] & ~C`` (below the root, within
+  ``universe``) — every other common graph neighbour;
 * a dual candidate view only when some ``w`` in ``C`` has a graph
   neighbour in ``C`` that is no longer alive for it (see
   :func:`_bit_dual_view`); the view is then ``{w: alive[w] & C}``.
 
 Each is a handful of word-parallel operations per edge, and no rank
 lookup happens inside the walk: the rank table is built only when a deeper
-edge level must sort its edges.  The set engine keeps its triangle-pass
+edge level must sort its edges.  Below the root a chain of ANDs starts
+from the branch's own ``C`` or ``universe``: ``adj`` may hold the whole
+graph's masks, ``n`` bits long, and a partial product of two of them
+would be as long (the in-place subproblems of
+:mod:`repro.parallel.decompose`).  The set engine keeps its triangle-pass
 root as the independent reference.
 
 Tiny root branches
@@ -80,7 +84,7 @@ def _bit_dual_view(
         low = rest & -rest
         rest ^= low
         w = low.bit_length() - 1
-        if adj[w] & ~alive[w] & C:
+        if C & adj[w] & ~alive[w]:
             return _alive_masks(C, alive)
     return None
 
@@ -136,7 +140,7 @@ def bit_edge_phase(
 
     for edge_rank, a, b in edges:
         new_c = alive[a] & alive[b]
-        new_x = adj[a] & adj[b] & universe & ~new_c
+        new_x = universe & adj[a] & adj[b] & ~new_c
         alive[a] ^= 1 << b
         alive[b] ^= 1 << a
         S.append(a)

@@ -33,12 +33,17 @@ from __future__ import annotations
 
 from repro.core.counters import Counters
 from repro.core.edge_engine import run_edge_root, run_edge_root_with_x
-from repro.core.phases import BACKENDS, make_context
+from repro.core.phases import BACKENDS, VERTEX_STRATEGIES, make_context
 from repro.core.reduction import reduce_graph
 from repro.core.result import CliqueCounter, CliqueSink, suppressing_sink
 from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.orderings import edge_ordering, vertex_ordering
+from repro.graph.orderings import (
+    EDGE_ORDERINGS,
+    VERTEX_ORDERINGS,
+    edge_ordering,
+    vertex_ordering,
+)
 
 
 def _counts_only(sink: CliqueSink) -> bool:
@@ -94,13 +99,17 @@ def _is_exact_int(value: object) -> bool:
 def _validate_run_options(g: Graph, et_threshold: int, backend: str | None,
                           bit_order=None, *, graph_reduction: bool = False,
                           edge_depth: int | None = 1,
-                          vertex_oriented: bool = False) -> str:
+                          vertex_oriented: bool = False,
+                          names: dict[str, tuple] | None = None) -> str:
     """Reject bad options at the API boundary, before any work starts.
 
     Returns the backend to run: ``backend``, or :func:`default_backend`
     of ``g`` (with ``vertex_oriented``) when it is ``None``.  A
     ``bit_order`` needs a named ``backend="bitset"``: the default may
-    resolve to either side.
+    resolve to either side.  ``names`` maps each named choice (a vertex
+    strategy, an ordering) to its value and the values allowed: a parallel
+    subproblem may never read the knob, so it is checked here, where
+    the dry run of :meth:`repro.config.RunConfig.validate` sees it.
 
     ``EngineContext`` re-validates ``et_threshold`` when it is built, but
     that happens after graph reduction has already run (and never happens
@@ -127,6 +136,11 @@ def _validate_run_options(g: Graph, et_threshold: int, backend: str | None,
         raise InvalidParameterError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
+    for what, (value, allowed) in (names or {}).items():
+        if value not in allowed:
+            raise InvalidParameterError(
+                f"unknown {what} {value!r}; expected one of {allowed}"
+            )
     if bit_order is not None:
         from repro.graph.bitadj import BIT_ORDERS
 
@@ -292,9 +306,11 @@ def run_hybrid(
     Returns:
         The run's :class:`Counters`.
     """
-    backend = _validate_run_options(g, et_threshold, backend, bit_order,
-                                    graph_reduction=graph_reduction,
-                                    edge_depth=edge_depth)
+    backend = _validate_run_options(
+        g, et_threshold, backend, bit_order, graph_reduction=graph_reduction,
+        edge_depth=edge_depth,
+        names={"vertex strategy": (vertex_strategy, VERTEX_STRATEGIES),
+               "edge ordering": (edge_order_kind, EDGE_ORDERINGS)})
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)
@@ -385,9 +401,11 @@ def run_vertex(
     Returns:
         The run's :class:`Counters`.
     """
-    backend = _validate_run_options(g, et_threshold, backend, bit_order,
-                                    graph_reduction=graph_reduction,
-                                    vertex_oriented=True)
+    backend = _validate_run_options(
+        g, et_threshold, backend, bit_order, graph_reduction=graph_reduction,
+        vertex_oriented=True,
+        names={"vertex strategy": (vertex_strategy, VERTEX_STRATEGIES),
+               "vertex ordering": (ordering_kind, (*VERTEX_ORDERINGS, None))})
     initial_x = _normalize_initial_x(g, initial_x)
     counters = counters if counters is not None else Counters()
     counted = _counting(sink, counters)

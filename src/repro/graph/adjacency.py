@@ -236,14 +236,13 @@ class Graph:
         Returns ``(graph, old_ids)`` where ``old_ids[new_id]`` maps back to
         this graph's vertex ids.
         """
-        old_ids = sorted(set(vertices))
+        keep = set(vertices)
+        old_ids = sorted(keep)
         index = {old: new for new, old in enumerate(old_ids)}
-        sub = Graph(len(old_ids))
-        for new_u, old_u in enumerate(old_ids):
-            for old_v in self._adj[old_u]:
-                new_v = index.get(old_v)
-                if new_v is not None and new_u < new_v:
-                    sub.add_edge(new_u, new_v)
+        adj = self._adj
+        sub = Graph()
+        sub._adj = [{index[w] for w in adj[u] & keep} for u in old_ids]
+        sub._m = sum(map(len, sub._adj)) // 2
         return sub, old_ids
 
     def complement_within(self, vertices: Iterable[int]) -> dict[int, set[int]]:

@@ -9,9 +9,11 @@ LPT packing by a cost read off the degeneracy peel (``C(k, 2) + k + 1``
 for ``k`` later neighbours) cuts one balanced chunk per worker
 (:mod:`repro.parallel.scheduler`); owned worker processes, one pipe
 each, and a one-shot run's calling process solve the chunks with any
-registered algorithm/backend (:mod:`repro.parallel.pool`); and pluggable
-aggregators merge the streams
-back deterministically (:mod:`repro.parallel.aggregate`).
+registered algorithm/backend (:mod:`repro.parallel.pool`), every
+algorithm that can seed an exclusion set on one in-place tier
+(:class:`repro.parallel.decompose.InPlaceRunner`); and pluggable
+aggregators merge the streams back deterministically
+(:mod:`repro.parallel.aggregate`).
 
 ``steal=True`` swaps the one-shot fan-out for a work-stealing schedule:
 many small chunks dispatched dynamically as workers free up, with

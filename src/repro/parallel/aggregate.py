@@ -10,9 +10,9 @@ Three sinks cover the API surface:
 
 * :class:`CountAggregator` — O(1) memory; workers ship per-subproblem
   ``(count, max_size, total_vertices)`` triples only.  On the in-place
-  tier (every hybrid and vertex algorithm) the workers never build the
-  cliques either; the compact edge-family graph and ``reverse-search``'s
-  filter build each subproblem's list worker-side and compress it with
+  tier (every algorithm but ``reverse-search``) the workers never build
+  the cliques either; ``reverse-search``'s filter builds each
+  subproblem's list worker-side and compresses it with
   :func:`count_payload`.
 * :class:`CollectAggregator` — keeps one list per position and returns
   the merged list at the end, in position order or canonical (one sort
@@ -218,8 +218,8 @@ def merge_payloads(payloads: list[Any], mode: str) -> Payload:
 def count_payload(cliques: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:
     """Compress a subproblem's cliques into the count-mode triple.
 
-    Only the tiers that must build a subproblem's cliques anyway use this:
-    the compact edge-family graph and ``reverse-search``'s filter.
+    Only a tier that must build a subproblem's cliques anyway uses this:
+    ``reverse-search``'s filter (and a lone root).
     """
     count = 0
     max_size = 0

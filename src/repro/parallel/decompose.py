@@ -12,25 +12,26 @@ the maximal cliques of ``G`` whose earliest member (in the ordering) is
   not maximal with earliest member ``v``).
 
 Because ``later(v)`` has at most ``delta`` vertices, each subproblem is a
-small independent instance that any registered enumeration algorithm can
-solve on a compact induced subgraph — which is what makes the
-decomposition the natural unit of parallel work (Das et al., ParMCE).
+small independent instance, which is what makes the decomposition the
+natural unit of parallel work (Das et al., ParMCE).
 
 This module extracts the subproblems, attaches a per-subproblem *cost
 estimate* (``C(k, 2) + k + 1`` for ``k = |later(v)|``, read off the
 degeneracy peel) used by :mod:`repro.parallel.scheduler` to pack
-balanced chunks, and solves them: :class:`InPlaceRunner` runs the
-in-place tier, one engine context per chunk, and
-:func:`solve_subproblem` solves any one subproblem on any tier.  The
-in-process fallback and the worker processes execute the same code.
+balanced chunks, and solves them.  :class:`InPlaceRunner` is the one
+tier of every algorithm that can seed an exclusion set: it runs the
+algorithm's engine below the root in place on the whole graph, one
+engine context per chunk.  :func:`solve_subproblem` solves any one
+subproblem.  The in-process caller and the worker processes execute the
+same code.
 
 Subproblems are *X-set-aware*: the earlier neighbours of ``v`` are
-seeded into the engine's exclusion set (``initial_x``), so branches owned
-by earlier subproblems die inside the recursion instead of being
-enumerated and filtered afterwards — the duplicated-branch work that made
-the naive decomposition's total CPU 1.5–3× the serial run.  Only an
-algorithm that cannot seed an exclusion set (``reverse-search``) still
-enumerates and filters.
+seeded into the engine's exclusion set, so branches owned by earlier
+subproblems die inside the recursion instead of being enumerated and
+filtered afterwards — the duplicated-branch work that made the naive
+decomposition's total CPU 1.5–3× the serial run.  Only an algorithm that
+cannot seed an exclusion set (``reverse-search``) still enumerates and
+filters.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.counters import Counters
+from repro.core.edge_engine import edge_phase
 from repro.core.result import CliqueCollector, CliqueCounter
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import DEFAULT_BIT_ORDER, BitGraph, iter_bits
 from repro.graph.coreness import core_decomposition
+from repro.graph.orderings import edge_ordering
 from repro.parallel.aggregate import Payload, count_payload
 
 @dataclass(frozen=True)
@@ -135,67 +138,6 @@ def decompose(g: Graph, *, core=None) -> Decomposition:
     )
 
 
-def _subproblem_graph(
-    g: Graph, later: set[int], earlier: set[int]
-) -> tuple[Graph, list[int], set[int]]:
-    """Compact branch graph over ``N(v)`` for the X-aware subproblem.
-
-    Returns ``(sub, old_ids, x_local)``: a graph on ``later | earlier``
-    (compact ids, ``old_ids[new] -> old``) containing every
-    candidate–candidate and candidate–exclusion edge, plus the local ids of
-    ``earlier``.  Exclusion–exclusion edges are omitted — no engine ever
-    reads the adjacency between two exclusion vertices (they only meet
-    candidate sets), and on hub-heavy graphs those edges dominate the
-    induced subgraph.
-    """
-    members = sorted(later | earlier)
-    index = {old: new for new, old in enumerate(members)}
-    sub = Graph(len(members))
-    adj = g.adj
-    keep = later | earlier
-    for old_u in later:
-        new_u = index[old_u]
-        for old_v in adj[old_u] & keep:
-            if old_v in later and old_v < old_u:
-                continue  # later-later edges added once (from the low end)
-            sub.add_edge(new_u, index[old_v])
-    x_local = {index[w] for w in earlier}
-    return sub, members, x_local
-
-
-#: options the in-place phase path understands; anything else (a future
-#: engine knob the phase cannot honour) routes to the full framework.
-_IN_PLACE_OPTIONS = frozenset(
-    {"backend", "et_threshold", "graph_reduction", "bit_order"}
-)
-
-
-def uses_in_place_phase(algorithm: str, options: dict) -> bool:
-    """Whether X-aware solving will take the in-place vertex-phase tier.
-
-    The pool checks this before materialising the whole-graph bitmask
-    view — only the in-place tier consumes it.
-    """
-    from repro.api import get_algorithm  # deferred: api imports us lazily
-
-    return get_algorithm(algorithm).subproblem_phase is not None \
-        and set(options) <= _IN_PLACE_OPTIONS
-
-
-def _subgraph_options(options: dict, old_ids: list[int]) -> dict:
-    """``options`` for a run on the compact subgraph over ``old_ids``.
-
-    An explicit ``bit_order`` permutes the whole graph's vertex ids, so the
-    subgraph gets that packing restricted to its own members, in local ids.
-    A named order is resolved on the subgraph itself.
-    """
-    order = options.get("bit_order")
-    if order is None or isinstance(order, str):
-        return options
-    local = {old: new for new, old in enumerate(old_ids)}
-    return {**options, "bit_order": [local[u] for u in order if u in local]}
-
-
 def _payload(cliques: list[tuple[int, ...]], mode: str) -> Payload:
     """What a clique-building tier ships for ``cliques`` in ``mode``."""
     return count_payload(cliques) if mode == "count" else cliques
@@ -207,17 +149,50 @@ def _lone_root(v: int, earlier: object) -> list[tuple[int, ...]]:
     return [] if earlier else [(v,)]
 
 
+def _edge_rank(g: Graph, members, kind: str,
+               bit_of: list[int] | None) -> dict[int, int]:
+    """The edge engines' rank table for the edges of ``G[members]``.
+
+    The edges are ranked by the ``kind`` edge ordering of a compact graph
+    over ``members`` alone (ids in vertex order, so the ranking does not
+    depend on the packing), each keyed ``a * n + b`` with ``a < b`` over
+    ``g``'s vertex ids, or over their ``bit_of`` bits.
+    """
+    sub, ids = g.induced_subgraph(members)
+    if bit_of is not None:
+        ids = [bit_of[u] for u in ids]
+    n = g.n
+    rank = {}
+    for r, (a, b) in enumerate(edge_ordering(sub, kind).order):
+        a, b = ids[a], ids[b]
+        rank[a * n + b if a < b else b * n + a] = r
+    return rank
+
+
 class InPlaceRunner:
-    """The in-place tier's engine, set up once for many subproblems.
+    """The one subproblem tier, set up once for many subproblems.
 
     One runner serves a whole chunk, or one steal split task: the sink,
     the :class:`Counters` and the engine context are built once, so each
-    subproblem or branch costs only its ``(C, X)`` derivation, the vertex
-    phase itself (executed in place on the whole graph's adjacency, or its
-    bitmask view) and the cut of its payload.  There is no subgraph, no
-    relabelling and no per-subproblem ordering or reduction prologue;
-    ``graph_reduction`` in ``options`` is ignored, matching the
-    frameworks' reduction bypass under a seeded exclusion set.
+    subproblem or branch costs only its ``(C, X)`` derivation, the engine
+    run itself (in place on the whole graph's adjacency, or its bitmask
+    view) and the cut of its payload.  There is no relabelled graph and
+    no per-subproblem reduction, peel or packing.
+
+    The engine follows from the algorithm's option *values*
+    (:meth:`repro.api.AlgorithmSpec.subproblem_options`), never from which
+    options a request names:
+
+    * ``edge_depth=None`` (``ebbmc``, ``ebbmc++``) runs the edge engine of
+      Algorithm 3 on each branch, its candidate edges ranked by the
+      request's ``edge_order_kind`` on a graph over ``C`` alone;
+    * every other algorithm runs its vertex phase, with the request's
+      ``vertex_strategy`` and ``et_threshold``.
+
+    ``edge_depth``, ``edge_order_kind``, ``ordering_kind`` and
+    ``graph_reduction`` otherwise shape only the serial top level, which
+    the decomposition replaces; reduction is bypassed as the frameworks
+    bypass it under a seeded exclusion set.
 
     Branch state uses the representation of the backend ``options``
     name: they are validated options (:meth:`repro.config.RunConfig.validate`
@@ -228,7 +203,7 @@ class InPlaceRunner:
     and the set backend, split the neighbourhood by position.
 
     A payload is the canonical clique list in ``"collect"`` mode (each
-    tuple ascending, list sorted).  In ``"count"`` mode the phase runs
+    tuple ascending, list sorted).  In ``"count"`` mode the engine runs
     into a :class:`CliqueCounter` and the payload is its ``(count,
     max_size, total_vertices)`` triple: no clique is stored, translated
     to vertex ids or sorted.  ``counters`` accumulates over every call,
@@ -245,9 +220,7 @@ class InPlaceRunner:
         from repro.api import get_algorithm  # deferred: api imports us lazily
         from repro.core.phases import make_context
 
-        kwargs = dict(get_algorithm(algorithm).subproblem_phase or {})
-        if "et_threshold" in options:
-            kwargs["et_threshold"] = options["et_threshold"]
+        run = get_algorithm(algorithm).subproblem_options(options)
         backend = options["backend"]  # validated options name it
         self.counters = Counters()
         self._g = g
@@ -258,7 +231,12 @@ class InPlaceRunner:
         self._ctx = make_context(
             self._counter if self._counter is not None
             else self._found.append,
-            self.counters, backend=backend, **kwargs)
+            self.counters, backend=backend,
+            vertex_strategy=run["vertex_strategy"],
+            et_threshold=run["et_threshold"])
+        #: the edge engine's ordering kind; ``None``: the vertex phase
+        self._edge_order = run["edge_order_kind"] \
+            if run.get("edge_depth", 1) is None else None
         self._bg: BitGraph | None = None
         #: the view again when it packs by position, for the mask fast path
         self._packed: BitGraph | None = None
@@ -346,17 +324,38 @@ class InPlaceRunner:
         self.counters.emitted += len(cliques)
         return _payload(cliques, self._mode)
 
+    def _edge_branch(self, S: list[int], C, X, adj) -> None:
+        """Algorithm 3 on the branch ``(S, C, X)``: the edge engine at
+        threshold -1, with every edge of ``G[C]`` a candidate.  ``C``
+        comes first in each AND: a whole-graph mask is ``n`` bits long."""
+        bg = self._bg
+        if bg is None:
+            edge_phase(S, C, X, {w: C & adj[w] for w in C}, adj,
+                       _edge_rank(self._g, C, self._edge_order, None),
+                       len(adj), -1, None, self._ctx)
+            return
+        # Deferred: only the edge family loads the bit edge engine.
+        from repro.core.bit_edge_engine import bit_edge_phase
+
+        bits = list(iter_bits(C))
+        to_vertex = bg.to_vertex
+        rank = _edge_rank(self._g, [to_vertex[b] for b in bits],
+                          self._edge_order, bg.bit_of)
+        bit_edge_phase(S, C, X, {b: C & adj[b] for b in bits}, adj, rank,
+                       len(adj), -1, None, self._ctx)
+
     def _run(self, stem: list[int], C, X) -> Payload:
-        """Run the phase on fresh branch state and cut the payload."""
+        """Run the engine on fresh branch state and cut the payload."""
         ctx = self._ctx
         bg = self._bg
         if bg is None:
-            adj = self._g.adj
-            ctx.phase(list(stem), C, X, adj, adj, ctx)
+            S, adj = list(stem), self._g.adj
         else:
-            bit_of = bg.bit_of
-            ctx.phase([bit_of[u] for u in stem], C, X, bg.masks, bg.masks,
-                      ctx)
+            S, adj = [bg.bit_of[u] for u in stem], bg.masks
+        if self._edge_order is None:
+            ctx.phase(S, C, X, adj, adj, ctx)
+        else:
+            self._edge_branch(S, C, X, adj)
         counter = self._counter
         if counter is not None:
             # Sizes survive the bit->vertex relabelling: nothing to
@@ -381,35 +380,6 @@ class InPlaceRunner:
         return cliques
 
 
-def solve_branch(
-    g: Graph,
-    position: list[int],
-    stem: list[int],
-    candidates: set[int],
-    exclusion: set[int],
-    *,
-    algorithm: str,
-    options: dict,
-    bit_graph: BitGraph | None = None,
-    mode: str = "collect",
-) -> tuple[Payload, Counters]:
-    """Run one branch ``(S=stem, C=candidates, X=exclusion)`` on ``g``.
-
-    A one-call :class:`InPlaceRunner`: ``algorithm``'s vertex phase
-    executed in place on the whole graph.  Stem ``[v]`` with ``v``'s
-    later and earlier neighbours is the per-vertex subproblem, and stem
-    ``[v, w]`` one branch of its work-stealing re-split: the same X-aware
-    decomposition, applied one level apart.  The pool does not call this
-    per branch; one runner serves a whole chunk or split task.
-
-    Returns the branch's ``mode`` payload (see :class:`InPlaceRunner`)
-    and counters, with ``emitted`` set to the clique count.
-    """
-    runner = InPlaceRunner(g, position, algorithm=algorithm, options=options,
-                           bit_graph=bit_graph, mode=mode)
-    return runner.branch(stem, candidates, exclusion), runner.counters
-
-
 def solve_subproblem(
     g: Graph,
     position: list[int],
@@ -422,65 +392,43 @@ def solve_subproblem(
 ) -> tuple[Payload, Counters]:
     """Enumerate the maximal cliques of ``G`` whose earliest member is ``v``.
 
-    The subproblem's exclusion set is seeded from ``earlier(v)``, so
-    branches that an earlier subproblem owns are pruned *inside* the
-    recursion — no duplicated-branch work, nothing to filter afterwards.
-    Two such execution tiers exist:
+    Every algorithm that can seed an exclusion set
+    (:attr:`repro.api.AlgorithmSpec.supports_initial_x`) runs on the one
+    in-place tier: this call is a one-subproblem :class:`InPlaceRunner`
+    on the branch ``([v], later(v), earlier(v))``, so branches that an
+    earlier subproblem owns are pruned *inside* the recursion — no
+    duplicated-branch work, nothing to filter afterwards.  The pool runs
+    one runner per chunk instead.  ``bit_graph`` optionally supplies the
+    whole-graph bitmask view for ``backend="bitset"`` (the pool's is
+    built once, in the parent).
 
-    * algorithms declaring :attr:`AlgorithmSpec.subproblem_phase` (the
-      whole hybrid/vertex family) run their vertex phase in place on the
-      global adjacency — the branch ``([v], later, earlier)`` — which is
-      their exact sub-root engine with none of the per-subproblem
-      subgraph/ordering prologue.  This call is a one-subproblem
-      :class:`InPlaceRunner`; the pool runs one runner per chunk instead.
-      ``bit_graph`` optionally supplies the whole-graph bitmask view for
-      ``backend="bitset"`` (the pool's is built once, in the parent);
-    * the pure edge-oriented family runs the registered framework on a
-      compact branch graph over ``N(v)`` with ``initial_x`` seeded, on
-      the backend ``options`` name: validated options carry the whole
-      graph's choice, so a subgraph never re-decides it.
-
-    An algorithm that cannot seed an exclusion set (per
-    ``AlgorithmSpec.supports_initial_x``: ``reverse-search``) enumerates
-    all of ``G[later(v)]`` instead, and every candidate extendable by an
-    earlier neighbour of ``v`` is dropped afterwards (those cliques belong
-    to — and are found from — an earlier subproblem); the drops count
-    under ``counters.suppressed_candidates``.
+    ``reverse-search`` cannot seed an exclusion set: it enumerates all of
+    ``G[later(v)]`` instead, and every candidate extendable by an earlier
+    neighbour of ``v`` is dropped afterwards (those cliques belong to —
+    and are found from — an earlier subproblem); the drops count under
+    ``counters.suppressed_candidates``.
 
     Returns ``(payload, counters)``.  In ``"collect"`` mode the payload is
     the clique list, emitted canonically (each tuple ascending, list
     sorted) so the stream is deterministic regardless of backend scan
     order.  In ``"count"`` mode it is the ``(count, max_size,
     total_vertices)`` triple: the in-place tier counts without building a
-    single clique, while the compact-graph tier and the filter still build
-    the subproblem's clique list (their cliques must be relabelled or
-    filtered) and compress it with :func:`count_payload`.
+    single clique, while the filter builds the subproblem's clique list
+    (its cliques must be filtered) and compresses it with
+    :func:`count_payload`.
     """
     from repro.api import enumerate_to_sink, get_algorithm  # deferred: api imports us lazily
 
-    later, earlier = subproblem_sets(g, position, v)
-    if not later:
-        cliques = _lone_root(v, earlier)
-        return _payload(cliques, mode), Counters(emitted=len(cliques))
-
-    if uses_in_place_phase(algorithm, options):
+    if get_algorithm(algorithm).supports_initial_x:
         runner = InPlaceRunner(g, position, algorithm=algorithm,
                                options=options, bit_graph=bit_graph,
                                mode=mode)
         return runner.subproblem(v), runner.counters
 
-    if get_algorithm(algorithm).supports_initial_x:
-        sub, old_ids, x_local = _subproblem_graph(g, later, earlier)
-        collector = CliqueCollector()
-        counters = enumerate_to_sink(sub, collector, algorithm=algorithm,
-                                     initial_x=x_local,
-                                     **_subgraph_options(options, old_ids))
-        cliques = sorted(
-            tuple(sorted([v, *(old_ids[u] for u in local)]))
-            for local in collector.cliques
-        )
-        counters.emitted = len(cliques)
-        return _payload(cliques, mode), counters
+    later, earlier = subproblem_sets(g, position, v)
+    if not later:
+        cliques = _lone_root(v, earlier)
+        return _payload(cliques, mode), Counters(emitted=len(cliques))
 
     sub, old_ids = g.induced_subgraph(later)
     collector = CliqueCollector()

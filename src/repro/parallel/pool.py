@@ -61,7 +61,6 @@ from repro.parallel.decompose import (
     decompose,
     solve_subproblem,
     subproblem_sets,
-    uses_in_place_phase,
 )
 from repro.parallel.scheduler import (
     STEAL_CHUNK_FACTOR,
@@ -217,8 +216,11 @@ def parse_jobs(text: str) -> int:
 
 
 def _in_place(config: RunConfig) -> bool:
-    """Whether a request's subproblems run on the in-place tier."""
-    return uses_in_place_phase(config.algorithm, config.options)
+    """Whether a request's subproblems run on the in-place tier: those of
+    every algorithm that can seed an exclusion set."""
+    from repro.api import get_algorithm  # deferred: api imports us lazily
+
+    return get_algorithm(config.algorithm).supports_initial_x
 
 
 def _runner(graph_state: GraphState, config: RunConfig,
@@ -287,7 +289,8 @@ def _solve_chunk(
 
     On the in-place tier one :class:`InPlaceRunner` (sink, counters and
     engine context built once, on the parent-built view) serves the whole
-    chunk; the other tiers call :func:`solve_subproblem` per subproblem.
+    chunk; ``reverse-search``'s filter calls :func:`solve_subproblem` per
+    subproblem.
     """
     started = time.monotonic()
     cpu_start = time.process_time()

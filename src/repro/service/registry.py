@@ -217,11 +217,11 @@ class GraphRegistry:
     ) -> tuple[list[Chunk], list[SplitTask], int]:
         """The entry's steal-mode schedule for ``n_jobs`` workers, cached.
 
-        Two variants exist per pool size: with re-splitting (requests
-        routed to the in-place tier) and without (algorithms or option
-        mixes the branch primitive cannot serve) — ``resplit_ok`` picks
-        the variant, so algorithm-dependent eligibility never poisons the
-        cache.
+        Two variants exist per pool size: with re-splitting (every
+        algorithm that can seed an exclusion set, on the in-place tier)
+        and without (``reverse-search``, whose filter has no branch to
+        split) — ``resplit_ok`` picks the variant, so algorithm-dependent
+        eligibility never poisons the cache.
         """
         key = (n_jobs, bool(resplit_ok))
         with self._lock:

@@ -8,11 +8,13 @@ sorted.  This suite pins that precondition on every tier:
 
 * the in-place tier, on ``set`` and on ``bitset`` under the degeneracy,
   input and an explicit packing;
-* the compact edge-family tier (``ebbmc++``);
+* the edge family (``ebbmc++``), whose edge engine runs in place too,
+  on ``set`` and ``bitset``;
 * the enumerate-then-filter tier of ``reverse-search``, which cannot seed
   an exclusion set;
 * lone roots (no later neighbour);
-* steal split parts, and their payload after ``merge_payloads``.
+* steal split parts, and their payload after ``merge_payloads``, for
+  the vertex phase and the edge engine.
 
 End to end, for ``n_jobs`` 1 and 2, ``maximal_cliques`` equals the serial
 list, and with ``sort=False`` it equals the position-order concatenation
@@ -61,6 +63,7 @@ TIERS = {
     "in-place-bitset-explicit": (
         "hbbmc++", {"backend": "bitset", "bit_order": PERMUTATION}),
     "edge-family": ("ebbmc++", {"backend": "bitset"}),
+    "edge-family-set": ("ebbmc++", {"backend": "set"}),
     "reverse-search": ("reverse-search", {}),
 }
 
@@ -119,13 +122,22 @@ def test_merge_takes_the_runs_as_they_come(tier, n_jobs, serial):
 
 @pytest.mark.parametrize("backend", ["set", "bitset"])
 def test_steal_split_parts_are_canonical(backend):
+    _check_split_parts("hbbmc++", backend)
+
+
+@pytest.mark.parametrize("backend", ["set", "bitset"])
+def test_edge_family_split_parts_are_canonical(backend):
+    _check_split_parts("ebbmc++", backend)
+
+
+def _check_split_parts(algorithm, backend):
     decomposition = decompose(HUB)
     state = GraphState(graph=HUB, order=decomposition.order,
                        position=decomposition.position)
     _, splits, _ = plan_steal_schedule(HUB, decomposition, 2)
     assert splits
     options = {"backend": backend}
-    config = RunConfig(algorithm="hbbmc++", options=options)
+    config = RunConfig(algorithm=algorithm, options=options)
     merger = _SplitMerger(splits, "collect")
     parts: dict[int, list] = {}
     merged = {}
@@ -141,7 +153,7 @@ def test_steal_split_parts_are_canonical(backend):
         assert merged[position] == whole
         alone, _ = solve_subproblem(
             HUB, decomposition.position, decomposition.order[position],
-            algorithm="hbbmc++", options=options)
+            algorithm=algorithm, options=options)
         assert whole == alone
 
 

@@ -2,16 +2,26 @@
 
 import pytest
 
-from repro.api import maximal_cliques
+from repro import api
+from repro.api import get_algorithm, maximal_cliques, run_with_report
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import BitGraph
 from repro.graph.builders import complete_graph
-from repro.graph.generators import erdos_renyi_gnm, ring_of_cliques
+from repro.graph.generators import (
+    ba_heavy_hub,
+    erdos_renyi_gnm,
+    ring_of_cliques,
+)
+from repro.parallel.aggregate import count_payload, merge_payloads
 from repro.parallel.decompose import (
+    InPlaceRunner,
     decompose,
     solve_subproblem,
     subproblem_sets,
 )
+
+#: a graph whose subproblems all run edge and vertex branches.
+TIER_GRAPH = erdos_renyi_gnm(120, 1500, seed=3)
 
 
 class TestDecompose:
@@ -126,7 +136,8 @@ class TestSolveSubproblem:
         assert a == b
 
     def test_explicit_packing_reaches_subgraph_runs(self):
-        # ebbmc++ runs on a compact subgraph with a seeded initial_x.
+        # ebbmc++ runs its edge engine in place, on the whole-graph view
+        # packed in the explicit order.
         g = erdos_renyi_gnm(25, 120, seed=2)
         d = decompose(g)
         order = list(reversed(range(g.n)))
@@ -152,3 +163,98 @@ class TestSolveSubproblem:
             found.extend(cliques)
         assert sorted(found) == maximal_cliques(g)
         assert suppressed > 0
+
+
+def _options_at_default(algorithm):
+    """Every option ``algorithm`` takes but ``backend``, at its registered
+    value; ``initial_x`` cannot be combined with ``n_jobs`` at all."""
+    spec = get_algorithm(algorithm)
+    return [(name, spec.defaults[name])
+            for name in sorted(spec.option_names - {"backend", "initial_x"})]
+
+
+class TestTierFollowsOptionValues:
+    """A subproblem's engine follows the algorithm's option values, never
+    which option names a request carries."""
+
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    @pytest.mark.parametrize(
+        "algorithm, option, value",
+        [(a, name, value) for a in ("hbbmc++", "vbbmc-dgn")
+         for name, value in _options_at_default(a)],
+        ids=lambda x: x if isinstance(x, str) else repr(x))
+    def test_naming_a_default_keeps_every_counter(self, algorithm, option,
+                                                  value, backend):
+        plain = run_with_report(TIER_GRAPH, algorithm=algorithm, n_jobs=1,
+                                backend=backend)
+        named = run_with_report(TIER_GRAPH, algorithm=algorithm, n_jobs=1,
+                                backend=backend, **{option: value})
+        assert named.counters.as_dict() == plain.counters.as_dict()
+        assert named.clique_count == plain.clique_count
+
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    def test_named_vertex_strategy_runs_as_its_registered_twin(self,
+                                                               backend):
+        named = run_with_report(TIER_GRAPH, algorithm="hbbmc++", n_jobs=1,
+                                backend=backend, vertex_strategy="ref")
+        twin = run_with_report(TIER_GRAPH, algorithm="ref++", n_jobs=1,
+                               backend=backend)
+        assert named.counters.as_dict() == twin.counters.as_dict()
+
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    def test_edge_depth_none_runs_the_edge_engine(self, backend):
+        named = run_with_report(TIER_GRAPH, algorithm="hbbmc++", n_jobs=1,
+                                backend=backend, edge_depth=None)
+        twin = run_with_report(TIER_GRAPH, algorithm="ebbmc++", n_jobs=1,
+                               backend=backend)
+        assert named.counters.as_dict() == twin.counters.as_dict()
+        assert twin.counters.edge_calls > 0
+        assert twin.counters.vertex_calls == 0
+
+
+class TestEdgeFamilyInPlace:
+    """``ebbmc``/``ebbmc++`` subproblems run the edge engine in place."""
+
+    @pytest.mark.parametrize("algorithm", ["ebbmc", "ebbmc++"])
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    def test_no_framework_run_and_no_pack_per_subproblem(
+            self, algorithm, backend, monkeypatch):
+        g = erdos_renyi_gnm(40, 300, seed=4)
+        d = decompose(g)
+        runner = InPlaceRunner(g, d.position, algorithm=algorithm,
+                               options={"backend": backend})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subproblem ran a framework or packed")
+
+        monkeypatch.setattr(api, "enumerate_to_sink", refuse)
+        monkeypatch.setattr(BitGraph, "from_graph", classmethod(refuse))
+        found = [c for v in d.order for c in runner.subproblem(v)]
+        assert sorted(found) == maximal_cliques(g, backend="set")
+        assert runner.counters.edge_calls > 0
+        assert runner.counters.vertex_calls == 0
+
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    def test_counts_without_building_cliques(self, backend):
+        g = erdos_renyi_gnm(40, 300, seed=4)
+        d = decompose(g)
+        options = {"backend": backend}
+        collect = InPlaceRunner(g, d.position, algorithm="ebbmc++",
+                                options=options)
+        count = InPlaceRunner(g, d.position, algorithm="ebbmc++",
+                              options=options, mode="count")
+        for v in d.order:
+            assert count.subproblem(v) == count_payload(collect.subproblem(v))
+        assert count._found == []
+        assert count.counters.as_dict() == collect.counters.as_dict()
+
+    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    def test_split_branches_cover_the_subproblem(self, backend):
+        g = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
+        d = decompose(g)
+        runner = InPlaceRunner(g, d.position, algorithm="ebbmc++",
+                               options={"backend": backend})
+        hub = max(d.subproblems, key=lambda s: s.cost).vertex
+        later, _ = subproblem_sets(g, d.position, hub)
+        parts = runner.split(hub, range(len(later)))
+        assert merge_payloads(parts, "collect") == runner.subproblem(hub)

@@ -29,8 +29,8 @@ from repro.parallel import (
 )
 from repro.parallel.aggregate import merge_payloads
 from repro.parallel.decompose import (
+    InPlaceRunner,
     decompose,
-    solve_branch,
     solve_subproblem,
     subproblem_sets,
 )
@@ -372,7 +372,7 @@ class TestRunnerCounters:
     @pytest.mark.parametrize("mode", ["collect", "count"])
     @pytest.mark.parametrize("backend", ["set", "bitset"])
     def test_split_counters_sum_branch_counters(self, hub, backend, mode):
-        # Each branch of a split task against solve_branch on the sets
+        # Each branch of a split task against a runner of its own on the sets
         # of its definition: stem [v, w], the later co-neighbours of w
         # within later(v) as candidates, the other neighbours of w that
         # v's subproblem or an earlier branch owns excluded.
@@ -394,11 +394,10 @@ class TestRunnerCounters:
                 candidates = {u for u in reach if position[u] > position[w]}
                 exclusion = (earlier & adj[w]) \
                     | {u for u in reach if position[u] < position[w]}
-                payload, counters = solve_branch(
-                    hub, position, [v, w], candidates, exclusion,
-                    algorithm="hbbmc++", options=options, mode=mode)
-                payloads.append(payload)
-                total.merge(counters)
+                runner = InPlaceRunner(hub, position, algorithm="hbbmc++",
+                                       options=options, mode=mode)
+                payloads.append(runner.branch([v, w], candidates, exclusion))
+                total.merge(runner.counters)
             result = _solve_split(state, config, task, mode)
             assert result.items == [(task.position,
                                      merge_payloads(payloads, mode))]

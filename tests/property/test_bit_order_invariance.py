@@ -30,7 +30,6 @@ from repro.graph.generators import (
     ring_of_cliques,
 )
 from repro.parallel import CollectAggregator, ParallelStats, run_parallel
-from repro.parallel.decompose import uses_in_place_phase
 from repro.verify import clique_fingerprint
 
 FUZZ_GRAPHS = [
@@ -181,9 +180,8 @@ class TestAlgorithmInvariance:
 
     @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
     def test_subproblem_tiers_inherit_explicit_packing(self, algorithm):
-        """The compact-subgraph tier (edge family) runs on a subgraph: an
-        explicit permutation must reach it restricted to the subgraph's
-        members, not as the whole graph's order."""
+        """Every subproblem runs in place on the whole-graph view, the edge
+        family's included: an explicit permutation must pack that view."""
         g = erdos_renyi_gnp(26, 0.5, seed=9)
         reference = maximal_cliques(g, backend="set")
         order = random.Random(9).sample(range(g.n), g.n)
@@ -194,8 +192,8 @@ class TestAlgorithmInvariance:
     def test_split_tier_inherits_explicit_packing(self, algorithm):
         """Steal mode cuts the hub's subproblem into parts of root branches,
         each run on the whole-graph view: that view must be packed in the
-        explicit order too.  The in-place tier is the one that re-splits;
-        the edge family keeps its compact-subgraph tier."""
+        explicit order too.  Every algorithm that can seed an exclusion
+        set re-splits, the edge family included."""
         g = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
         reference = maximal_cliques(g, backend="set")
         options = {"backend": "bitset",
@@ -204,8 +202,7 @@ class TestAlgorithmInvariance:
         run_parallel(g, aggregator, algorithm=algorithm, n_jobs=1,
                      steal=True, stats=stats, **options)
         assert aggregator.finish(canonical=True) == reference
-        assert (stats.resplit_tasks > 0) == \
-            uses_in_place_phase(algorithm, options)
+        assert stats.resplit_tasks > 0
 
 
 class TestValidation:

@@ -41,6 +41,16 @@ class TestRegistry:
             assert spec.description
             assert spec.family in {"hybrid", "vertex", "edge", "reverse-search"}
 
+    def test_subproblem_phase_declares_only_what_the_runner_hides(self):
+        # A key the runner takes as an option would shadow its registered
+        # default; every in-place subproblem needs both phase keywords.
+        for spec in ALGORITHMS.values():
+            assert not set(spec.subproblem_phase or {}) & spec.option_names
+            if spec.supports_initial_x:
+                run = spec.subproblem_options({})
+                assert {"vertex_strategy", "et_threshold"} <= set(run), \
+                    spec.name
+
 
 class TestMaximalCliques:
     def test_default_sorted(self):

@@ -345,10 +345,44 @@ class TestRunConfig:
         assert maximal_cliques(GRAPH, **config.keywords()) == [(0, 1, 2, 3)]
 
 
+@pytest.mark.parametrize("n_jobs", [None, 1, 2])
+@pytest.mark.parametrize("algorithm, option, pattern", [
+    ("hbbmc++", {"edge_order_kind": "bogus"}, "edge ordering"),
+    ("ebbmc", {"vertex_strategy": "bogus"}, "vertex strategy"),
+    ("vbbmc-dgn", {"ordering_kind": "bogus"}, "vertex ordering"),
+])
+def test_unused_named_choice_is_still_refused(algorithm, option, pattern,
+                                              n_jobs, monkeypatch):
+    """A parallel subproblem may never read these knobs (the decomposition
+    replaces the top level), so the parent refuses a bad one before any
+    worker starts."""
+    from repro.parallel import pool
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused request reached the pool")
+
+    monkeypatch.setattr(pool.WorkerPool, "submit", refuse)
+    with pytest.raises(InvalidParameterError, match=pattern):
+        count_maximal_cliques(GRAPH, algorithm=algorithm, n_jobs=n_jobs,
+                              **option)
+
+
 def test_import_repro_loads_no_pool_or_service():
     code = ("import sys, repro; "
             "print(sorted(m for m in sys.modules if m.startswith("
             "('repro.parallel', 'repro.service', 'multiprocessing'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=CHILD_ENV).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_parser_loads_no_linter():
+    """Every ``repro-mce`` start builds the parser, ``serve`` included: the
+    ``lint`` flags must not compile the linter's checkers."""
+    code = ("import sys; from repro.cli import build_parser; "
+            "build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=CHILD_ENV).stdout
     assert out.strip() == "[]"
