@@ -40,7 +40,7 @@ The full run also measures the static-vs-steal *skew scenario*: on
 ``ba_heavy_hub`` graphs (one subproblem owns a planted Moon-Moser
 pocket's entire clique stream) it compares the one-shot greedy schedule
 against the work-stealing schedule (``steal=True``) and records
-per-worker CPU skew, critical path, steal and re-split counts.
+per-worker CPU skew, critical path and steal counts.
 ``--quick --steal`` runs a small version of the scenario in CI.
 """
 
@@ -162,8 +162,6 @@ def skew_scenario(quick: bool, repeats: int) -> dict:
                 "n_chunks": stats.n_chunks,
                 "balance_ratio": round(stats.balance_ratio, 4),
                 "steals": stats.steals,
-                "resplit_subproblems": stats.resplit_subproblems,
-                "resplit_tasks": stats.resplit_tasks,
             }
         static_crit = row["static"]["critical_path_seconds"]
         steal_crit = row["steal"]["critical_path_seconds"]

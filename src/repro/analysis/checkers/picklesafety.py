@@ -34,7 +34,7 @@ CHECKER = "picklesafety"
 EXPLAIN = {
     "rule": (
         "Types shipped across the process boundary (GraphState, "
-        "RunConfig, SplitTask, Chunk, ChunkResult) must be "
+        "RunConfig, Chunk, ChunkResult) must be "
         "transitively composed of the allowlisted picklable atoms in "
         "config.pickle_atoms, and ship calls (the worker pipe's send, "
         "the Process(...) spawn) may not carry lambdas, closures or "

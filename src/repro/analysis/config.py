@@ -113,7 +113,6 @@ class LintConfig:
     pickle_roster: tuple[str, ...] = (
         "repro.parallel.pool:GraphState",
         "repro.config:RunConfig",
-        "repro.parallel.pool:SplitTask",
         "repro.parallel.scheduler:Chunk",
         "repro.parallel.aggregate:ChunkResult",
     )

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import inspect
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Any, Callable
 
@@ -277,6 +277,11 @@ def _run(g: Graph, config: RunConfig, trace: Tracer | None, sink: CliqueSink,
     :func:`repro.parallel.run_parallel` into a ``mode`` aggregator
     (``"callback"`` forwards every clique to ``sink``), and the second
     item is what the aggregator's merge step returns.
+
+    A caller's ``counters`` object accumulates the run's counters either
+    way.  The runner adds to it serially; under ``n_jobs`` it stays here,
+    out of the config that is validated and shipped, and takes the
+    workers' folded counters once they are back.
     """
     if trace is not None and not isinstance(trace, Tracer):
         raise InvalidParameterError(
@@ -296,6 +301,9 @@ def _run(g: Graph, config: RunConfig, trace: Tracer | None, sink: CliqueSink,
         return counters, None
     from repro import parallel  # deferred: serial runs never load the pool
 
+    options = dict(config.options)
+    into = options.pop("counters", None)
+    config = replace(config, options=options)
     if mode == "callback":
         aggregator = parallel.CallbackAggregator(sink)
     elif mode == "collect":
@@ -304,6 +312,9 @@ def _run(g: Graph, config: RunConfig, trace: Tracer | None, sink: CliqueSink,
         aggregator = parallel.CountAggregator()
     counters = parallel.run_parallel(g, aggregator, trace=trace,
                                      **config.keywords())
+    if into is not None:
+        into.merge(counters)
+        counters = into
     with maybe_span(trace, "merge", mode=aggregator.mode):
         return counters, aggregator.finish(**finish)
 

@@ -88,10 +88,10 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                              "run; 1 = partitioned pipeline without "
                              "subprocesses)")
     parser.add_argument("--steal", action="store_true",
-                        help="work-stealing schedule: many small chunks "
-                             "dispatched dynamically, cost outliers re-split "
-                             "at their root (requires --jobs; default: "
-                             "static chunking)")
+                        help="work-stealing schedule: 4 small chunks per "
+                             "worker, handed out dynamically, largest first; "
+                             "same cliques and counters (requires --jobs; "
+                             "default: one chunk per worker)")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:

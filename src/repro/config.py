@@ -38,9 +38,11 @@ class RunConfig:
     single-process run.  With ``n_jobs`` the run is partitioned over the
     worker pool (:mod:`repro.parallel`) on one schedule: X-aware
     subproblems packed by a cost read off the degeneracy peel into one
-    chunk per worker, or with ``steal=True`` the work-stealing plan.  ``steal`` left ``None``
-    was not given: without ``n_jobs`` it must stay so, and with
-    ``n_jobs`` it means ``False``.
+    chunk per worker, or with ``steal=True`` into four times as many,
+    handed out dynamically, largest first: the same subproblems, so the
+    same cliques and counters.  ``steal`` left ``None`` was not given:
+    without ``n_jobs`` it must stay so, and with ``n_jobs`` it means
+    ``False``.
     """
 
     algorithm: str

@@ -259,8 +259,8 @@ def _apply_reduction(
     if not enabled:
         return g, set()
     reduction = reduce_graph(g)
-    counters.reduction_removed = len(reduction.removed)
-    counters.reduction_emitted = len(reduction.emitted)
+    counters.reduction_removed += len(reduction.removed)
+    counters.reduction_emitted += len(reduction.emitted)
     for clique in reduction.emitted:
         counted_sink(clique)
     return reduction.graph, reduction.suppressed

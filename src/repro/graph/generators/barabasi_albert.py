@@ -124,8 +124,8 @@ def ba_heavy_hub(
     ``u`` is therefore the earliest vertex of every transversal clique
     and its degeneracy subproblem owns all ``hub_part_size ** hub_parts``
     of them, while every other root stays cheap: the one-straggler skew
-    that static chunking cannot balance no matter the strategy, and that
-    work stealing with root-level re-splitting is built to fix.  (A plain
+    that no chunking can balance, since the subproblem is solved whole
+    under either schedule, static or steal.  (A plain
     BA hub gives no skew — high-degree vertices peel last and see tiny
     candidate sets; a dense ER pocket spreads ownership over dozens of
     comparable roots that LPT balances fine.)

@@ -9,8 +9,8 @@ worker-side ``process_time`` actually burned, plus the branch counters
 for that chunk.  The events ride back on the chunk results, land in
 ``ParallelStats.timeline`` and surface through the service's trace
 payload — the raw material for proving (or disproving) load skew, which
-is the measurement the work-stealing roadmap item needs before it can
-claim a win.
+is what a choice between the static schedule and steal mode's small
+dynamic chunks must be measured by.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ aggregators merge the streams back deterministically
 (:mod:`repro.parallel.aggregate`).
 
 ``steal=True`` swaps the one-shot fan-out for a work-stealing schedule:
-many small chunks dispatched dynamically as workers free up, with
-cost-outlier subproblems re-split at their own root level so no single
-chunk can dominate the critical path on skewed graphs.
+many small chunks dispatched dynamically, largest first, as workers free
+up.  It changes only where and when each subproblem runs, never what it
+enumerates or counts.
 
 Most callers never import this package directly — pass ``n_jobs=`` to
 :func:`repro.api.maximal_cliques`, :func:`repro.api.count_maximal_cliques`
@@ -42,22 +42,17 @@ from repro.parallel.decompose import (
 from repro.parallel.pool import (
     GraphState,
     ParallelStats,
-    SplitTask,
     SubmitReport,
     WorkerPool,
-    mark_resplit,
     parse_jobs,
-    plan_steal_schedule,
     run_parallel,
 )
 from repro.parallel.scheduler import (
     Chunk,
-    StealPlan,
     balance_ratio,
     chunk_summary,
     make_chunks,
-    plan_steal,
-    resplit_threshold,
+    plan_steal_schedule,
     steal_chunk_count,
 )
 
@@ -73,20 +68,15 @@ __all__ = [
     "solve_subproblem",
     "GraphState",
     "ParallelStats",
-    "SplitTask",
     "SubmitReport",
     "WorkerPool",
-    "mark_resplit",
     "parse_jobs",
-    "plan_steal_schedule",
     "run_parallel",
     "validate_n_jobs",
     "Chunk",
-    "StealPlan",
     "balance_ratio",
     "chunk_summary",
     "make_chunks",
-    "plan_steal",
-    "resplit_threshold",
+    "plan_steal_schedule",
     "steal_chunk_count",
 ]

@@ -25,7 +25,7 @@ Three sinks cover the API surface:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.core.counters import Counters
 from repro.core.result import CliqueSink
@@ -200,19 +200,6 @@ class CallbackAggregator(Aggregator):
                 f"unreleased positions remain: {sorted(self._buffer)[:5]}"
             )
         return None
-
-
-def merge_payloads(payloads: list[Any], mode: str) -> Payload:
-    """One payload from the payloads of a subproblem's parts.
-
-    Count triples add up (``max_size`` takes the maximum); clique lists
-    concatenate into one canonically sorted list.
-    """
-    if mode == "count":
-        return (sum(p[0] for p in payloads),
-                max((p[1] for p in payloads), default=0),
-                sum(p[2] for p in payloads))
-    return sorted(clique for cliques in payloads for clique in cliques)
 
 
 def count_payload(cliques: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:

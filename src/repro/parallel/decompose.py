@@ -37,7 +37,6 @@ filters.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.counters import Counters
@@ -172,9 +171,9 @@ def _edge_rank(g: Graph, members, kind: str,
 class InPlaceRunner:
     """The one subproblem tier, set up once for many subproblems.
 
-    One runner serves a whole chunk, or one steal split task: the sink,
-    the :class:`Counters` and the engine context are built once, so each
-    subproblem or branch costs only its ``(C, X)`` derivation, the engine
+    One runner serves a whole chunk, static or steal: the sink, the
+    :class:`Counters` and the engine context are built once, so each
+    subproblem costs only its ``(C, X)`` derivation, the engine
     run itself (in place on the whole graph's adjacency, or its bitmask
     view) and the cut of its payload.  There is no relabelled graph and
     no per-subproblem reduction, peel or packing.
@@ -270,44 +269,6 @@ class InPlaceRunner:
         if not later_set:
             return self._lone(v, earlier)
         return self.branch([v], later_set, earlier)
-
-    def split(self, v: int, branches: Sequence[int]) -> list[Payload]:
-        """Payloads of some root branches of ``v``'s subproblem.
-
-        Branch ``i`` adds ``w_i`` to the stem, where ``w_0, w_1, ...`` are
-        the later neighbours of ``v`` in position order: ``S = [v, w_i]``,
-        ``C`` the common neighbours later than ``w_i`` and ``X`` the
-        common neighbours earlier than it, which an earlier branch or an
-        earlier subproblem owns.  So the branches of one root are disjoint
-        and together cover its subproblem (the X-aware decomposition, one
-        level down).  No pivot is applied at this level.
-        """
-        bg = self._packed
-        if bg is not None:
-            bv = bg.bit_of[v]
-            row = bg.masks[bv]
-            # Descending bits are ascending positions under this packing.
-            cands = list(iter_bits(row & ((1 << bv) - 1)))[::-1]
-            payloads = []
-            for i in branches:
-                bw = cands[i]
-                common = row & bg.masks[bw]
-                low = common & ((1 << bw) - 1)
-                payloads.append(self._run([v, bg.to_vertex[bw]], low,
-                                          common ^ low))
-            return payloads
-        position, adj = self._position, self._g.adj
-        later, earlier = subproblem_sets(self._g, position, v)
-        cands = sorted(later, key=position.__getitem__)
-        payloads = []
-        for i in branches:
-            w = cands[i]
-            pw = position[w]
-            reach = later & adj[w]
-            payloads.append(self.branch(
-                [v, w], {u for u in reach if position[u] > pw},
-                (earlier & adj[w]) | {u for u in reach if position[u] < pw}))
-        return payloads
 
     def branch(self, stem: list[int], candidates: set[int],
                exclusion: set[int]) -> Payload:

@@ -10,7 +10,7 @@ Task encoding is deliberately pickling-lean and split by weight:
 * :class:`repro.config.RunConfig` — the light per-request knobs,
   validated in the parent.  A few bytes, shipped with each task next to
   the sink mode and the trace context.
-* a task is then just ``(graph key, config, mode, trace context, Chunk)``
+* a task is then just ``(graph key, config, Chunk, mode, trace context)``
   and a result is one :class:`ChunkResult`.
 
 :class:`WorkerPool` owns the worker processes: create once, ``submit()``
@@ -48,28 +48,19 @@ from repro.graph.adjacency import Graph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import WorkerTimelineEvent
 from repro.obs.trace import TraceContext, Tracer, maybe_span, span_record
-from repro.parallel.aggregate import (
-    Aggregator,
-    ChunkResult,
-    Payload,
-    merge_payloads,
-)
+from repro.parallel.aggregate import Aggregator, ChunkResult
 from repro.parallel.decompose import (
     Decomposition,
     InPlaceRunner,
-    Subproblem,
     decompose,
     solve_subproblem,
-    subproblem_sets,
 )
 from repro.parallel.scheduler import (
-    STEAL_CHUNK_FACTOR,
     Chunk,
     balance_ratio,
     chunk_summary,
     make_chunks,
-    plan_steal,
-    resplit_threshold,
+    plan_steal_schedule,
     steal_chunk_count,
 )
 
@@ -83,9 +74,6 @@ if TYPE_CHECKING:
 #: how long ``close`` waits for a stopped worker to exit before killing it.
 _STOP_GRACE = 5.0
 
-#: a subproblem below this many root-level candidates is never re-split —
-#: the per-branch dispatch overhead cannot pay for itself.
-_MIN_RESPLIT_CANDIDATES = 4
 
 @dataclass
 class GraphState:
@@ -147,10 +135,10 @@ class GraphState:
         return bg
 
 
-#: One pool task: graph key, config, sink mode (``"collect"`` or
-#: ``"count"``), the parent's trace position (``None``: no worker spans;
-#: timeline events are always recorded) and the chunk or split part.
-Task = tuple[str, RunConfig, str, TraceContext | None, "Chunk | SplitTask"]
+#: One pool task: graph key, config, the chunk, sink mode (``"collect"``
+#: or ``"count"``) and the parent's trace position (``None``: no worker
+#: spans; timeline events are always recorded).
+Task = tuple[str, RunConfig, Chunk, str, TraceContext | None]
 
 
 @dataclass
@@ -171,9 +159,6 @@ class ParallelStats:
     steal: bool = False
     #: tasks handed out past each worker's first.
     steals: int = 0
-    #: subproblems re-split at their own root, and their split tasks.
-    resplit_subproblems: int = 0
-    resplit_tasks: int = 0
     decompose_seconds: float = 0.0
     balance_ratio: float = 1.0
     chunk_costs: list[float] = field(default_factory=list)
@@ -233,54 +218,6 @@ def _runner(graph_state: GraphState, config: RunConfig,
                          bit_graph=bit_graph, mode=mode)
 
 
-def _result(
-    index: int, items: list[tuple[int, Payload]], counters: Counters,
-    started: float, cpu_start: float, context: TraceContext | None,
-    span: str, span_id: str, **attrs: object,
-) -> ChunkResult:
-    """A task's payload plus its telemetry, for chunks and split parts.
-
-    The telemetry: wall start/end plus CPU time (the timeline event), a
-    worker-side metrics snapshot (chunk CPU histogram by worker, branch
-    counters as ``mce_*_total``) and, given the request's trace
-    ``context``, a ``span`` record parented on the caller's span, whose
-    ``cpu_per_wall`` well below 1 means the worker was time-sliced.
-    Stamps use ``time.monotonic()``: it never steps back (``time.time()``
-    gave negative ``wall_seconds`` under NTP) and is system-wide on
-    Linux, so every worker's stamps share the parent's trace clock.
-    """
-    worker = multiprocessing.current_process().name
-    cpu_seconds = time.process_time() - cpu_start
-    finished = time.monotonic()
-    registry = MetricsRegistry()
-    registry.histogram("worker_chunk_cpu_seconds",
-                       labels={"worker": worker}).observe(cpu_seconds)
-    registry.counter("worker_chunks_total",
-                     labels={"worker": worker}).inc()
-    registry.fold_counters(counters)
-    record = None
-    if context is not None:
-        wall = finished - started
-        record = span_record(
-            span, context=context, span_id=span_id,
-            start=started, seconds=wall,
-            worker_id=worker, chunk_id=index, cpu_seconds=cpu_seconds,
-            cpu_per_wall=cpu_seconds / wall if wall > 0 else 0.0,
-            counters=counters.as_dict(), **attrs,
-        )
-    return ChunkResult(
-        chunk_index=index,
-        items=items,
-        counters=counters.as_dict(),
-        cpu_seconds=cpu_seconds,
-        worker=worker,
-        started=started,
-        finished=finished,
-        metrics=registry.as_dict(),
-        span=record,
-    )
-
-
 def _solve_chunk(
     graph_state: GraphState, config: RunConfig, chunk: Chunk, mode: str,
     context: TraceContext | None = None,
@@ -291,6 +228,16 @@ def _solve_chunk(
     engine context built once, on the parent-built view) serves the whole
     chunk; ``reverse-search``'s filter calls :func:`solve_subproblem` per
     subproblem.
+
+    The payloads come back with the chunk's telemetry: wall start/end
+    plus CPU time (the timeline event), a worker-side metrics snapshot
+    (chunk CPU histogram by worker, branch counters as ``mce_*_total``)
+    and, given the request's trace ``context``, a ``chunk`` span record
+    parented on the caller's span, whose ``cpu_per_wall`` well below 1
+    means the worker was time-sliced.  Stamps use ``time.monotonic()``:
+    it never steps back (``time.time()`` gave negative ``wall_seconds``
+    under NTP) and is system-wide on Linux, so every worker's stamps
+    share the parent's trace clock.
     """
     started = time.monotonic()
     cpu_start = time.process_time()
@@ -310,9 +257,36 @@ def _solve_chunk(
             )
             counters.merge(sub_counters)
             items.append((p, payload))
-    return _result(chunk.index, items, counters, started, cpu_start,
-                   context, "chunk", f"chunk{chunk.index}",
-                   subproblems=len(chunk.positions))
+    worker = multiprocessing.current_process().name
+    cpu_seconds = time.process_time() - cpu_start
+    finished = time.monotonic()
+    registry = MetricsRegistry()
+    registry.histogram("worker_chunk_cpu_seconds",
+                       labels={"worker": worker}).observe(cpu_seconds)
+    registry.counter("worker_chunks_total",
+                     labels={"worker": worker}).inc()
+    registry.fold_counters(counters)
+    record = None
+    if context is not None:
+        wall = finished - started
+        record = span_record(
+            "chunk", context=context, span_id=f"chunk{chunk.index}",
+            start=started, seconds=wall,
+            worker_id=worker, chunk_id=chunk.index, cpu_seconds=cpu_seconds,
+            cpu_per_wall=cpu_seconds / wall if wall > 0 else 0.0,
+            counters=counters.as_dict(), subproblems=len(chunk.positions),
+        )
+    return ChunkResult(
+        chunk_index=chunk.index,
+        items=items,
+        counters=counters.as_dict(),
+        cpu_seconds=cpu_seconds,
+        worker=worker,
+        started=started,
+        finished=finished,
+        metrics=registry.as_dict(),
+        span=record,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +321,7 @@ def _worker_loop(conn: Connection, graphs: dict[str, GraphState],
                 graphs[body[0]] = body[1]
                 reply: tuple[bool, Any] = (True, None)
             else:
-                reply = (True, _solve(graphs[body[0]], body))
+                reply = (True, _solve_chunk(graphs[body[0]], *body[1:]))
         except Exception as exc:  # re-raised in the parent, with this note
             import traceback
             exc.add_note("".join(traceback.format_exception(exc)).rstrip())
@@ -399,176 +373,6 @@ def _reap(worker: _Worker) -> None:
         worker.process.kill()
         worker.process.join()
     worker.process.close()
-
-
-# ---------------------------------------------------------------------------
-# Root-level re-splitting (steal mode)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitTask:
-    """One part of a re-split subproblem.
-
-    A cost outlier is split at its own root level: for root ``v``
-    with candidates ``w_0 < w_1 < ...`` (degeneracy-position order), the
-    branch of ``w_i`` is the X-aware subproblem one level down (``S = {v,
-    w_i}``, the later co-neighbours as candidates, the earlier ones as
-    exclusion), so the branches are disjoint and cover the subproblem.
-    ``branches`` lists the candidate indices this part owns; ``part`` /
-    ``parts`` let the parent-side merger recognise the last arrival.
-    ``index`` shares the chunk index namespace (unique across both).
-    """
-
-    index: int
-    position: int
-    branches: tuple[int, ...]
-    part: int
-    parts: int
-    cost: float
-
-
-def mark_resplit(g: Graph, decomposition: Decomposition) -> list[int]:
-    """Subproblem positions steal mode re-splits at their own root.
-
-    Pure cost arithmetic, deterministic across ``n_jobs`` and repeats;
-    fewer than ``_MIN_RESPLIT_CANDIDATES`` root candidates are never
-    split.  Eligibility (the in-place tier) is the caller's.
-    """
-    threshold = resplit_threshold([s.cost for s in decomposition.subproblems])
-    marked: list[int] = []
-    for sub in decomposition.subproblems:
-        if sub.cost <= threshold:
-            continue
-        later, _ = subproblem_sets(g, decomposition.position,
-                                   decomposition.order[sub.position])
-        if len(later) >= _MIN_RESPLIT_CANDIDATES:
-            marked.append(sub.position)
-    return marked
-
-
-def _plan_splits(
-    g: Graph, decomposition: Decomposition, positions: tuple[int, ...],
-    n_jobs: int, start_index: int,
-) -> list[SplitTask]:
-    """Cut each marked subproblem's root branches into balanced parts.
-
-    Per-branch cost is ``|C_w| + 1``, a linear proxy.  Branches pack LPT
-    into up to ``n_jobs * STEAL_CHUNK_FACTOR`` parts per subproblem,
-    ordered largest-first for the *front* of the dispatch queue, ahead of
-    the ordinary chunks.
-    """
-    position, order, adj = decomposition.position, decomposition.order, g.adj
-    splits: list[SplitTask] = []
-    next_index = start_index
-    for p in positions:
-        v = order[p]
-        later, _ = subproblem_sets(g, position, v)
-        cands = sorted(later, key=lambda u: position[u])
-        branch_subs = [
-            Subproblem(
-                position=i, vertex=w,
-                cost=float(sum(1 for u in later & adj[w]
-                               if position[u] > position[w]) + 1),
-            )
-            for i, w in enumerate(cands)
-        ]
-        parts = min(len(cands), max(2, n_jobs * STEAL_CHUNK_FACTOR))
-        packed = sorted(make_chunks(branch_subs, parts),
-                        key=lambda c: (-c.cost, c.index))
-        for part, chunk in enumerate(packed):
-            splits.append(SplitTask(
-                index=next_index, position=p, branches=chunk.positions,
-                part=part, parts=len(packed), cost=chunk.cost,
-            ))
-            next_index += 1
-    splits.sort(key=lambda t: (-t.cost, t.index))
-    return splits
-
-
-def plan_steal_schedule(
-    g: Graph, decomposition: Decomposition, n_jobs: int, *,
-    resplit_ok: bool = True,
-) -> tuple[list[Chunk], list[SplitTask], int]:
-    """The full steal-mode schedule for one decomposition.
-
-    Marks cost outliers (when ``resplit_ok``: the in-place tier), packs
-    the rest into small chunks in dispatch order, and cuts the marked
-    subproblems into split tasks.  Returns ``(chunks, splits,
-    requested)``, ``requested`` being the chunk count the packing aimed
-    for (the :func:`balance_ratio` denominator).  A pure function, so the
-    service registry caches it per (graph, pool size, tier).
-    """
-    resplit = mark_resplit(g, decomposition) if resplit_ok else []
-    plan = plan_steal(decomposition.subproblems, n_jobs, resplit=resplit)
-    splits = _plan_splits(g, decomposition, plan.resplit, n_jobs,
-                          len(plan.chunks))
-    requested = steal_chunk_count(
-        len(decomposition.subproblems) - len(plan.resplit), n_jobs)
-    return plan.chunks, splits, requested
-
-
-def _solve_split(
-    graph_state: GraphState, config: RunConfig, task: SplitTask, mode: str,
-    context: TraceContext | None = None,
-) -> ChunkResult:
-    """Run one part of a re-split subproblem; telemetry mirrors a chunk.
-
-    One :class:`InPlaceRunner` solves every branch of the part
-    (:meth:`InPlaceRunner.split`).  No pivot is applied *at* the re-split
-    level — every candidate gets a branch, so parts are independently
-    computable — which trades a little duplicated fan-out (bounded: only
-    outliers are split) for per-branch parallelism.
-    """
-    started = time.monotonic()
-    cpu_start = time.process_time()
-    runner = _runner(graph_state, config, mode)
-    payload = merge_payloads(
-        runner.split(graph_state.order[task.position], task.branches), mode)
-    return _result(task.index, [(task.position, payload)], runner.counters,
-                   started, cpu_start, context, "split",
-                   f"split{task.position}.{task.part}",
-                   position=task.position, part=task.part, parts=task.parts,
-                   branches=len(task.branches))
-
-
-def _solve(graph_state: GraphState, task: Task) -> ChunkResult:
-    """Solve one pool task, chunk or split part, in the current process."""
-    _, config, mode, context, work = task
-    if isinstance(work, SplitTask):
-        return _solve_split(graph_state, config, work, mode, context)
-    return _solve_chunk(graph_state, config, work, mode, context)
-
-
-class _SplitMerger:
-    """Parent-side accumulator folding split parts back into one item.
-
-    The aggregators key on subproblem position (``CollectAggregator``
-    *replaces* per position, ``received`` counts one per item), so
-    earlier parts pass their telemetry on with ``items=[]`` and the
-    merged payload rides the final part's :class:`ChunkResult`.
-    """
-
-    def __init__(self, splits: list[SplitTask], mode: str) -> None:
-        self._mode = mode
-        self._tasks = {t.index: t for t in splits}
-        self._payloads: dict[int, list[Payload]] = {}
-        self._remaining = {t.position: t.parts for t in splits}
-
-    def owns(self, index: int) -> bool:
-        return index in self._tasks
-
-    def fold(self, result: ChunkResult) -> ChunkResult:
-        task = self._tasks[result.chunk_index]
-        parts = self._payloads.setdefault(task.position, [])
-        parts.append(result.items[0][1])
-        self._remaining[task.position] -= 1
-        if self._remaining[task.position]:
-            result.items = []
-        else:
-            result.items = [(task.position,
-                             merge_payloads(parts, self._mode))]
-        return result
 
 
 @dataclass
@@ -702,9 +506,8 @@ class WorkerPool:
         *,
         mode: str,
         tracer: Tracer | None = None,
-        splits: list[SplitTask] | None = None,
     ) -> SubmitReport:
-        """Solve ``chunks`` (and ``splits``) against ``graph_state``.
+        """Solve ``chunks`` against ``graph_state``.
 
         ``accept`` is called on the calling thread with each
         :class:`ChunkResult` in arrival order (an
@@ -717,9 +520,8 @@ class WorkerPool:
         one task per worker process is in flight, and each completion
         dispatches the next task off the front of the list, while a
         one-shot caller solves tasks off its back.  Task order is
-        therefore the schedule — steal mode passes chunks pre-sorted
-        largest-first with ``splits`` (parts of re-split outliers) ahead
-        of them.  Every task handed out beyond each worker's first counts
+        therefore the schedule — steal mode passes its chunks pre-sorted
+        largest-first.  Every task handed out beyond each worker's first counts
         as a *steal* of the worker that returns it (:class:`SubmitReport`).
         A task that raises is re-raised here with its type, and the pool
         stays usable.
@@ -732,13 +534,12 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
-        splits = list(splits or [])
         report = SubmitReport()
-        if not chunks and not splits:
+        if not chunks:
             return report
         context = tracer.current if tracer is not None else None
-        work: list[Chunk | SplitTask] = [*splits, *chunks]
-        tasks: list[Task] = [(key, config, mode, context, w) for w in work]
+        tasks: list[Task] = [(key, config, chunk, mode, context)
+                             for chunk in chunks]
         if not self._workers and not self.warm:
             # One-shot profile: the first graph rides the fork, not a ship.
             with self._lock:
@@ -750,10 +551,9 @@ class WorkerPool:
             if ship_needed:
                 self._ship(key, graph_state)
         with maybe_span(tracer, "execute", transport=self.start_method,
-                        n_chunks=len(chunks), n_splits=len(splits),
+                        n_chunks=len(chunks),
                         steal=config.steal) as execute_span:
-            self._dispatch(graph_state, tasks, _SplitMerger(splits, mode),
-                           accept, report)
+            self._dispatch(graph_state, tasks, accept, report)
             if tracer is not None:
                 execute_span.attrs.update(steals=report.steals)
         return report
@@ -782,7 +582,6 @@ class WorkerPool:
             self.graph_ships += 1
 
     def _dispatch(self, graph_state: GraphState, tasks: list[Task],
-                  merger: _SplitMerger,
                   accept: Callable[[ChunkResult], None],
                   report: SubmitReport) -> None:
         """One task per busy worker, fed from the front of the queue; each
@@ -838,8 +637,6 @@ class WorkerPool:
                 report.steals += 1
                 report.steals_by_worker[result.worker] = \
                     report.steals_by_worker.get(result.worker, 0) + 1
-            if merger.owns(result.chunk_index):
-                result = merger.fold(result)
             accept(result)
 
         try:
@@ -851,7 +648,7 @@ class WorkerPool:
                 if not ready:  # the caller's turn
                     i = take(last=bool(self._workers))
                     try:
-                        own = _solve(graph_state, tasks[i])
+                        own = _solve_chunk(graph_state, *tasks[i][1:])
                     except Exception as exc:  # raised as a worker's would be
                         failure = exc
                         queue.clear()
@@ -864,7 +661,7 @@ class WorkerPool:
                     if reply is None:
                         if i in lost:
                             raise WorkerPoolError(
-                                f"task {tasks[i][4].index} was lost to "
+                                f"task {tasks[i][2].index} was lost to "
                                 "two worker deaths")
                         lost.add(i)
                         w = self._respawn(w)
@@ -922,9 +719,8 @@ class Plans(Protocol):
     def chunks(self, decomposition: Decomposition,
                n_chunks: int) -> list[Chunk]: ...
 
-    def steal_plan(
-        self, decomposition: Decomposition, n_jobs: int, resplit_ok: bool,
-    ) -> tuple[list[Chunk], list[SplitTask], int]: ...
+    def steal_plan(self, decomposition: Decomposition,
+                   n_jobs: int) -> list[Chunk]: ...
 
 
 class _OneShot:
@@ -955,11 +751,9 @@ class _OneShot:
                n_chunks: int) -> list[Chunk]:
         return make_chunks(decomposition.subproblems, n_chunks)
 
-    def steal_plan(
-        self, decomposition: Decomposition, n_jobs: int, resplit_ok: bool,
-    ) -> tuple[list[Chunk], list[SplitTask], int]:
-        return plan_steal_schedule(self.g, decomposition, n_jobs,
-                                   resplit_ok=resplit_ok)
+    def steal_plan(self, decomposition: Decomposition,
+                   n_jobs: int) -> list[Chunk]:
+        return plan_steal_schedule(decomposition.subproblems, n_jobs)
 
 
 def execute(
@@ -977,7 +771,7 @@ def execute(
     warm pool and registry caches).  Results stream into ``aggregator``;
     its merge (``finish()``) stays with the caller.  With a ``trace`` the
     run adds ``decompose``/``pack``/``ship``/``execute`` spans, a grafted
-    ``chunk`` (or ``split``) span per task, and the folded counters and
+    ``chunk`` span per task, and the folded counters and
     the run's backend as the trace root's ``counters`` and ``backend``
     attributes.
     """
@@ -988,24 +782,20 @@ def execute(
         graph_state, decomposition = plans.decomposition()
         decompose_seconds = time.perf_counter() - start
     with maybe_span(trace, "pack", steal=steal) as pack_span:
-        splits: list[SplitTask] = []
+        n_subproblems = len(decomposition.subproblems)
         if steal:
-            chunks, splits, requested = plans.steal_plan(
-                decomposition, n_jobs, _in_place(config))
+            chunks = plans.steal_plan(decomposition, n_jobs)
+            requested = steal_chunk_count(n_subproblems, n_jobs)
         else:
             chunks = plans.chunks(decomposition, n_jobs)
-            requested = min(n_jobs, len(decomposition.subproblems))
-        resplit = len({t.position for t in splits})
+            requested = min(n_jobs, n_subproblems)
         if trace is not None:
             pack_span.attrs.update(chunk_summary(chunks, requested))
-            if steal:
-                pack_span.attrs.update(resplit_subproblems=resplit,
-                                       split_tasks=len(splits))
 
-    aggregator.start(len(decomposition.subproblems))
+    aggregator.start(n_subproblems)
     report = pool.submit(plans.key, graph_state, config, chunks,
                          aggregator.accept, mode=aggregator.mode,
-                         tracer=trace, splits=splits)
+                         tracer=trace)
     for worker, n in sorted(report.steals_by_worker.items()):
         aggregator.metrics.counter("worker_steals_total",
                                    labels={"worker": worker}).inc(n)
@@ -1018,13 +808,11 @@ def execute(
 
     return ParallelStats(
         n_jobs=n_jobs,
-        n_subproblems=len(decomposition.subproblems),
+        n_subproblems=n_subproblems,
         n_chunks=len(chunks),
         start_method=pool.start_method,
         steal=steal,
         steals=report.steals,
-        resplit_subproblems=resplit,
-        resplit_tasks=len(splits),
         decompose_seconds=decompose_seconds,
         balance_ratio=balance_ratio(chunks, requested),
         chunk_costs=[c.cost for c in chunks],
@@ -1063,10 +851,9 @@ def run_parallel(
     warm :class:`WorkerPool` or a :class:`repro.service.CliqueService`.
 
     ``steal=True`` switches to work stealing: ``STEAL_CHUNK_FACTOR`` times
-    as many chunks, dispatched dynamically largest-first, and cost
-    outliers re-split at their own root level so no hub subproblem sets
-    the critical path.  The cliques and their fingerprint are those of
-    the static schedule by construction.
+    as many chunks, dispatched dynamically largest-first.  It changes
+    only where and when each subproblem runs: the cliques, their
+    fingerprint and the counters are those of the static schedule.
 
     ``stats`` (a :class:`ParallelStats`) is filled in place; ``trace=``
     takes a :class:`repro.obs.trace.Tracer` (see :func:`execute`).

@@ -10,22 +10,20 @@ Packing is LPT list scheduling: subproblems sorted by estimated cost
 heap.  It is deterministic: ties break on subproblem position and chunk
 index, never on hash order.
 
-Steal mode (:func:`plan_steal`) packs the same way but changes the
-economics: instead of one chunk per worker it cuts
+Steal mode (:func:`plan_steal_schedule`) packs the same way but changes
+the economics: instead of one chunk per worker it cuts
 ``STEAL_CHUNK_FACTOR`` times as many *small* chunks and orders them by
 cost (largest first), so the pool can hand them out dynamically — a
 worker that finishes early pulls the next chunk off the shared queue
-instead of idling behind a straggler.  Cost outliers
-(:func:`resplit_threshold`) are additionally marked for root-level
-re-splitting by the pool, which is the only cure when a *single*
-subproblem exceeds a worker's fair share.
+instead of idling behind a straggler.  No subproblem is ever split: a
+single subproblem larger than a worker's fair share still sets the
+critical path.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Collection, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.parallel.decompose import Subproblem
@@ -33,14 +31,6 @@ from repro.parallel.decompose import Subproblem
 #: steal mode cuts this many times more chunks than worker slots, so the
 #: dynamic queue has enough granularity to level uneven finish times.
 STEAL_CHUNK_FACTOR = 4
-
-#: a subproblem whose model cost exceeds this multiple of the median
-#: subproblem cost is marked for root-level re-splitting.  The rule is a
-#: robust outlier test: on near-uniform families the median and the
-#: maximum are close and nothing is marked (re-splitting has overhead),
-#: while a power-law hub sits orders of magnitude above the median no
-#: matter how the rest of the distribution moves.
-RESPLIT_COST_MULTIPLE = 16.0
 
 
 @dataclass(frozen=True)
@@ -128,44 +118,8 @@ def chunk_summary(chunks: list[Chunk],
 
 
 # ---------------------------------------------------------------------------
-# Steal mode: oversubscribed packing + re-split marking
+# Steal mode: oversubscribed packing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StealPlan:
-    """A steal-mode schedule: small chunks in dispatch order plus markers.
-
-    ``chunks`` are ordered largest-cost-first — the dynamic dispatcher
-    hands them out in list order, so expensive work starts earliest and
-    the small chunks level the tail.  ``resplit`` names the subproblem
-    positions excluded from the chunks because the pool will re-split
-    them at their own root level; ``threshold`` records the model-cost
-    cut that marked them (telemetry, not control flow).
-    """
-
-    chunks: list[Chunk]
-    resplit: tuple[int, ...]
-    threshold: float
-
-
-def resplit_threshold(costs: Sequence[float]) -> float:
-    """Model-cost threshold above which a subproblem is re-split.
-
-    ``RESPLIT_COST_MULTIPLE`` times the median positive cost.  The median
-    is deterministic and robust: marking must not depend on run-to-run
-    timing (determinism across ``n_jobs`` and repeats), and a handful of
-    hubs cannot drag the reference point the way they drag the mean.
-    Returns ``inf`` when there is nothing to compare against, so nothing
-    is ever marked on empty or all-zero-cost decompositions.
-    """
-    positive = sorted(c for c in costs if c > 0.0)
-    if not positive:
-        return float("inf")
-    mid = len(positive) // 2
-    median = positive[mid] if len(positive) % 2 \
-        else (positive[mid - 1] + positive[mid]) / 2.0
-    return RESPLIT_COST_MULTIPLE * median
 
 
 def steal_chunk_count(n_subproblems: int, n_jobs: int) -> int:
@@ -173,31 +127,19 @@ def steal_chunk_count(n_subproblems: int, n_jobs: int) -> int:
     return min(n_subproblems, max(1, n_jobs * STEAL_CHUNK_FACTOR))
 
 
-def plan_steal(
-    subproblems: list[Subproblem],
-    n_jobs: int,
-    *,
-    resplit: Collection[int] = (),
-) -> StealPlan:
+def plan_steal_schedule(subproblems: list[Subproblem],
+                        n_jobs: int) -> list[Chunk]:
     """Pack a steal-mode schedule: many small chunks, biggest first.
 
-    ``resplit`` lists the positions the pool re-splits at their own root
-    (cost outliers it confirmed eligible); they are excluded from the
-    chunk packing entirely — their work arrives as separate split tasks.
-    Everything else is packed into :func:`steal_chunk_count` chunks and
-    re-ordered by descending cost, which is the dispatch order (LPT on
-    the dynamic queue).
+    The subproblems are packed LPT into :func:`steal_chunk_count` chunks,
+    re-indexed by descending cost, which is the dispatch order (LPT on
+    the dynamic queue).  A pure function of its arguments, so the service
+    registry caches it per graph and pool size.
     """
-    marked = frozenset(resplit)
-    rest = [s for s in subproblems if s.position not in marked]
-    threshold = resplit_threshold([s.cost for s in subproblems])
-    if not rest:
-        return StealPlan(chunks=[], resplit=tuple(sorted(marked)),
-                         threshold=threshold)
-    n_chunks = steal_chunk_count(len(rest), n_jobs)
-    packed = make_chunks(rest, n_chunks)
+    if not subproblems:
+        return []
+    packed = make_chunks(subproblems, steal_chunk_count(len(subproblems),
+                                                        n_jobs))
     ordered = sorted(packed, key=lambda c: (-c.cost, c.index))
-    chunks = [Chunk(index=i, positions=c.positions, cost=c.cost)
-              for i, c in enumerate(ordered)]
-    return StealPlan(chunks=chunks, resplit=tuple(sorted(marked)),
-                     threshold=threshold)
+    return [Chunk(index=i, positions=c.positions, cost=c.cost)
+            for i, c in enumerate(ordered)]

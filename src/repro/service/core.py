@@ -52,8 +52,8 @@ class _Cached:
     def chunks(self, decomposition, n_chunks):
         return self.registry.chunks(self.entry, n_chunks)
 
-    def steal_plan(self, decomposition, n_jobs, resplit_ok):
-        return self.registry.steal_plan(self.entry, n_jobs, resplit_ok)
+    def steal_plan(self, decomposition, n_jobs):
+        return self.registry.steal_plan(self.entry, n_jobs)
 
 
 class CliqueService:
@@ -290,8 +290,6 @@ class CliqueService:
                     "n_chunks": stats.n_chunks,
                     "steal": stats.steal,
                     "steals": stats.steals,
-                    "resplit_subproblems": stats.resplit_subproblems,
-                    "resplit_tasks": stats.resplit_tasks,
                     "decompose_seconds": stats.decompose_seconds,
                     "total_cpu_seconds": stats.total_cpu_seconds,
                     "critical_path_seconds": stats.critical_path_seconds,

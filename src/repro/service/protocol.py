@@ -20,8 +20,10 @@ in the response, for client-side correlation):
 * ``{"op": "count", "graph": NAME_OR_FINGERPRINT, ...}`` — optional
   ``algorithm``, ``backend``, ``bit_order``, ``et_threshold``,
   ``graph_reduction``, ``steal`` (``true`` selects the work-stealing
-  schedule), ``trace`` (``true`` adds the span tree and per-chunk worker
-  timeline to the response).  Any other field is refused.  Without a
+  schedule: many small chunks handed out largest first, with the same
+  result and counters), ``trace`` (``true`` adds the span tree and
+  per-chunk worker timeline to the response).  Any other field is
+  refused.  Without a
   ``backend`` the request runs on the graph's default (``bitset``
   unless the graph is large and sparse, by a far lower bound for the
   vertex family; ``set`` for ``reverse-search``), which a traced

@@ -31,8 +31,8 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.coreness import core_decomposition
 from repro.parallel.decompose import Decomposition, decompose
-from repro.parallel.pool import GraphState, SplitTask, plan_steal_schedule
-from repro.parallel.scheduler import Chunk, make_chunks
+from repro.parallel.pool import GraphState
+from repro.parallel.scheduler import Chunk, make_chunks, plan_steal_schedule
 
 
 def graph_fingerprint(g: Graph) -> str:
@@ -72,8 +72,8 @@ class GraphEntry:
     bitset request skips the packing step; a graph on the ``set`` side
     holds no mask table.  The decomposition costs its subproblems from the
     registration peel alone and is built on the first request that needs
-    it; chunk lists are cached per chunk count and steal plans per (pool
-    size, tier) — tiny keys over expensive values.
+    it; chunk lists are cached per chunk count and steal plans per pool
+    size — tiny keys over expensive values.
     """
 
     name: str
@@ -87,9 +87,7 @@ class GraphEntry:
     registered_at: float = field(default_factory=time.time)
     _decomposition: Decomposition | None = None
     _chunks: dict[int, list[Chunk]] = field(default_factory=dict)
-    _steal_plans: dict[tuple[int, bool],
-                       tuple[list[Chunk], list[SplitTask], int]] = \
-        field(default_factory=dict)
+    _steal_plans: dict[int, list[Chunk]] = field(default_factory=dict)
 
     def info(self) -> dict:
         """JSON-ready summary of this entry."""
@@ -212,26 +210,15 @@ class GraphRegistry:
             entry._chunks[n_chunks] = chunks
             return chunks
 
-    def steal_plan(
-        self, entry: GraphEntry, n_jobs: int, resplit_ok: bool,
-    ) -> tuple[list[Chunk], list[SplitTask], int]:
-        """The entry's steal-mode schedule for ``n_jobs`` workers, cached.
-
-        Two variants exist per pool size: with re-splitting (every
-        algorithm that can seed an exclusion set, on the in-place tier)
-        and without (``reverse-search``, whose filter has no branch to
-        split) — ``resplit_ok`` picks the variant, so algorithm-dependent
-        eligibility never poisons the cache.
-        """
-        key = (n_jobs, bool(resplit_ok))
+    def steal_plan(self, entry: GraphEntry, n_jobs: int) -> list[Chunk]:
+        """The entry's steal-mode chunks for ``n_jobs`` workers, cached."""
         with self._lock:
-            cached = entry._steal_plans.get(key)
+            cached = entry._steal_plans.get(n_jobs)
             if cached is not None:
                 self.stats.steal_plan_cache_hits += 1
                 return cached
             decomposition = self.decomposition(entry)
-            plan = plan_steal_schedule(entry.graph, decomposition, n_jobs,
-                                       resplit_ok=resplit_ok)
+            plan = plan_steal_schedule(decomposition.subproblems, n_jobs)
             self.stats.steal_plan_builds += 1
-            entry._steal_plans[key] = plan
+            entry._steal_plans[n_jobs] = plan
             return plan

@@ -5,11 +5,18 @@ import random
 
 import pytest
 
-from repro.api import enumerate_to_sink, get_algorithm, run_with_report
+from repro.api import (
+    count_maximal_cliques,
+    enumerate_to_sink,
+    get_algorithm,
+    maximal_cliques,
+    run_with_report,
+)
 from repro.core.counters import Counters, RunReport
 from repro.core.result import CliqueCounter
 from repro.graph.generators import erdos_renyi_gnm, erdos_renyi_gnp, plex_caveman
 from repro.graph.generators.dataset_suite import social_proxy
+from repro.parallel import pool as pool_module
 
 
 class TestCounters:
@@ -381,3 +388,68 @@ class TestRunReport:
         assert "hbbmc++" in text
         assert "42" in text
         assert "100" in text
+
+
+#: a graph whose runs make vertex calls, edge calls and ET hits alike.
+CALLER_GRAPH = erdos_renyi_gnm(120, 1500, seed=3)
+
+#: each entry point, run with a caller's ``counters`` object.
+ENTRY_POINTS = {
+    "count": lambda g, c, **kw: count_maximal_cliques(g, counters=c, **kw),
+    "collect": lambda g, c, **kw: maximal_cliques(g, counters=c, **kw),
+    "sink": lambda g, c, **kw: enumerate_to_sink(g, lambda clique: None,
+                                                 counters=c, **kw),
+}
+
+#: schedule id -> (n_jobs, steal)
+SCHEDULES = {"serial": (None, None), "n_jobs=1": (1, None),
+             "n_jobs=2": (2, None), "steal": (2, True)}
+PARALLEL = [name for name in SCHEDULES if name != "serial"]
+
+
+class TestCallerCounters:
+    """A ``counters=`` object is filled under ``n_jobs`` as it is serially:
+    with the counters ``run_with_report`` returns for the same run, added to
+    whatever it held."""
+
+    @pytest.mark.parametrize("schedule", PARALLEL)
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_holds_the_run_counters(self, entry, schedule):
+        n_jobs, steal = SCHEDULES[schedule]
+        c = Counters()
+        ENTRY_POINTS[entry](CALLER_GRAPH, c, n_jobs=n_jobs, steal=steal)
+        want = run_with_report(CALLER_GRAPH, n_jobs=n_jobs).counters
+        assert c.as_dict() == want.as_dict()
+        assert c.vertex_calls > 0 and c.et_hits > 0
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_accumulates_over_earlier_counts(self, entry, schedule):
+        n_jobs, steal = SCHEDULES[schedule]
+        earlier = {name: 3 for name in Counters().as_dict()}
+        c = Counters(**earlier)
+        ENTRY_POINTS[entry](CALLER_GRAPH, c, n_jobs=n_jobs, steal=steal)
+        want = Counters(**earlier)
+        want.merge(run_with_report(CALLER_GRAPH, n_jobs=n_jobs).counters)
+        assert c.as_dict() == want.as_dict()
+
+    @pytest.mark.parametrize("schedule", PARALLEL)
+    def test_returned_as_the_run_counters(self, schedule):
+        n_jobs, steal = SCHEDULES[schedule]
+        c = Counters()
+        assert enumerate_to_sink(CALLER_GRAPH, lambda clique: None,
+                                 n_jobs=n_jobs, steal=steal,
+                                 counters=c) is c
+
+    def test_never_shipped_with_a_task(self, monkeypatch):
+        # The object stays with the caller; a task carries option values.
+        shipped = []
+        real = pool_module._solve_chunk
+
+        def spy(graph_state, config, chunk, mode, context=None):
+            shipped.append(set(config.options))
+            return real(graph_state, config, chunk, mode, context)
+
+        monkeypatch.setattr(pool_module, "_solve_chunk", spy)
+        count_maximal_cliques(CALLER_GRAPH, n_jobs=1, counters=Counters())
+        assert shipped and all("counters" not in s for s in shipped)

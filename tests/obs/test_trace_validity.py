@@ -1,14 +1,15 @@
 """Trace validity over real ``n_jobs=2`` runs: one clock, one timeline.
 
-Parent-side spans and the workers' chunk and split records share the
-monotonic clock, so a trace tree reads as one timeline:
+Parent-side spans and the workers' chunk records share the monotonic
+clock, so a trace tree reads as one timeline:
 
 * no span has a negative duration;
 * every span's interval lies inside its parent's, all the way down;
 * the root's children come out as ``decompose``, ``pack``, ``ship``,
-  ``execute``, then the chunk and split spans, then ``merge``, last;
-* every chunk or split interval lies inside the ``execute`` interval;
-* every chunk or split carries its ``cpu_per_wall`` and its
+  ``execute``, then one chunk span per packed chunk, then ``merge``,
+  last;
+* every chunk interval lies inside the ``execute`` interval;
+* every chunk carries its ``cpu_per_wall`` and its
   ``queue_wait_s``, both ``>= 0``, and its dispatch (start minus queue
   wait) lies inside ``execute`` too.
 
@@ -79,8 +80,9 @@ def _check(tree, steal):
     assert names[-1] == "merge"
     assert names.count("merge") == 1
     tasks = tree["children"][4:-1]
-    assert tasks and {t["name"] for t in tasks} <= {"chunk", "split"}
-    assert ("split" in names) == steal
+    pack = tree["children"][1]
+    assert pack["attrs"]["steal"] is steal
+    assert [t["name"] for t in tasks] == ["chunk"] * pack["attrs"]["n_chunks"]
     execute = tree["children"][3]
     for task in tasks:
         assert execute["start"] <= task["start"]

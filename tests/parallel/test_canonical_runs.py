@@ -13,8 +13,8 @@ sorted.  This suite pins that precondition on every tier:
 * the enumerate-then-filter tier of ``reverse-search``, which cannot seed
   an exclusion set;
 * lone roots (no later neighbour);
-* steal split parts, and their payload after ``merge_payloads``, for
-  the vertex phase and the edge engine.
+* steal chunks, whose per-position payloads are the static chunks'
+  own, for the vertex phase and the edge engine.
 
 End to end, for ``n_jobs`` 1 and 2, ``maximal_cliques`` equals the serial
 list, and with ``sort=False`` it equals the position-order concatenation
@@ -35,15 +35,9 @@ from repro.graph.generators import (
     ring_of_cliques,
 )
 from repro.parallel import GraphState
-from repro.parallel.aggregate import merge_payloads
-from repro.parallel.decompose import decompose, solve_subproblem
-from repro.parallel.pool import (
-    _solve_chunk,
-    _solve_split,
-    _SplitMerger,
-    plan_steal_schedule,
-)
-from repro.parallel.scheduler import make_chunks
+from repro.parallel.decompose import decompose
+from repro.parallel.pool import _solve_chunk
+from repro.parallel.scheduler import make_chunks, plan_steal_schedule
 
 #: a dense part, cliques sharing vertices, and three isolated vertices
 #: (lone roots that emit themselves).
@@ -51,7 +45,7 @@ GRAPH = disjoint_union(erdos_renyi_gnm(36, 240, seed=3),
                        ring_of_cliques(4, 4), Graph(3))
 PERMUTATION = list(range(GRAPH.n))
 random.Random(5).shuffle(PERMUTATION)
-#: a graph whose hub subproblems the steal schedule re-splits.
+#: a graph with one dominant subproblem.
 HUB = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
 
 #: test id -> (algorithm, options)
@@ -121,40 +115,21 @@ def test_merge_takes_the_runs_as_they_come(tier, n_jobs, serial):
 
 
 @pytest.mark.parametrize("backend", ["set", "bitset"])
-def test_steal_split_parts_are_canonical(backend):
-    _check_split_parts("hbbmc++", backend)
-
-
-@pytest.mark.parametrize("backend", ["set", "bitset"])
-def test_edge_family_split_parts_are_canonical(backend):
-    _check_split_parts("ebbmc++", backend)
-
-
-def _check_split_parts(algorithm, backend):
-    decomposition = decompose(HUB)
+@pytest.mark.parametrize("algorithm", ["hbbmc++", "ebbmc++"])
+def test_steal_chunks_ship_the_static_payloads(algorithm, backend):
+    # Steal packs the same subproblems into other chunks; each position's
+    # payload must not depend on which chunk solved it.
+    options = {"backend": backend}
+    static, decomposition = _payloads(HUB, algorithm, options)
     state = GraphState(graph=HUB, order=decomposition.order,
                        position=decomposition.position)
-    _, splits, _ = plan_steal_schedule(HUB, decomposition, 2)
-    assert splits
-    options = {"backend": backend}
     config = RunConfig(algorithm=algorithm, options=options)
-    merger = _SplitMerger(splits, "collect")
-    parts: dict[int, list] = {}
-    merged = {}
-    for task in splits:
-        result = _solve_split(state, config, task, "collect")
-        ((position, payload),) = result.items
-        assert _is_canonical(payload)
-        parts.setdefault(position, []).append(payload)
-        merged.update(merger.fold(result).items)
-    for position, payloads in parts.items():
-        whole = merge_payloads(payloads, "collect")
-        assert _is_canonical(whole)
-        assert merged[position] == whole
-        alone, _ = solve_subproblem(
-            HUB, decomposition.position, decomposition.order[position],
-            algorithm=algorithm, options=options)
-        assert whole == alone
+    chunks = plan_steal_schedule(decomposition.subproblems, 2)
+    assert len(chunks) == 8
+    stolen = {}
+    for chunk in chunks:
+        stolen.update(_solve_chunk(state, config, chunk, "collect").items)
+    assert [stolen[p] for p in range(HUB.n)] == static
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])

@@ -7,12 +7,8 @@ from repro.api import get_algorithm, maximal_cliques, run_with_report
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import BitGraph
 from repro.graph.builders import complete_graph
-from repro.graph.generators import (
-    ba_heavy_hub,
-    erdos_renyi_gnm,
-    ring_of_cliques,
-)
-from repro.parallel.aggregate import count_payload, merge_payloads
+from repro.graph.generators import erdos_renyi_gnm, ring_of_cliques
+from repro.parallel.aggregate import count_payload
 from repro.parallel.decompose import (
     InPlaceRunner,
     decompose,
@@ -247,14 +243,3 @@ class TestEdgeFamilyInPlace:
             assert count.subproblem(v) == count_payload(collect.subproblem(v))
         assert count._found == []
         assert count.counters.as_dict() == collect.counters.as_dict()
-
-    @pytest.mark.parametrize("backend", ["set", "bitset"])
-    def test_split_branches_cover_the_subproblem(self, backend):
-        g = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
-        d = decompose(g)
-        runner = InPlaceRunner(g, d.position, algorithm="ebbmc++",
-                               options={"backend": backend})
-        hub = max(d.subproblems, key=lambda s: s.cost).vertex
-        later, _ = subproblem_sets(g, d.position, hub)
-        parts = runner.split(hub, range(len(later)))
-        assert merge_payloads(parts, "collect") == runner.subproblem(hub)

@@ -15,31 +15,19 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.bitadj import BitGraph
 from repro.graph.generators import ba_heavy_hub, erdos_renyi_gnm
+from repro.obs import Tracer
 from repro.parallel import (
-    ChunkResult,
     CollectAggregator,
     CountAggregator,
     GraphState,
     ParallelStats,
-    SplitTask,
     WorkerPool,
     parse_jobs,
     run_parallel,
     validate_n_jobs,
 )
-from repro.parallel.aggregate import merge_payloads
-from repro.parallel.decompose import (
-    InPlaceRunner,
-    decompose,
-    solve_subproblem,
-    subproblem_sets,
-)
-from repro.parallel.pool import (
-    _solve_chunk,
-    _solve_split,
-    _SplitMerger,
-    plan_steal_schedule,
-)
+from repro.parallel.decompose import decompose, solve_subproblem
+from repro.parallel.pool import _solve_chunk
 from repro.parallel.scheduler import STEAL_CHUNK_FACTOR, make_chunks
 from repro.service import CliqueService
 
@@ -148,7 +136,6 @@ class TestRunParallel:
         run_parallel(graph, agg, algorithm="hbbmc++", n_jobs=2,
                      steal=True, stats=stats)
         assert sorted(agg.finish()) == reference
-        assert stats.resplit_tasks == 0
         assert stats.n_chunks == 2 * STEAL_CHUNK_FACTOR
 
     def test_stats_filled(self, graph):
@@ -300,8 +287,8 @@ class TestSetupCounts:
 
     @pytest.mark.parametrize("backend", ["set", "bitset"])
     @pytest.mark.parametrize("steal", [False, True])
-    def test_one_engine_context_per_chunk_or_split(self, hub, monkeypatch,
-                                                   backend, steal):
+    def test_one_engine_context_per_chunk(self, hub, monkeypatch, backend,
+                                          steal):
         real = phases.make_context
         calls = []
 
@@ -313,9 +300,9 @@ class TestSetupCounts:
         stats = ParallelStats()
         run_parallel(hub, CountAggregator(), algorithm="hbbmc++", n_jobs=1,
                      steal=steal, stats=stats, backend=backend)
-        assert stats.n_subproblems > stats.n_chunks + stats.resplit_tasks
-        assert (stats.resplit_tasks > 0) == steal
-        assert len(calls) == stats.n_chunks + stats.resplit_tasks
+        assert stats.n_subproblems > stats.n_chunks
+        assert stats.n_chunks == (4 if steal else 1)
+        assert len(calls) == stats.n_chunks
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("steal", [False, True])
@@ -329,7 +316,7 @@ class TestSetupCounts:
     def test_explicit_bit_order_packed_once(self, hub, bit_packings,
                                             n_jobs):
         # Regression: client permutations are not cached on the state, so
-        # every chunk and every split task used to rebuild the view.
+        # every chunk used to rebuild the view.
         permutation = list(reversed(range(hub.n)))
         assert count_maximal_cliques(
             hub, n_jobs=n_jobs, steal=True, backend="bitset",
@@ -369,40 +356,6 @@ class TestRunnerCounters:
             assert result.counters == total.as_dict()
             assert total.emitted > 0
 
-    @pytest.mark.parametrize("mode", ["collect", "count"])
-    @pytest.mark.parametrize("backend", ["set", "bitset"])
-    def test_split_counters_sum_branch_counters(self, hub, backend, mode):
-        # Each branch of a split task against a runner of its own on the sets
-        # of its definition: stem [v, w], the later co-neighbours of w
-        # within later(v) as candidates, the other neighbours of w that
-        # v's subproblem or an earlier branch owns excluded.
-        options = {"backend": backend}
-        state, decomposition = _graph_state(hub)
-        _, splits, _ = plan_steal_schedule(hub, decomposition, 2)
-        assert splits
-        config = RunConfig(algorithm="hbbmc++", options=options)
-        position, adj = state.position, hub.adj
-        for task in splits:
-            v = state.order[task.position]
-            later, earlier = subproblem_sets(hub, position, v)
-            cands = sorted(later, key=position.__getitem__)
-            total = Counters()
-            payloads = []
-            for i in task.branches:
-                w = cands[i]
-                reach = later & adj[w]
-                candidates = {u for u in reach if position[u] > position[w]}
-                exclusion = (earlier & adj[w]) \
-                    | {u for u in reach if position[u] < position[w]}
-                runner = InPlaceRunner(hub, position, algorithm="hbbmc++",
-                                       options=options, mode=mode)
-                payloads.append(runner.branch([v, w], candidates, exclusion))
-                total.merge(runner.counters)
-            result = _solve_split(state, config, task, mode)
-            assert result.items == [(task.position,
-                                     merge_payloads(payloads, mode))]
-            assert result.counters == total.as_dict()
-
 
 class TestMonotonicStamps:
     def test_solve_chunk_wall_survives_wall_clock_step(self, graph,
@@ -440,8 +393,6 @@ class TestStealMode:
                      stats=stats)
         assert sorted(agg.finish()) == hub_reference
         assert stats.steal is True
-        assert stats.resplit_subproblems >= 1
-        assert stats.resplit_tasks >= stats.resplit_subproblems
         assert stats.steals > 0  # many small chunks, window of 2
 
     def test_steal_inline_matches(self, hub, hub_reference):
@@ -456,6 +407,23 @@ class TestStealMode:
         agg = CountAggregator()
         run_parallel(hub, agg, algorithm="hbbmc++", n_jobs=2, steal=True)
         assert agg.finish() == len(hub_reference)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("entry", [count_maximal_cliques,
+                                       maximal_cliques],
+                             ids=["count", "collect"])
+    def test_every_task_is_one_packed_chunk(self, hub, entry, n_jobs):
+        tracer = Tracer("steal")
+        entry(hub, n_jobs=n_jobs, steal=True, trace=tracer)
+        children = tracer.to_dict()["children"]
+        (pack,) = [c for c in children if c["name"] == "pack"]
+        n_chunks = pack["attrs"]["n_chunks"]
+        assert 0 < n_chunks <= STEAL_CHUNK_FACTOR * n_jobs
+        tasks = [c for c in children if c["name"] not in
+                 ("decompose", "pack", "ship", "execute", "merge")]
+        assert [t["name"] for t in tasks] == ["chunk"] * n_chunks
+        assert sorted(t["attrs"]["chunk_id"] for t in tasks) == \
+            list(range(n_chunks))
 
     def test_steal_rejects_non_bool(self, hub):
         with pytest.raises(InvalidParameterError):
@@ -484,40 +452,6 @@ class TestStealMode:
             # Window of 2 in flight; the other 6 are dynamic pulls.
             assert report.steals == len(chunks) - 2
             assert sum(report.steals_by_worker.values()) == report.steals
-
-
-class TestSplitMerger:
-    def _tasks(self):
-        return [
-            SplitTask(index=5, position=3, branches=(0,), part=0, parts=2,
-                      cost=1.0),
-            SplitTask(index=6, position=3, branches=(1,), part=1, parts=2,
-                      cost=1.0),
-        ]
-
-    def _result(self, index, payload):
-        return ChunkResult(chunk_index=index, items=[(3, payload)])
-
-    def test_collect_mode_merges_sorted_on_last_part(self):
-        merger = _SplitMerger(self._tasks(), "collect")
-        assert merger.owns(5) and merger.owns(6) and not merger.owns(0)
-        first = merger.fold(self._result(5, [(1, 2), (4, 5)]))
-        assert first.items == []  # partial payloads never reach aggregators
-        last = merger.fold(self._result(6, [(0, 3)]))
-        assert last.items == [(3, [(0, 3), (1, 2), (4, 5)])]
-
-    def test_count_mode_sums_counts_and_maxes_size(self):
-        merger = _SplitMerger(self._tasks(), "count")
-        merger.fold(self._result(5, (2, 3, 10)))
-        last = merger.fold(self._result(6, (4, 5, 20)))
-        assert last.items == [(3, (6, 5, 30))]
-
-    def test_arrival_order_does_not_matter(self):
-        merger = _SplitMerger(self._tasks(), "collect")
-        first = merger.fold(self._result(6, [(0, 3)]))
-        assert first.items == []
-        last = merger.fold(self._result(5, [(1, 2)]))
-        assert last.items == [(3, [(0, 3), (1, 2)])]
 
 
 class TestApiIntegration:

@@ -1,6 +1,5 @@
 """Unit tests for the LPT chunk packing and the steal-mode plan."""
 
-import math
 import random
 
 import pytest
@@ -8,14 +7,12 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.parallel.decompose import Subproblem
 from repro.parallel.scheduler import (
-    RESPLIT_COST_MULTIPLE,
     STEAL_CHUNK_FACTOR,
     Chunk,
     balance_ratio,
     chunk_summary,
     make_chunks,
-    plan_steal,
-    resplit_threshold,
+    plan_steal_schedule,
     steal_chunk_count,
 )
 
@@ -128,30 +125,6 @@ class TestBalanceRatio:
             round(balance_ratio(chunks, requested=2), 4))
 
 
-class TestResplitThreshold:
-    def test_median_times_multiple(self):
-        assert resplit_threshold([1.0, 2.0, 3.0]) == pytest.approx(
-            2.0 * RESPLIT_COST_MULTIPLE)
-
-    def test_even_count_averages_middle_pair(self):
-        assert resplit_threshold([1.0, 2.0, 4.0, 8.0]) == pytest.approx(
-            3.0 * RESPLIT_COST_MULTIPLE)
-
-    def test_zero_costs_ignored(self):
-        assert resplit_threshold([0.0, 0.0, 6.0]) == pytest.approx(
-            6.0 * RESPLIT_COST_MULTIPLE)
-
-    def test_no_positive_costs_marks_nothing(self):
-        assert math.isinf(resplit_threshold([]))
-        assert math.isinf(resplit_threshold([0.0, 0.0]))
-
-    def test_outlier_does_not_drag_the_reference(self):
-        # A mean-based cut would chase the hub; the median stays put.
-        costs = [1.0] * 9 + [10_000.0]
-        assert resplit_threshold(costs) == pytest.approx(
-            1.0 * RESPLIT_COST_MULTIPLE)
-
-
 class TestStealChunkCount:
     def test_oversubscribes_by_the_factor(self):
         assert steal_chunk_count(1000, 4) == 4 * STEAL_CHUNK_FACTOR
@@ -166,32 +139,23 @@ class TestStealChunkCount:
 class TestPlanSteal:
     def test_covers_everything_once_biggest_first(self):
         subs = _subs([5, 1, 3, 2, 8, 1, 1, 4])
-        plan = plan_steal(subs, 2)
-        covered = sorted(p for c in plan.chunks for p in c.positions)
+        chunks = plan_steal_schedule(subs, 2)
+        covered = sorted(p for c in chunks for p in c.positions)
         assert covered == list(range(len(subs)))
-        costs = [c.cost for c in plan.chunks]
+        costs = [c.cost for c in chunks]
         assert costs == sorted(costs, reverse=True)
-        assert [c.index for c in plan.chunks] == list(range(len(plan.chunks)))
+        assert [c.index for c in chunks] == list(range(len(chunks)))
 
-    def test_resplit_positions_are_excluded(self):
-        subs = _subs([5, 1, 3, 2, 8, 1, 1, 4])
-        plan = plan_steal(subs, 2, resplit=[4, 0])
-        covered = sorted(p for c in plan.chunks for p in c.positions)
-        assert covered == [1, 2, 3, 5, 6, 7]
-        assert plan.resplit == (0, 4)
+    def test_packs_the_static_chunks_of_its_count(self):
+        subs = _subs([random.Random(3).randint(1, 50) for _ in range(40)])
+        chunks = plan_steal_schedule(subs, 2)
+        assert len(chunks) == steal_chunk_count(len(subs), 2)
+        assert sorted(c.positions for c in chunks) == sorted(
+            c.positions for c in make_chunks(subs, len(chunks)))
 
-    def test_all_resplit_leaves_empty_chunks(self):
-        subs = _subs([3, 5])
-        plan = plan_steal(subs, 2, resplit=[0, 1])
-        assert plan.chunks == []
-        assert plan.resplit == (0, 1)
+    def test_no_subproblems_no_chunks(self):
+        assert plan_steal_schedule([], 2) == []
 
     def test_deterministic(self):
         subs = _subs([3, 3, 3, 1, 1, 9, 2, 2])
-        assert plan_steal(subs, 4) == plan_steal(subs, 4)
-
-    def test_threshold_recorded(self):
-        subs = _subs([1.0, 2.0, 3.0])
-        plan = plan_steal(subs, 2)
-        assert plan.threshold == pytest.approx(resplit_threshold(
-            [1.0, 2.0, 3.0]))
+        assert plan_steal_schedule(subs, 4) == plan_steal_schedule(subs, 4)

@@ -7,9 +7,9 @@ or in :class:`WorkerPoolError`, and leave no child process behind once
 the pool is closed.  A :class:`WorkerPoolError` ends its request only:
 the next one runs on fresh workers.
 
-Faults are injected deterministically: a patched ``_solve_chunk`` or
-``_solve_split`` (the workers fork from this process, so they inherit
-the patch) or a poisoned graph state acts in a worker process, or in a
+Faults are injected deterministically: a patched ``_solve_chunk`` (the
+workers fork from this process, so they inherit the patch) or a
+poisoned graph state acts in a worker process, or in a
 one-shot caller's own task, and only while it can claim a flag file
 (``"x"`` mode is the atomic claim), so the number of faults is exact
 however the tasks land on the workers.
@@ -96,28 +96,28 @@ def inject(monkeypatch, tmp_path):
 
     ``inject(kills=k)`` SIGKILLs the worker starting chunk 0, the first
     ``k`` times; ``inject(raises=True)`` raises ``ValueError`` there
-    once.  ``inject(kills=k, split=True)`` patches ``_solve_split``
-    instead and kills the worker starting any split part.  The calling
-    process's own calls are never touched: a one-shot caller solves tasks
-    too, and a fault aimed at a task it takes never fires.  Returns a
-    function telling how many faults fired.
+    once.  ``inject(kills=k, steal=True)`` fires on chunk 0 of a steal
+    request only, its largest chunk.  The calling process's own calls
+    are never touched: a one-shot caller solves tasks too, and a fault
+    aimed at a task it takes never fires.  Returns a function telling how
+    many faults fired.
     """
     parent = os.getpid()
 
-    def install(kills=0, raises=False, split=False):
+    def install(kills=0, raises=False, steal=False):
         flags = [tmp_path / f"kill{i}" for i in range(kills)]
-        target = "_solve_split" if split else "_solve_chunk"
-        real = getattr(pool_module, target)
+        real = pool_module._solve_chunk
 
-        def solve(graph_state, config, task, mode, context=None):
-            if os.getpid() != parent and (split or task.index == 0):
+        def solve(graph_state, config, chunk, mode, context=None):
+            if os.getpid() != parent and chunk.index == 0 \
+                    and (config.steal or not steal):
                 if any(claim(flag) for flag in flags):
                     os.kill(os.getpid(), signal.SIGKILL)
                 if raises and claim(tmp_path / "raised"):
                     raise ValueError("injected worker failure")
-            return real(graph_state, config, task, mode, context)
+            return real(graph_state, config, chunk, mode, context)
 
-        monkeypatch.setattr(pool_module, target, solve)
+        monkeypatch.setattr(pool_module, "_solve_chunk", solve)
         return lambda: sum(f.exists() for f in tmp_path.iterdir())
 
     return install
@@ -213,7 +213,7 @@ class TestCallerShare:
     Its own task cannot be killed, so each fault that needs a worker
     process aims at one: with two chunks the worker takes chunk 0 off the
     front of the queue and the caller chunk 1 off its back, and under
-    ``steal=True`` the worker's first task is the largest split part.
+    ``steal=True`` the worker's first task is chunk 0, the largest.
     Where the order of the two sides matters, the worker's task waits on
     a flag file the caller writes.
     """
@@ -305,11 +305,10 @@ class TestCallerShare:
         assert len(spawns) == 2 and spawns[1] >= caller_done[0]
         assert_no_children()
 
-    def test_one_shot_steal_reruns_a_killed_split_part(self, inject,
-                                                       spawns):
+    def test_one_shot_steal_reruns_a_killed_chunk(self, inject, spawns):
         hub = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
         want = count_maximal_cliques(hub, backend="set")
-        fired = inject(kills=1, split=True)
+        fired = inject(kills=1, steal=True)
         got = bounded(lambda: count_maximal_cliques(hub, n_jobs=2,
                                                     steal=True))
         assert got == want
@@ -318,10 +317,10 @@ class TestCallerShare:
         assert_no_children()
 
 
-class TestWorkerKilledMidSplit:
-    def test_steal_count_reruns_the_lost_split(self, inject):
+class TestWorkerKilledMidStealChunk:
+    def test_steal_count_reruns_the_lost_chunk(self, inject):
         hub = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
-        fired = inject(kills=1, split=True)
+        fired = inject(kills=1, steal=True)
         service = CliqueService(n_jobs=2)
         try:
             service.register(hub, name="hub")

@@ -189,11 +189,11 @@ class TestAlgorithmInvariance:
                                bit_order=order, n_jobs=1) == reference
 
     @pytest.mark.parametrize("algorithm", BITSET_ALGORITHMS)
-    def test_split_tier_inherits_explicit_packing(self, algorithm):
-        """Steal mode cuts the hub's subproblem into parts of root branches,
-        each run on the whole-graph view: that view must be packed in the
-        explicit order too.  Every algorithm that can seed an exclusion
-        set re-splits, the edge family included."""
+    def test_steal_chunks_inherit_explicit_packing(self, algorithm):
+        """Steal mode's small chunks each build a runner on the whole-graph
+        view: that view must be packed in the explicit order too, for
+        every algorithm that can seed an exclusion set, the edge family
+        included."""
         g = ba_heavy_hub(200, 3, hub_parts=4, hub_part_size=3, seed=7)
         reference = maximal_cliques(g, backend="set")
         options = {"backend": "bitset",
@@ -202,7 +202,7 @@ class TestAlgorithmInvariance:
         run_parallel(g, aggregator, algorithm=algorithm, n_jobs=1,
                      steal=True, stats=stats, **options)
         assert aggregator.finish(canonical=True) == reference
-        assert stats.resplit_tasks > 0
+        assert stats.n_chunks == 4
 
 
 class TestValidation:

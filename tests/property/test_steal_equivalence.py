@@ -1,31 +1,33 @@
 """Property tests: the work-stealing schedule is observationally inert.
 
 Steal mode changes *when and where* subproblems run — many small chunks,
-dynamic dispatch, cost outliers re-split at their own root — but never
-*what* is enumerated: for every backend and worker count the canonical
-clique stream (and therefore the fingerprint) must match the static
-schedule and the serial run exactly, on the one family built to trigger
-re-splitting (``ba_heavy_hub``: a single hub subproblem owns a planted
-Moon-Moser pocket's entire clique stream).
+dispatched dynamically, largest first — but never *what* is enumerated:
+for every backend and worker count the canonical clique stream (and
+therefore the fingerprint) must match the static schedule and the serial
+run exactly, on a family with one dominant subproblem
+(``ba_heavy_hub``: a single hub subproblem owns a planted Moon-Moser
+pocket's entire clique stream).
 
-Counter parity is asserted at the granularity the design guarantees:
+Every subproblem is solved whole, by the same in-place runner, under
+either schedule, so the counters must match too:
 
-* ``emitted`` is identical everywhere — every mode emits each clique
-  exactly once.
-* The *full* counter set is identical across ``n_jobs`` within a fixed
+* the *full* counter set is identical across ``n_jobs`` within a fixed
   steal setting — scheduling is deterministic, so moving work between
-  workers cannot change what was explored.
-* Across steal on/off the full counters legitimately differ once a
-  re-split fires: the split level fans out every root candidate where
-  the pivoted search would prune, trading bounded duplicate fan-out for
-  per-branch parallelism.
+  workers cannot change what was explored;
+* the full counter set of a steal run equals the static run's at the
+  same ``n_jobs``, on every backend, for counts and collects alike.
 """
 
 import pytest
 
 from repro.api import maximal_cliques
 from repro.graph.generators import ba_heavy_hub
-from repro.parallel import CollectAggregator, ParallelStats, run_parallel
+from repro.parallel import (
+    CollectAggregator,
+    CountAggregator,
+    ParallelStats,
+    run_parallel,
+)
 from repro.verify import clique_fingerprint
 
 ALGORITHM = "hbbmc++"
@@ -38,6 +40,7 @@ BACKEND_OPTIONS = {
 }
 BACKENDS = list(BACKEND_OPTIONS)
 N_JOBS = [1, 2, 4]
+MODES = {"collect": CollectAggregator, "count": CountAggregator}
 
 
 @pytest.fixture(scope="module")
@@ -47,38 +50,36 @@ def hub():
 
 @pytest.fixture(scope="module")
 def runs(hub):
-    """(backend, steal, n_jobs) -> (cliques, counters, stats) for the grid."""
+    """(mode, backend, steal, n_jobs) -> (result, counters, stats) for the
+    grid; a collect result is the sorted clique list, a count the count."""
     out = {}
-    for backend in BACKENDS:
-        for steal in (False, True):
-            for n_jobs in N_JOBS:
-                aggregator = CollectAggregator()
-                stats = ParallelStats()
-                counters = run_parallel(
-                    hub, aggregator, algorithm=ALGORITHM, n_jobs=n_jobs,
-                    steal=steal, stats=stats, **BACKEND_OPTIONS[backend],
-                )
-                out[(backend, steal, n_jobs)] = (
-                    sorted(aggregator.finish()), counters, stats)
+    for mode, make_aggregator in MODES.items():
+        for backend in BACKENDS:
+            for steal in (False, True):
+                for n_jobs in N_JOBS:
+                    aggregator = make_aggregator()
+                    stats = ParallelStats()
+                    counters = run_parallel(
+                        hub, aggregator, algorithm=ALGORITHM, n_jobs=n_jobs,
+                        steal=steal, stats=stats, **BACKEND_OPTIONS[backend],
+                    )
+                    result = aggregator.finish()
+                    if mode == "collect":
+                        result = sorted(result)
+                    out[(mode, backend, steal, n_jobs)] = (
+                        result, counters, stats)
     return out
 
 
-def test_resplit_actually_fires(runs):
-    # The family exists to exercise the re-split path; if marking ever
-    # stops firing here the rest of this module tests nothing.
-    for backend in BACKENDS:
-        for n_jobs in N_JOBS:
-            stats = runs[(backend, True, n_jobs)][2]
-            assert stats.resplit_subproblems >= 1
-            assert stats.resplit_tasks > stats.resplit_subproblems
-
-
 def test_fingerprints_identical_across_the_grid(hub, runs):
-    reference = maximal_cliques(hub)
+    reference = maximal_cliques(hub, backend="set")
     want = clique_fingerprint(reference)
-    for key, (cliques, _, _) in runs.items():
-        assert cliques == reference, key
-        assert clique_fingerprint(cliques) == want, key
+    for key, (result, _, _) in runs.items():
+        if key[0] == "count":
+            assert result == len(reference), key
+            continue
+        assert result == reference, key
+        assert clique_fingerprint(result) == want, key
 
 
 def test_emitted_identical_across_the_grid(runs):
@@ -86,9 +87,29 @@ def test_emitted_identical_across_the_grid(runs):
     assert len(emitted) == 1
 
 
+def test_steal_cuts_more_chunks_than_static(runs):
+    # The equalities below compare two schedules only while steal packs
+    # the subproblems differently from static.
+    for (mode, backend, steal, n_jobs), (_, _, stats) in runs.items():
+        if steal:
+            static = runs[(mode, backend, False, n_jobs)][2]
+            assert stats.n_chunks == 4 * n_jobs > static.n_chunks
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("steal", [False, True])
 def test_counters_deterministic_across_n_jobs(runs, backend, steal):
-    baseline = runs[(backend, steal, 1)][1].as_dict()
+    baseline = runs[("collect", backend, steal, 1)][1].as_dict()
     for n_jobs in N_JOBS[1:]:
-        assert runs[(backend, steal, n_jobs)][1].as_dict() == baseline
+        assert runs[("collect", backend, steal, n_jobs)][1].as_dict() \
+            == baseline
+
+
+@pytest.mark.parametrize("n_jobs", N_JOBS)
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_steal_counters_equal_static(runs, backend, mode, n_jobs):
+    static = runs[(mode, backend, False, n_jobs)][1]
+    steal = runs[(mode, backend, True, n_jobs)][1]
+    assert steal.as_dict() == static.as_dict()
+    assert static.vertex_calls > 0

@@ -133,15 +133,14 @@ class TestRegistry:
         assert other is not first
         assert registry.stats.chunk_builds == 2
 
-    def test_steal_plan_cached_per_pool_size_and_tier(self, graph):
+    def test_steal_plan_cached_per_pool_size(self, graph):
         registry = GraphRegistry()
         entry = registry.register(graph)
-        first = registry.steal_plan(entry, 2, True)
-        assert registry.steal_plan(entry, 2, True) is first
+        first = registry.steal_plan(entry, 2)
+        assert registry.steal_plan(entry, 2) is first
         assert registry.stats.steal_plan_cache_hits == 1
-        registry.steal_plan(entry, 2, False)
-        registry.steal_plan(entry, 4, True)
-        assert registry.stats.steal_plan_builds == 3
+        registry.steal_plan(entry, 4)
+        assert registry.stats.steal_plan_builds == 2
         assert registry.stats.decompose_calls == 1
 
     def test_entries_oldest_first(self, graph):

@@ -281,15 +281,12 @@ class TestStealRequests:
             result = service.count("hub", steal=True, trace=True)
         parallel = result["parallel"]
         assert parallel["steal"] is True
-        assert parallel["resplit_subproblems"] >= 1
-        assert parallel["resplit_tasks"] >= parallel["resplit_subproblems"]
+        assert parallel["n_chunks"] == 8  # four per worker
         assert parallel["steals"] > 0
-        def names(span):
-            yield span["name"]
-            for child in span.get("children", []):
-                yield from names(child)
-
-        assert "split" in set(names(result["trace"]))
+        tasks = [span["name"] for span in result["trace"]["children"]
+                 if span["name"] not in
+                 ("decompose", "pack", "ship", "execute", "merge")]
+        assert tasks == ["chunk"] * parallel["n_chunks"]
 
     def test_steal_rejects_non_bool(self, graph):
         with CliqueService() as service:
